@@ -10,8 +10,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from fairwalks import crosswalk, embedding, evaluation, projection, walks
 from fairwalks import graph as graph_mod
 from fairwalks.graph import GroupPartition, _id_key
@@ -183,12 +181,7 @@ def _partition_from_attrs(attr_path, attribute, tokens):
     missing = [t for t in tokens if t not in rows]
     if missing:
         raise ValueError(f"{attr_path}: no attribute row for {missing[:3]}...")
-    values = [rows[t][col] for t in tokens]
-    labels = sorted(set(values))
-    if len(labels) < 2:
-        raise ValueError(f"attribute {attribute!r} has fewer than 2 distinct values")
-    lookup = {lab: i for i, lab in enumerate(labels)}
-    return GroupPartition(attribute, np.array([lookup[v] for v in values]), tuple(labels))
+    return GroupPartition.from_values(attribute, [rows[t][col] for t in tokens])
 
 
 def cmd_eval(args):

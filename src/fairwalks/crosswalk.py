@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fairwalks.graph import AttributedGraph, GroupPartition
+from fairwalks.graph import AttributedGraph, GroupPartition, cumsum_by_row
 from fairwalks.seeds import rng_for
 
 CLOSENESS_SMOOTHING = 1e-3
@@ -38,19 +38,20 @@ class BoundaryCloseness:
 class BiasedGraph:
     """Per-node normalized outgoing transition distributions.
 
-    ``neighbors[v]`` and ``probs[v]`` are aligned arrays; probs sum to 1
-    for every non-isolated node. Directed: probs[v] toward u generally
-    differs from probs[u] toward v.
+    ``probs`` is aligned with ``base.indices``: each CSR row sums to 1 for
+    every non-isolated node. Directed: the probability of v -> u generally
+    differs from that of u -> v.
     """
 
     base: AttributedGraph
-    neighbors: list
-    probs: list
+    probs: np.ndarray
     alpha: float
     beta: float
 
     def out_distribution(self, v: int):
-        return self.neighbors[v], self.probs[v]
+        """(neighbor IDs, probabilities) of node v's outgoing row."""
+        row = slice(self.base.indptr[v], self.base.indptr[v + 1])
+        return self.base.indices[row], self.probs[row]
 
 
 def estimate_closeness(
@@ -73,7 +74,8 @@ def estimate_closeness(
         raise ValueError("graph has no edges")
     n = graph.node_count
     group = partition.group_of
-    cumw = [np.cumsum(graph.neighbor_weights(v)) for v in range(n)]
+    indptr, indices = graph.indptr.tolist(), graph.indices
+    cumw = cumsum_by_row(graph.weights, graph.indptr)
 
     values = np.zeros(n, dtype=np.float64)
     total = walks_per_node * walk_length
@@ -85,9 +87,10 @@ def estimate_closeness(
         for r in range(walks_per_node):
             cur = v
             for step in range(walk_length):
-                cw = cumw[cur]
+                lo, hi = indptr[cur], indptr[cur + 1]
+                cw = cumw[lo:hi]
                 idx = np.searchsorted(cw, draws[r, step] * cw[-1], side="right")
-                cur = int(graph.neighbors(cur)[min(idx, len(cw) - 1)])
+                cur = int(indices[min(lo + idx, hi - 1)])
                 if group[cur] != group[v]:
                     foreign += 1
         values[v] = foreign / total
@@ -118,30 +121,24 @@ def reweight(
     boost = np.power(closeness.values + smoothing, beta)
     group = partition.group_of
 
-    neighbors = []
-    probs = []
+    probs = np.zeros(len(graph.indices), dtype=np.float64)
     for v in range(graph.node_count):
-        nbrs = graph.neighbors(v)
-        neighbors.append(nbrs)
+        row = slice(graph.indptr[v], graph.indptr[v + 1])
+        nbrs = graph.indices[row]
         if len(nbrs) == 0:
-            probs.append(np.empty(0, dtype=np.float64))
             continue
-        scores = graph.neighbor_weights(v) * boost[nbrs]
+        scores = graph.weights[row] * boost[nbrs]
         nbr_groups = group[nbrs]
         same = nbr_groups == group[v]
         foreign_groups = np.unique(nbr_groups[~same])
         r = len(foreign_groups)
-        if r == 0:
-            probs.append(_share(scores, np.ones(len(nbrs), dtype=bool), 1.0))
-            continue
-        out = np.zeros(len(nbrs), dtype=np.float64)
+        out = probs[row]
         cross_mass = alpha if same.any() else 1.0
         if same.any():
-            out += _share(scores, same, 1.0 - alpha)
+            out += _share(scores, same, 1.0 - alpha if r else 1.0)
         for g in foreign_groups:
             out += _share(scores, nbr_groups == g, cross_mass / r)
-        probs.append(out)
-    return BiasedGraph(graph, neighbors, probs, alpha, beta)
+    return BiasedGraph(graph, probs, alpha, beta)
 
 
 def _share(scores, mask, mass):
@@ -161,15 +158,21 @@ def save_biased(biased: BiasedGraph, path):
     with open(path, "w") as f:
         f.write(f"# alpha={biased.alpha!r} beta={biased.beta!r}\n")
         for v in range(biased.base.node_count):
-            for u, p in zip(biased.neighbors[v], biased.probs[v]):
+            for u, p in zip(*biased.out_distribution(v)):
                 f.write(f"{ids[v]}\t{ids[u]}\t{float(p)!r}\n")
 
 
 def load_biased(path, graph: AttributedGraph) -> BiasedGraph:
-    """Rebind a serialized biased edge list to its base graph."""
+    """Rebind a serialized biased edge list to its base graph.
+
+    Each line must name a distinct edge of ``graph``, and every edge needs
+    a line in both directions; otherwise ValueError names the culprit.
+    """
     index = {nid: i for i, nid in enumerate(graph.original_ids)}
+    rows = np.repeat(np.arange(graph.node_count), np.diff(graph.indptr))
+    slot_of = {pair: s for s, pair in enumerate(zip(rows.tolist(), graph.indices.tolist()))}
+    prob_at = {}  # CSR slot -> probability
     alpha = beta = float("nan")
-    rows = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             stripped = line.strip()
@@ -187,15 +190,18 @@ def load_biased(path, graph: AttributedGraph) -> BiasedGraph:
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'u\\tv\\tprob'")
             try:
-                src, dst = index[parts[0]], index[parts[1]]
+                pair = (index[parts[0]], index[parts[1]])
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: unknown node {exc}") from None
-            rows.setdefault(src, []).append((dst, float(parts[2])))
-
-    neighbors = []
-    probs = []
-    for v in range(graph.node_count):
-        entries = sorted(rows.get(v, []))
-        neighbors.append(np.array([d for d, _ in entries], dtype=np.int64))
-        probs.append(np.array([p for _, p in entries], dtype=np.float64))
-    return BiasedGraph(graph, neighbors, probs, alpha, beta)
+            slot = slot_of.get(pair)
+            if slot is None or slot in prob_at:
+                problem = "is not an edge of the graph" if slot is None else "is a duplicate entry"
+                raise ValueError(f"{path}:{lineno}: {parts[0]} -> {parts[1]} {problem}")
+            prob_at[slot] = float(parts[2])
+    if len(prob_at) < len(slot_of):
+        e = min(set(range(len(slot_of))) - prob_at.keys())
+        ids = graph.original_ids
+        raise ValueError(f"{path}: no line for edge {ids[rows[e]]} -> {ids[graph.indices[e]]}")
+    probs = np.empty(len(slot_of), dtype=np.float64)
+    probs[list(prob_at)] = list(prob_at.values())
+    return BiasedGraph(graph, probs, alpha, beta)

@@ -12,8 +12,8 @@ File formats:
               one row per node
 """
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,7 +40,9 @@ class AttributedGraph:
 
     ``edge_index`` is (m, 2) with u < v in every row, sorted; ``edge_weight``
     is (m,) positive. ``attributes`` maps name -> list of n string values.
-    Read-only after construction.
+    Read-only after construction. The one adjacency is CSR over both edge
+    directions: row v is ``indices[indptr[v]:indptr[v + 1]]`` (ascending),
+    and ``weights`` and every other per-edge array align with ``indices``.
     """
 
     node_count: int
@@ -48,14 +50,15 @@ class AttributedGraph:
     edge_weight: np.ndarray
     attributes: dict
     original_ids: list
-    _adj: list = field(default=None, repr=False, compare=False)
-    _adj_w: list = field(default=None, repr=False, compare=False)
+    indptr: np.ndarray = field(init=False, repr=False)
+    indices: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.edge_index = np.asarray(self.edge_index, dtype=np.int64).reshape(-1, 2)
         self.edge_weight = np.asarray(self.edge_weight, dtype=np.float64).reshape(-1)
         self._validate()
-        self._build_adjacency()
+        self._build_csr()
 
     def _validate(self):
         n, e, w = self.node_count, self.edge_index, self.edge_weight
@@ -79,16 +82,15 @@ class AttributedGraph:
             if len(values) != n:
                 raise ValueError(f"attribute {name!r} must have one value per node")
 
-    def _build_adjacency(self):
+    def _build_csr(self):
         n = self.node_count
         src = np.concatenate([self.edge_index[:, 0], self.edge_index[:, 1]])
         dst = np.concatenate([self.edge_index[:, 1], self.edge_index[:, 0]])
         w = np.concatenate([self.edge_weight, self.edge_weight])
         order = np.lexsort((dst, src))
-        src, dst, w = src[order], dst[order], w[order]
-        starts = np.searchsorted(src, np.arange(n + 1))
-        self._adj = [dst[starts[i]:starts[i + 1]] for i in range(n)]
-        self._adj_w = [w[starts[i]:starts[i + 1]] for i in range(n)]
+        self.indptr = np.searchsorted(src[order], np.arange(n + 1))
+        self.indices = dst[order]
+        self.weights = w[order]
 
     @property
     def edge_count(self) -> int:
@@ -96,14 +98,14 @@ class AttributedGraph:
 
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbor IDs of v, sorted ascending."""
-        return self._adj[v]
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def neighbor_weights(self, v: int) -> np.ndarray:
         """Weights aligned with ``neighbors(v)``."""
-        return self._adj_w[v]
+        return self.weights[self.indptr[v]:self.indptr[v + 1]]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def __eq__(self, other):
         if not isinstance(other, AttributedGraph):
@@ -118,12 +120,10 @@ class AttributedGraph:
 
     def summary(self) -> dict:
         """Node/edge counts plus per-attribute group sizes."""
-        groups = {}
-        for name, values in self.attributes.items():
-            counts = {}
-            for v in values:
-                counts[v] = counts.get(v, 0) + 1
-            groups[name] = dict(sorted(counts.items()))
+        groups = {
+            name: dict(sorted(Counter(values).items()))
+            for name, values in self.attributes.items()
+        }
         return {
             "nodes": self.node_count,
             "edges": self.edge_count,
@@ -147,6 +147,15 @@ class GroupPartition:
         counts = np.bincount(self.group_of, minlength=c)
         if len(counts) > c or np.any(counts == 0):
             raise ValueError("every group index in 0..C-1 must be non-empty")
+
+    @classmethod
+    def from_values(cls, attribute: str, values) -> "GroupPartition":
+        """One group per distinct value (one value per node), ordered by label."""
+        labels = sorted(set(values))
+        if len(labels) < 2:
+            raise ValueError(f"attribute {attribute!r} has fewer than 2 distinct values")
+        index = {lab: i for i, lab in enumerate(labels)}
+        return cls(attribute, np.array([index[v] for v in values], dtype=np.int64), tuple(labels))
 
     @property
     def num_groups(self) -> int:
@@ -233,21 +242,12 @@ def _densify(raw_edges, kept_ids, attr_names, attr_rows):
     """Build an AttributedGraph over ``kept_ids`` from string-keyed edges."""
     order = sorted(kept_ids, key=_id_key)
     index = {nid: i for i, nid in enumerate(order)}
-    pairs = []
-    weights = []
-    for (u, v), w in raw_edges.items():
-        if u in index and v in index:
-            a, b = index[u], index[v]
-            pairs.append((a, b) if a < b else (b, a))
-            weights.append(w)
-    if pairs:
-        edge_index = np.array(pairs, dtype=np.int64)
-        edge_weight = np.array(weights, dtype=np.float64)
-        sort = np.lexsort((edge_index[:, 1], edge_index[:, 0]))
-        edge_index, edge_weight = edge_index[sort], edge_weight[sort]
-    else:
-        edge_index = np.empty((0, 2), dtype=np.int64)
-        edge_weight = np.empty(0, dtype=np.float64)
+    kept = [(index[u], index[v], w) for (u, v), w in raw_edges.items()
+            if u in index and v in index]
+    edge_index = np.sort(np.array([e[:2] for e in kept], dtype=np.int64).reshape(-1, 2), axis=1)
+    edge_weight = np.array([e[2] for e in kept], dtype=np.float64)
+    sort = np.lexsort((edge_index[:, 1], edge_index[:, 0]))
+    edge_index, edge_weight = edge_index[sort], edge_weight[sort]
     attributes = {
         name: [attr_rows[nid][j] for nid in order] for j, name in enumerate(attr_names)
     }
@@ -263,10 +263,7 @@ def ingest(edge_path, attr_path):
     raw_edges, self_loops, merged = _parse_edge_file(edge_path)
     attr_names, attr_rows = _parse_attr_file(attr_path)
 
-    node_ids = set()
-    for u, v in raw_edges:
-        node_ids.add(u)
-        node_ids.add(v)
+    node_ids = {nid for pair in raw_edges for nid in pair}
     for nid in attr_rows:
         if nid not in node_ids:
             raise GraphFormatError(
@@ -345,17 +342,8 @@ def bin_age_attribute(graph: AttributedGraph, attribute: str):
     dropped = graph.node_count - len(binned)
     if not binned:
         raise ValueError("no nodes left after age binning")
-    new_attrs = dict(graph.attributes)
-    new_attrs[attribute] = [
-        binned.get(v, values[v]) for v in range(graph.node_count)
-    ]
-    patched = AttributedGraph(
-        graph.node_count,
-        graph.edge_index.copy(),
-        graph.edge_weight.copy(),
-        new_attrs,
-        list(graph.original_ids),
-    )
+    relabeled = [binned.get(v, values[v]) for v in range(graph.node_count)]
+    patched = replace(graph, attributes={**graph.attributes, attribute: relabeled})
     if dropped == 0:
         return patched, 0
     return _induced(patched, sorted(binned)), dropped
@@ -365,33 +353,18 @@ def partition_by(graph: AttributedGraph, attribute: str) -> GroupPartition:
     """Partition nodes by an attribute; groups ordered by label."""
     if attribute not in graph.attributes:
         raise ValueError(f"unknown attribute {attribute!r}")
-    values = graph.attributes[attribute]
-    labels = sorted(set(values))
-    if len(labels) < 2:
-        raise ValueError(
-            f"attribute {attribute!r} has fewer than 2 distinct values"
-        )
-    index = {lab: i for i, lab in enumerate(labels)}
-    group_of = np.array([index[v] for v in values], dtype=np.int64)
-    return GroupPartition(attribute, group_of, tuple(labels))
+    return GroupPartition.from_values(attribute, graph.attributes[attribute])
 
 
 def _induced(graph: AttributedGraph, nodes):
     """Induced subgraph on a sorted node list, IDs re-densified."""
     nodes = list(nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    mask = np.isin(graph.edge_index[:, 0], nodes) & np.isin(
-        graph.edge_index[:, 1], nodes
-    )
-    kept = graph.edge_index[mask]
+    # an ascending node list keeps kept edges canonical and in sorted order
     remap = np.full(graph.node_count, -1, dtype=np.int64)
     remap[nodes] = np.arange(len(nodes))
-    edge_index = remap[kept]
-    edge_index.sort(axis=1)
-    edge_weight = graph.edge_weight[mask]
-    if len(edge_index):
-        sort = np.lexsort((edge_index[:, 1], edge_index[:, 0]))
-        edge_index, edge_weight = edge_index[sort], edge_weight[sort]
+    edge_index = remap[graph.edge_index]
+    kept = (edge_index >= 0).all(axis=1)
+    edge_index, edge_weight = edge_index[kept], graph.edge_weight[kept]
     attributes = {
         name: [vals[v] for v in nodes] for name, vals in graph.attributes.items()
     }
@@ -399,27 +372,36 @@ def _induced(graph: AttributedGraph, nodes):
     return AttributedGraph(len(nodes), edge_index, edge_weight, attributes, original_ids)
 
 
-def _components(adjacency, nodes):
-    """Connected components (lists of node IDs) within a node subset."""
-    nodes = set(nodes)
-    seen = set()
-    components = []
-    for start in sorted(nodes):
-        if start in seen:
-            continue
-        comp = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for u in adjacency[v]:
-                u = int(u)
-                if u in nodes and u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        components.append(comp)
-    return components
+def cumsum_by_row(values, indptr) -> np.ndarray:
+    """Running sums restarted at every CSR row, bitwise equal to ``np.cumsum``
+    of each row (a global cumsum minus row offsets is not). One vectorized
+    pass per position within a row, up to the longest row."""
+    out = np.array(values, dtype=np.float64)
+    starts = indptr[:-1]
+    lengths = np.diff(indptr)
+    rows = np.flatnonzero(lengths > 1)
+    for k in range(1, int(lengths.max(initial=0))):
+        rows = rows[lengths[rows] > k]
+        pos = starts[rows] + k
+        out[pos] += out[pos - 1]
+    return out
+
+
+def component_labels(node_count: int, src, dst) -> np.ndarray:
+    """Connected-component label per node: the smallest node ID it reaches.
+
+    ``src``/``dst`` are int arrays of edge endpoints (either direction
+    suffices). Each round hooks every root under the smallest root across
+    its edges, then compresses the labels by pointer jumping.
+    """
+    labels = np.arange(node_count)
+    while True:
+        lu, lv = labels[src], labels[dst]
+        if np.array_equal(lu, lv):
+            return labels
+        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+        while not np.array_equal(labels, labels[labels]):
+            labels = labels[labels]
 
 
 def select_subgraph(graph: AttributedGraph, attribute: str, allowed_values) -> AttributedGraph:
@@ -439,12 +421,14 @@ def select_subgraph(graph: AttributedGraph, attribute: str, allowed_values) -> A
         raise ValueError(
             f"no nodes have {attribute!r} in {sorted(allowed)}"
         )
-    components = _components(graph._adj, matching)
+    sub = _induced(graph, matching)
+    labels = component_labels(sub.node_count, sub.edge_index[:, 0], sub.edge_index[:, 1])
+    sizes = np.bincount(labels)
     best = min(
-        components,
-        key=lambda comp: (-len(comp), min(_id_key(graph.original_ids[v]) for v in comp)),
+        np.flatnonzero(sizes == sizes.max()),
+        key=lambda c: min(_id_key(sub.original_ids[v]) for v in np.flatnonzero(labels == c)),
     )
-    return _induced(graph, sorted(best))
+    return _induced(sub, np.flatnonzero(labels == best))
 
 
 @dataclass(frozen=True)
@@ -510,19 +494,16 @@ def generate_sbm(
     upper = np.triu(draws < prob, k=1)
     u_idx, v_idx = np.nonzero(upper)
 
-    degree = np.zeros(n, dtype=np.int64)
-    np.add.at(degree, u_idx, 1)
-    np.add.at(degree, v_idx, 1)
+    degree = np.bincount(np.concatenate([u_idx, v_idx]), minlength=n)
     keep = np.nonzero(degree > 0)[0]
     isolated = n - len(keep)
     if len(keep) == 0:
         raise ValueError("generated graph has no edges; raise the densities")
 
+    # np.nonzero yields (u, v) in row-major order; the monotone remap keeps it
     remap = np.full(n, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep))
     edge_index = np.stack([remap[u_idx], remap[v_idx]], axis=1)
-    sort = np.lexsort((edge_index[:, 1], edge_index[:, 0]))
-    edge_index = edge_index[sort]
     edge_weight = np.ones(len(edge_index), dtype=np.float64)
     kept_attrs = {
         name: [vals[v] for v in keep] for name, vals in attributes.items()

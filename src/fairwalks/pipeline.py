@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +143,10 @@ class ExperimentConfig:
             return f"baseline_p{self.p:g}_q{self.q:g}"
         return f"crosswalk_a{self.alpha:g}_b{self.beta:g}_p{self.p:g}_q{self.q:g}"
 
+    def config_hash(self) -> str:
+        """Hash of every field: two runs share it only if nothing differs."""
+        return _hash_key(json.dumps(self.to_dict(), sort_keys=True))
+
 
 class ArtifactCache:
     """Content-addressed store for expensive stage outputs."""
@@ -164,8 +169,18 @@ class ArtifactCache:
 
     def store_array(self, key, suffix, array):
         path = self.path(key, suffix)
-        if path is not None:
-            np.save(path, array, allow_pickle=False)
+        if path is None:
+            return
+        # temp file then rename, so an interrupted write never reaches ``path``;
+        # a handle, because np.save appends .npy to bare file names
+        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as f:
+                np.save(f, array, allow_pickle=False)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _hash_key(*parts) -> str:
@@ -302,12 +317,9 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
             cache.store_array(wkey, "corpus.npy", flat)
         else:
             n_walks = int(flat[0])
-            lengths = flat[1 : 1 + n_walks].astype(int)
-            body = flat[1 + n_walks :]
-            offsets = np.concatenate([[0], np.cumsum(lengths)])
+            bounds = np.cumsum(flat[1:n_walks])  # every walk length but the last
             corpus = walks.WalkCorpus(
-                [body[offsets[i]:offsets[i + 1]].astype(int).tolist() for i in range(n_walks)],
-                walk_config, source,
+                [w.tolist() for w in np.split(flat[1 + n_walks :], bounds)], walk_config, source
             )
     except Exception as exc:
         raise StageError(stage, exc) from exc

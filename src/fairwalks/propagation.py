@@ -7,10 +7,11 @@ clamped to their one-hot targets, the harmonic-function scheme for
 semi-supervised classification.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+
+from fairwalks.graph import component_labels
 
 
 @dataclass
@@ -23,12 +24,6 @@ class PropagationGraph:
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
-
-    def neighbor_lists(self):
-        out = [[] for _ in range(self.node_count)]
-        for r, c, w in zip(self.rows, self.cols, self.weights):
-            out[r].append((int(c), float(w)))
-        return out
 
 
 def build_propagation_graph(vectors, k: int = 10, sigma=None) -> PropagationGraph:
@@ -74,24 +69,6 @@ def build_propagation_graph(vectors, k: int = 10, sigma=None) -> PropagationGrap
     return PropagationGraph(n, k, sigma, rows[sort], cols[sort], weights[sort])
 
 
-def _reachable_from(pg: PropagationGraph, sources):
-    """Nodes reachable from the source set via positive-weight edges."""
-    adjacency = [[] for _ in range(pg.node_count)]
-    for r, c, w in zip(pg.rows, pg.cols, pg.weights):
-        if w > 0:
-            adjacency[r].append(int(c))
-    seen = np.zeros(pg.node_count, dtype=bool)
-    queue = deque(int(s) for s in sources)
-    seen[list(queue)] = True
-    while queue:
-        v = queue.popleft()
-        for u in adjacency[v]:
-            if not seen[u]:
-                seen[u] = True
-                queue.append(u)
-    return seen
-
-
 def propagate(
     pg: PropagationGraph,
     labels,
@@ -103,7 +80,8 @@ def propagate(
 
     ``labels`` holds a class index per node, -1 for unlabeled. Returns
     (probabilities (n, C), warnings). Unlabeled nodes with no path to any
-    seed get the uniform distribution.
+    seed get the uniform distribution. Stopping at ``max_iters`` before the
+    change falls below ``tol`` adds a warning.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = pg.node_count
@@ -119,8 +97,7 @@ def propagate(
         if c not in present:
             warnings.append(f"class {c} has no labeled seed and cannot be predicted")
 
-    row_sum = np.zeros(n, dtype=np.float64)
-    np.add.at(row_sum, pg.rows, pg.weights)
+    row_sum = np.bincount(pg.rows, weights=pg.weights, minlength=n)
     denom = row_sum[pg.rows]
     norm = np.divide(
         pg.weights, denom, out=np.zeros_like(pg.weights), where=denom > 0
@@ -133,6 +110,7 @@ def propagate(
     clamp[labeled, labels[labeled]] = 1.0
     y = clamp.copy()
 
+    delta = np.inf
     for _ in range(max_iters):
         # a zero pad row keeps reduceat boundaries valid when trailing
         # nodes have no edges; empty middle segments are zeroed below
@@ -144,9 +122,15 @@ def propagate(
         y = y_next
         if delta < tol:
             break
+    if delta >= tol:
+        warnings.append(
+            f"propagation did not converge in {max_iters} iterations "
+            f"(last max change {delta:.3g}, tol {tol:g})"
+        )
 
-    reachable = _reachable_from(pg, np.nonzero(labeled)[0])
-    stranded = ~reachable & ~labeled
+    positive = pg.weights > 0
+    component = component_labels(n, pg.rows[positive], pg.cols[positive])
+    stranded = ~np.isin(component, component[labeled]) & ~labeled
     if stranded.any():
         y[stranded] = 1.0 / n_classes
         warnings.append(

@@ -2,11 +2,12 @@
 
 A sweep expands a grid of (alpha, beta) x (p, q) into crosswalk runs plus,
 optionally, (p, q) baseline runs. Each run appends one row to a fixed,
-versioned column set; rerunning skips rows that already completed, so a
-deleted or failed row is the only thing recomputed.
+versioned column set; rerunning skips runs whose full config hash matches
+a completed row, so nothing but missing or failed runs is recomputed.
 """
 
 import csv
+import io
 import json
 import os
 import threading
@@ -16,11 +17,12 @@ from itertools import product
 
 from fairwalks.pipeline import PRESETS, ExperimentConfig, StageError, execute
 
-SWEEP_SCHEMA_VERSION = 1
+SWEEP_SCHEMA_VERSION = 2
 
 SWEEP_COLUMNS = (
     "schema_version",
     "run_id",
+    "config_hash",
     "dataset",
     "status",
     "error",
@@ -119,12 +121,19 @@ def _format_value(value):
     return str(value)
 
 
+def _csv_line(fields) -> str:
+    """One CSV record; fields holding commas, quotes or newlines are quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
 def csv_header_line() -> str:
-    return ",".join(SWEEP_COLUMNS) + "\n"
+    return _csv_line(SWEEP_COLUMNS)
 
 
 def _row_line(values: dict) -> str:
-    return ",".join(_format_value(values.get(col, "")) for col in SWEEP_COLUMNS) + "\n"
+    return _csv_line(_format_value(values.get(col, "")) for col in SWEEP_COLUMNS)
 
 
 def report_csv_line(config: ExperimentConfig, report, error=None) -> str:
@@ -132,6 +141,7 @@ def report_csv_line(config: ExperimentConfig, report, error=None) -> str:
     values = {
         "schema_version": SWEEP_SCHEMA_VERSION,
         "run_id": config.run_id(),
+        "config_hash": config.config_hash(),
         "dataset": config.dataset_name,
         "intervention": config.intervention,
         "alpha": config.alpha,
@@ -142,7 +152,7 @@ def report_csv_line(config: ExperimentConfig, report, error=None) -> str:
     }
     if error is not None:
         values["status"] = "error"
-        values["error"] = str(error).replace(",", ";").replace("\n", " ")
+        values["error"] = str(error)
         return _row_line(values)
     values.update(
         {
@@ -177,7 +187,8 @@ def run_sweep(
     """Execute every expanded config, appending rows to results.csv.
 
     Returns (csv path, plans, executed count). ``dry_run`` enumerates
-    without executing. Completed rows (status ok) are skipped on rerun.
+    without executing. A run is skipped when an ok row has its config hash;
+    rows of an older schema (no hash) are dropped and rerun.
     """
     plans = spec.expand(base)
     csv_path = os.path.join(out_dir, "results.csv")
@@ -187,9 +198,10 @@ def run_sweep(
     os.makedirs(out_dir, exist_ok=True)
     done = set()
     if os.path.exists(csv_path):
-        # error rows are dropped here so they get retried below
-        existing = [row for row in read_sweep_table(csv_path) if row["status"] == "ok"]
-        done = {row["run_id"] for row in existing}
+        # error and old-schema rows are dropped here so they get retried below
+        existing = [row for row in read_sweep_table(csv_path) if row["status"] == "ok"
+                    and row["schema_version"] == str(SWEEP_SCHEMA_VERSION)]
+        done = {row["config_hash"] for row in existing}
         with open(csv_path, "w") as f:
             f.write(csv_header_line())
             for row in existing:
@@ -202,7 +214,7 @@ def run_sweep(
     if runner is None:
         runner = lambda cfg: execute(cfg, cache_dir=cache_dir).report
 
-    todo = [cfg for cfg in plans if cfg.run_id() not in done]
+    todo = [cfg for cfg in plans if cfg.config_hash() not in done]
     write_lock = threading.Lock()
 
     def run_one(cfg):

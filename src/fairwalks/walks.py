@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fairwalks.crosswalk import BiasedGraph
-from fairwalks.graph import AttributedGraph
+from fairwalks.graph import AttributedGraph, cumsum_by_row
 from fairwalks.seeds import rng_for
 
 
@@ -45,30 +45,37 @@ class WalkCorpus:
 
 @dataclass
 class TransitionWeights:
-    """Normalized out-distributions: aligned neighbor/probability arrays."""
+    """Normalized out-distributions aligned with a graph's CSR ``indices``;
+    ``cum`` holds their running sums, restarted at every row."""
 
-    neighbors: list
-    probs: list
-    _cum: list = field(default=None, repr=False)
+    indptr: np.ndarray
+    indices: np.ndarray
+    probs: np.ndarray
+    cum: np.ndarray = field(init=False, repr=False)
+    _bounds: list = field(init=False, repr=False)  # indptr as ints, for per-step slicing
 
     def __post_init__(self):
-        self._cum = [np.cumsum(p) for p in self.probs]
+        self.cum = cumsum_by_row(self.probs, self.indptr)
+        self._bounds = self.indptr.tolist()
 
     @classmethod
     def from_graph(cls, graph: AttributedGraph) -> "TransitionWeights":
-        probs = []
-        for v in range(graph.node_count):
-            w = graph.neighbor_weights(v)
-            probs.append(w / w.sum() if len(w) else w)
-        return cls([graph.neighbors(v) for v in range(graph.node_count)], probs)
+        # per-row sums, so every row normalizes exactly as w / w.sum() would
+        sums = [graph.neighbor_weights(v).sum() for v in range(graph.node_count)]
+        totals = np.repeat(np.array(sums, dtype=np.float64), np.diff(graph.indptr))
+        return cls(graph.indptr, graph.indices, graph.weights / totals)
 
     @classmethod
     def from_biased(cls, biased: BiasedGraph) -> "TransitionWeights":
-        return cls(list(biased.neighbors), list(biased.probs))
+        return cls(biased.base.indptr, biased.base.indices, biased.probs)
 
     @property
     def node_count(self) -> int:
-        return len(self.neighbors)
+        return len(self.indptr) - 1
+
+    def row(self, v: int) -> slice:
+        """Positions of node v's out-distribution in ``indices``/``probs``."""
+        return slice(self._bounds[v], self._bounds[v + 1])
 
 
 def transition_distribution(weights: TransitionWeights, prev, cur: int, p: float, q: float):
@@ -78,14 +85,15 @@ def transition_distribution(weights: TransitionWeights, prev, cur: int, p: float
     step, where the second-order factors do not apply. Isolated ``cur``
     yields empty arrays.
     """
-    nbrs = weights.neighbors[cur]
-    base = weights.probs[cur]
+    row = weights.row(cur)
+    nbrs = weights.indices[row]
+    base = weights.probs[row]
     if len(nbrs) == 0:
         return nbrs, base
     if prev is None or (p == 1.0 and q == 1.0):
         return nbrs, base / base.sum()
     factors = np.full(len(nbrs), 1.0 / q)
-    prev_nbrs = weights.neighbors[prev]
+    prev_nbrs = weights.indices[weights.row(prev)]
     if len(prev_nbrs):
         pos = np.minimum(np.searchsorted(prev_nbrs, nbrs), len(prev_nbrs) - 1)
         factors[prev_nbrs[pos] == nbrs] = 1.0
@@ -101,16 +109,15 @@ def _single_walk(weights, root, length, p, q, rng):
     cur = root
     fast = p == 1.0 and q == 1.0
     for step in range(length):
-        nbrs = weights.neighbors[cur]
+        if fast or prev is None:
+            row = weights.row(cur)
+            nbrs, cum = weights.indices[row], weights.cum[row]
+        else:
+            nbrs, probs = transition_distribution(weights, prev, cur, p, q)
+            cum = np.cumsum(probs)
         if len(nbrs) == 0:
             break
-        if fast or prev is None:
-            cum = weights._cum[cur]
-            idx = np.searchsorted(cum, draws[step] * cum[-1], side="right")
-        else:
-            _, probs = transition_distribution(weights, prev, cur, p, q)
-            cum = np.cumsum(probs)
-            idx = np.searchsorted(cum, draws[step] * cum[-1], side="right")
+        idx = np.searchsorted(cum, draws[step] * cum[-1], side="right")
         nxt = int(nbrs[min(idx, len(nbrs) - 1)])
         walk.append(nxt)
         prev, cur = cur, nxt

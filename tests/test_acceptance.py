@@ -94,11 +94,12 @@ class TestCriterion1Oracles:
                 for v in range(n):
                     if g.degree(v) == 0:
                         continue
-                    worst_sum = max(worst_sum, abs(biased.probs[v].sum() - 1.0))
+                    _, probs = biased.out_distribution(v)
+                    worst_sum = max(worst_sum, abs(probs.sum() - 1.0))
                     groups = partition.group_of[g.neighbors(v)]
                     same = groups == partition.group_of[v]
                     if same.any() and (~same).any():
-                        cross = biased.probs[v][~same].sum()
+                        cross = probs[~same].sum()
                         worst_mass = max(worst_mass, abs(cross - alpha))
         check(
             "1.2 crosswalk reweighting oracle",

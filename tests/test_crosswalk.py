@@ -97,7 +97,9 @@ class TestReweight:
         b1 = reweight(g, p, m1, alpha=0.4, beta=3.0, smoothing=0.0)
         b2 = reweight(g, p, m2, alpha=0.4, beta=3.0, smoothing=0.0)
         for v in range(4):
-            np.testing.assert_allclose(b1.probs[v], b2.probs[v], atol=1e-12)
+            np.testing.assert_allclose(
+                b1.out_distribution(v)[1], b2.out_distribution(v)[1], atol=1e-12
+            )
 
     def test_only_foreign_neighbors_renormalizes_to_one(self, graph_factory):
         # node 0 has neighbors only in groups Y and Z
@@ -122,7 +124,7 @@ class TestReweight:
         previous = None
         for beta in BETA_GRID:
             b = reweight(g, p, m, alpha=0.5, beta=beta)
-            share = b.probs[0][0]  # neighbor 1, highest closeness
+            share = b.out_distribution(0)[1][0]  # neighbor 1, highest closeness
             if previous is not None:
                 assert share >= previous - 1e-12
             previous = share
@@ -173,8 +175,9 @@ class TestGridProperties:
         b = reweight(g, p, closeness_of(m), alpha=alpha, beta=beta)
         for v in range(g.node_count):
             if g.degree(v):
-                assert abs(b.probs[v].sum() - 1.0) <= 1e-9
-                assert np.all(b.probs[v] >= 0)
+                _, probs = b.out_distribution(v)
+                assert abs(probs.sum() - 1.0) <= 1e-9
+                assert np.all(probs >= 0)
 
     @given(random_attributed_graph(), st.sampled_from(ALPHA_GRID), st.sampled_from(BETA_GRID))
     @settings(max_examples=60)
@@ -188,7 +191,7 @@ class TestGridProperties:
                 continue
             same = p.group_of[nbrs] == p.group_of[v]
             if same.any() and (~same).any():
-                cross = b.probs[v][~same].sum()
+                cross = b.out_distribution(v)[1][~same].sum()
                 assert abs(cross - alpha) <= 1e-9
 
 
@@ -203,5 +206,40 @@ class TestSerialization:
         b2 = load_biased(path, g)
         assert b2.alpha == 0.25 and b2.beta == 2.0
         for v in range(g.node_count):
-            assert np.array_equal(b.neighbors[v], b2.neighbors[v])
-            np.testing.assert_array_equal(b.probs[v], b2.probs[v])
+            nbrs, probs = b.out_distribution(v)
+            nbrs2, probs2 = b2.out_distribution(v)
+            assert np.array_equal(nbrs, nbrs2)
+            np.testing.assert_array_equal(probs, probs2)
+
+
+class TestLoadBiasedValidation:
+    def write(self, tmp_path, lines):
+        path = tmp_path / "biased.edges"
+        path.write_text("# alpha=0.5 beta=1.0\n" + "".join(line + "\n" for line in lines))
+        return path
+
+    PATH_LINES = ["0\t1\t1.0", "1\t0\t0.5", "1\t2\t0.5", "2\t1\t1.0"]
+
+    def test_complete_file_loads(self, tmp_path):
+        g = make_graph([(0, 1), (1, 2)], attrs={"loc": ["X", "Y", "X"]})
+        b = load_biased(self.write(tmp_path, self.PATH_LINES), g)
+        nbrs, probs = b.out_distribution(1)
+        assert nbrs.tolist() == [0, 2] and probs.tolist() == [0.5, 0.5]
+
+    def test_pair_that_is_not_an_edge(self, tmp_path):
+        g = make_graph([(0, 1), (1, 2)], attrs={"loc": ["X", "Y", "X"]})
+        path = self.write(tmp_path, self.PATH_LINES + ["0\t2\t0.1"])
+        with pytest.raises(ValueError, match=r":6: 0 -> 2 is not an edge"):
+            load_biased(path, g)
+
+    def test_duplicate_pair(self, tmp_path):
+        g = make_graph([(0, 1), (1, 2)], attrs={"loc": ["X", "Y", "X"]})
+        path = self.write(tmp_path, self.PATH_LINES[:3] + ["1\t0\t0.5"] + self.PATH_LINES[3:])
+        with pytest.raises(ValueError, match=r":5: 1 -> 0 is a duplicate entry"):
+            load_biased(path, g)
+
+    def test_edge_without_entry(self, tmp_path):
+        g = make_graph([(0, 1), (1, 2)], attrs={"loc": ["X", "Y", "X"]})
+        path = self.write(tmp_path, self.PATH_LINES[:3])
+        with pytest.raises(ValueError, match=r"no line for edge 2 -> 1"):
+            load_biased(path, g)

@@ -11,6 +11,8 @@ from fairwalks.graph import (
     GraphFormatError,
     bin_age,
     bin_age_attribute,
+    component_labels,
+    cumsum_by_row,
     generate_sbm,
     ingest,
     load_graph,
@@ -340,3 +342,39 @@ class TestGraphInvariants:
     def test_neighbors_sorted(self, graph_factory):
         g = graph_factory([(2, 0), (2, 1), (2, 3)])
         assert g.neighbors(2).tolist() == [0, 1, 3]
+
+
+class TestCsrHelpers:
+    def test_component_labels_match_union_find(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            m = int(rng.integers(0, 2 * n))
+            src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+            parent = list(range(n))
+
+            def find(v):
+                while parent[v] != v:
+                    v = parent[v]
+                return v
+
+            for u, v in zip(src, dst):
+                a, b = find(u), find(v)
+                parent[max(a, b)] = min(a, b)
+            expected = [find(v) for v in range(n)]
+            assert component_labels(n, src, dst).tolist() == expected
+
+    def test_cumsum_by_row_bitwise_per_row(self):
+        rng = np.random.default_rng(5)
+        lengths = rng.integers(0, 300, 40)
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        values = rng.random(indptr[-1]) * rng.choice([1e-3, 1.0, 1e3], indptr[-1])
+        expected = [np.cumsum(values[a:b]) for a, b in zip(indptr[:-1], indptr[1:])]
+        np.testing.assert_array_equal(cumsum_by_row(values, indptr), np.concatenate(expected))
+
+    def test_csr_rows_match_edges(self, graph_factory):
+        g = graph_factory([(0, 1, 2.0), (1, 2, 3.0), (0, 3, 0.5)], n=5)
+        assert g.indptr.tolist() == [0, 2, 4, 5, 6, 6]
+        assert g.indices.tolist() == [1, 3, 0, 2, 1, 0]
+        assert g.weights.tolist() == [2.0, 0.5, 2.0, 3.0, 3.0, 0.5]
+        assert g.degree(4) == 0 and len(g.neighbors(4)) == 0

@@ -6,6 +6,7 @@ import pytest
 
 from fairwalks.pipeline import (
     PRESETS,
+    ArtifactCache,
     ExperimentConfig,
     StageError,
     build_dataset,
@@ -234,3 +235,26 @@ class TestProjection:
         rng = np.random.default_rng(2)
         points = rng.normal(0, 1, (50, 6))
         np.testing.assert_array_equal(pca_2d(points, seed=3), pca_2d(points, seed=3))
+
+
+class TestArtifactCache:
+    def test_interrupted_store_leaves_no_entry(self, tmp_path, monkeypatch):
+        cache = ArtifactCache(tmp_path / "cache")
+
+        def broken_save(f, array, allow_pickle):
+            f.write(b"\x93NUMPY partial")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "save", broken_save)
+        with pytest.raises(KeyboardInterrupt):
+            cache.store_array("k", "emb.npy", np.arange(10.0))
+        assert not os.path.exists(cache.path("k", "emb.npy"))
+        assert os.listdir(tmp_path / "cache") == []
+        monkeypatch.undo()
+        assert cache.load_array("k", "emb.npy") is None
+
+    def test_store_then_load(self, tmp_path):
+        cache = ArtifactCache(tmp_path / "cache")
+        cache.store_array("k", "emb.npy", np.arange(10.0))
+        np.testing.assert_array_equal(cache.load_array("k", "emb.npy"), np.arange(10.0))
+        assert os.listdir(tmp_path / "cache") == ["k.emb.npy"]

@@ -107,13 +107,20 @@ class TestPropagate:
         labels[:10] = rng.integers(0, 3, 10)
         probs, _ = propagate(pg, labels, 3, tol=1e-10)
         # converged unlabeled rows equal the weighted average of neighbors
-        lists = pg.neighbor_lists()
         for v in range(40):
-            if labels[v] >= 0 or not lists[v]:
+            nbrs, weights = pg.cols[pg.rows == v], pg.weights[pg.rows == v]
+            if labels[v] >= 0 or not len(nbrs):
                 continue
-            total = sum(w for _, w in lists[v])
-            avg = sum(w * probs[u] for u, w in lists[v]) / total
+            total = sum(weights)
+            avg = sum(w * probs[u] for u, w in zip(nbrs, weights)) / total
             np.testing.assert_allclose(probs[v], avg, atol=1e-6)
+
+    def test_non_convergence_warns(self):
+        pg = self.path_graph()
+        _, warnings = propagate(pg, np.array([0, -1, -1]), 2, max_iters=1)
+        assert any("did not converge in 1 iterations" in w for w in warnings)
+        _, warnings = propagate(pg, np.array([0, -1, -1]), 2)
+        assert not any("converge" in w for w in warnings)
 
     def test_no_seeds_rejected(self):
         pg = self.path_graph()

@@ -9,6 +9,7 @@ from fairwalks.pipeline import ExperimentConfig
 from fairwalks.sweep import (
     SWEEP_COLUMNS,
     SweepSpec,
+    csv_header_line,
     read_sweep_table,
     report_csv_line,
     run_sweep,
@@ -165,6 +166,59 @@ class TestRunSweep:
             spec, base_config(), tmp_path, workers=3, runner=runner
         )
         assert len(read_sweep_table(csv_path)) == len(plans) == 5
+
+
+    def test_rerun_with_other_seed_executes_every_run(self, tmp_path):
+        spec = SweepSpec(alphas=[0.5], betas=[1.0, 2.0])
+        run_sweep(spec, base_config(), tmp_path, runner=RecordingRunner())
+        rerun = RecordingRunner()
+        csv_path, plans, executed = run_sweep(
+            spec, base_config(seed=4), tmp_path, runner=rerun
+        )
+        assert executed == len(plans) == len(rerun.calls) == 3
+        rows = read_sweep_table(csv_path)
+        assert sorted(r["seed"] for r in rows) == ["3"] * 3 + ["4"] * 3
+        assert len({r["config_hash"] for r in rows}) == 6
+
+    def test_old_schema_rows_are_rerun(self, tmp_path):
+        spec = SweepSpec(alphas=[0.5], betas=[1.0])
+        csv_path, _, _ = run_sweep(spec, base_config(), tmp_path, runner=RecordingRunner())
+        rows = read_sweep_table(csv_path)
+        old_columns = [c for c in SWEEP_COLUMNS if c != "config_hash"]
+        with open(csv_path, "w") as f:
+            f.write(",".join(old_columns) + "\n")
+            for r in rows:
+                f.write(",".join("1" if c == "schema_version" else r[c] for c in old_columns) + "\n")
+        rerun = RecordingRunner()
+        _, _, executed = run_sweep(spec, base_config(), tmp_path, runner=rerun)
+        assert executed == 2
+        assert [r["schema_version"] for r in read_sweep_table(csv_path)] == ["2", "2"]
+
+
+class TestCsvQuoting:
+    def test_comma_label_round_trips(self, tmp_path):
+        config = base_config().replace(intervention="crosswalk", alpha=0.5, beta=1.0)
+        report = fake_report(config)
+        report.group_labels = ("a,x", "b")
+        path = tmp_path / "results.csv"
+        path.write_text(csv_header_line() + report_csv_line(config, report))
+        (row,) = read_sweep_table(path)
+        assert row["group_labels"] == "a,x|b"
+        assert row["group_sizes"] == "10|20"
+
+    def test_error_text_kept_verbatim(self, tmp_path):
+        config = base_config()
+        message = 'bad value "x", see line 3\nthen stop'
+        path = tmp_path / "results.csv"
+        path.write_text(csv_header_line() + report_csv_line(config, None, error=message))
+        (row,) = read_sweep_table(path)
+        assert row["status"] == "error"
+        assert row["error"] == message
+
+    def test_plain_rows_unquoted(self):
+        config = base_config().replace(intervention="crosswalk", alpha=0.5, beta=1.0)
+        line = report_csv_line(config, fake_report(config))
+        assert '"' not in line and line.endswith("\n") and not line.endswith("\r\n")
 
 
 class TestSummarize:

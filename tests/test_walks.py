@@ -53,7 +53,7 @@ class TestTransitionDistribution:
     def test_monte_carlo_matches_analytic(self):
         g, _ = generate_sbm([6, 6], 0.8, 0.4, seed=13)
         tw = TransitionWeights.from_graph(g)
-        prev, cur = int(tw.neighbors[0][0]), 0
+        prev, cur = int(tw.indices[tw.row(0)][0]), 0
         p, q = 0.5, 2.0
         nbrs, probs = transition_distribution(tw, prev, cur, p, q)
         rng = np.random.default_rng(99)
