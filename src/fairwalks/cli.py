@@ -166,7 +166,7 @@ def cmd_embed(args):
     matrix = embedding.train(
         dense, len(vocab), dim=args.dim, window=args.window,
         negatives=args.negatives, epochs=args.epochs,
-        learning_rate=args.learning_rate, seed=args.seed, mode=args.mode,
+        learning_rate=args.learning_rate, seed=args.seed,
     )
     embedding.save_embeddings(matrix, args.out, tokens=vocab)
     print(f"{len(vocab)} x {args.dim} embeddings written to {args.out}")
@@ -284,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     embed.add_argument("--negatives", type=int, default=5)
     embed.add_argument("--epochs", type=int, default=5)
     embed.add_argument("--learning-rate", type=float, default=0.025)
-    embed.add_argument("--mode", choices=("exact", "parallel"), default="exact")
     embed.add_argument("--seed", type=int, default=0)
     embed.add_argument("--out", required=True)
     embed.set_defaults(func=cmd_embed)

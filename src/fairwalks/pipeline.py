@@ -8,10 +8,12 @@ chain over their upstream configuration, so sweeps that vary only
 downstream parameters reuse expensive artifacts.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 from dataclasses import dataclass
 
@@ -72,7 +74,6 @@ class ExperimentConfig:
     negatives: int = 5
     epochs: int = 5
     learning_rate: float = 0.025
-    training_mode: str = "exact"
     # evaluation
     knn_k: int = 10
     sigma: float = None
@@ -171,16 +172,26 @@ class ArtifactCache:
         path = self.path(key, suffix)
         if path is None:
             return
-        # temp file then rename, so an interrupted write never reaches ``path``;
         # a handle, because np.save appends .npy to bare file names
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                np.save(f, array, allow_pickle=False)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        with atomic_writer(path, "wb") as f:
+            np.save(f, array, allow_pickle=False)
+
+
+@contextlib.contextmanager
+def atomic_writer(path, mode="w"):
+    """A temp file beside ``path`` that replaces it only when the block
+    completes, so an interrupted write never reaches ``path``. A replaced
+    file keeps its permission bits."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode) as f:
+            yield f
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _hash_key(*parts) -> str:
@@ -329,32 +340,22 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
         embed_seed = derive_seed(config.seed, "embed")
         ekey = _hash_key(
             "embed", wkey, config.dim, config.window, config.negatives,
-            config.epochs, config.learning_rate, config.training_mode, embed_seed,
+            config.epochs, config.learning_rate, embed_seed,
         )
-        vectors = cache.load_array(ekey, "emb.npy") if config.training_mode == "exact" else None
+        vectors = cache.load_array(ekey, "emb.npy")
         if vectors is None:
             matrix = embedding.train(
                 corpus.walks, g.node_count, dim=config.dim, window=config.window,
                 negatives=config.negatives, epochs=config.epochs,
                 learning_rate=config.learning_rate, seed=embed_seed,
-                mode=config.training_mode,
             )
-            if config.training_mode == "exact":
-                cache.store_array(ekey, "emb.npy", matrix.vectors)
+            cache.store_array(ekey, "emb.npy", matrix.vectors)
         else:
-            # reconstruct the metadata train() would have produced so cached
-            # and fresh runs serialize identically
-            meta = {
-                "dim": config.dim, "window": config.window,
-                "negatives": config.negatives, "epochs": config.epochs,
-                "learning_rate": config.learning_rate,
-                "final_lr_fraction": embedding.FINAL_LR_FRACTION,
-                "seed": embed_seed, "mode": config.training_mode,
-                "negative_power": embedding.NEGATIVE_DISTRIBUTION_POWER,
-            }
-            matrix = embedding.EmbeddingMatrix(
-                vectors, np.zeros_like(vectors), meta
+            meta = embedding.embedding_meta(
+                config.dim, config.window, config.negatives, config.epochs,
+                config.learning_rate, embed_seed,
             )
+            matrix = embedding.EmbeddingMatrix(vectors, np.zeros_like(vectors), meta)
     except Exception as exc:
         raise StageError(stage, exc) from exc
 

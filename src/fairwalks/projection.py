@@ -1,39 +1,23 @@
-"""Two-component PCA via power iteration, for plot-ready projections."""
+"""Two-component PCA, for plot-ready projections."""
 
 import numpy as np
 
-from fairwalks.seeds import rng_for
-
-
-def _power_iteration(cov, rng, max_iters=500, tol=1e-9):
-    v = rng.normal(0, 1, cov.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(max_iters):
-        nxt = cov @ v
-        norm = np.linalg.norm(nxt)
-        if norm == 0:
-            return v  # degenerate direction, any unit vector works
-        nxt /= norm
-        if np.linalg.norm(nxt - v) < tol and np.linalg.norm(nxt + v) > tol:
-            return nxt
-        v = nxt
-    return v
-
 
 def pca_2d(vectors, seed: int = 0) -> np.ndarray:
-    """Project rows of ``vectors`` onto their top two principal components."""
+    """Project rows of ``vectors`` onto their top two principal components.
+
+    The components are eigenvectors of the d x d covariance, each signed so
+    that its largest-magnitude coordinate is positive. The projection is
+    deterministic; ``seed`` is accepted for call compatibility only.
+    """
     x = np.asarray(vectors, dtype=np.float64)
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / max(len(x) - 1, 1)
-    rng = rng_for(seed, "pca")
-    first = _power_iteration(cov, rng)
-    deflated = cov - (first @ cov @ first) * np.outer(first, first)
-    second = _power_iteration(deflated, rng)
-    second -= (second @ first) * first
-    norm = np.linalg.norm(second)
-    if norm > 0:
-        second /= norm
-    return np.stack([centered @ first, centered @ second], axis=1)
+    # eigh sorts eigenvalues ascending; a 1-d input gets a zero second axis
+    top = np.zeros((x.shape[1], 2))
+    top[:, : min(x.shape[1], 2)] = np.linalg.eigh(cov)[1][:, ::-1][:, :2]
+    top *= np.sign(top[np.abs(top).argmax(axis=0), [0, 1]])
+    return centered @ top
 
 
 def write_projection_csv(path, tokens, coords, groups):

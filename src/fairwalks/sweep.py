@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
-from fairwalks.pipeline import PRESETS, ExperimentConfig, StageError, execute
+from fairwalks.pipeline import PRESETS, ExperimentConfig, StageError, atomic_writer, execute
 
 SWEEP_SCHEMA_VERSION = 2
 
@@ -202,7 +202,8 @@ def run_sweep(
         existing = [row for row in read_sweep_table(csv_path) if row["status"] == "ok"
                     and row["schema_version"] == str(SWEEP_SCHEMA_VERSION)]
         done = {row["config_hash"] for row in existing}
-        with open(csv_path, "w") as f:
+        # an interrupted rewrite must leave the old table, not lose its rows
+        with atomic_writer(csv_path) as f:
             f.write(csv_header_line())
             for row in existing:
                 f.write(_row_line(row))

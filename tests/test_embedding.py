@@ -3,16 +3,21 @@ import math
 import numpy as np
 import pytest
 
+import fairwalks.embedding as embedding_mod
 from fairwalks.embedding import (
     EmbeddingMatrix,
+    PairStream,
+    _Trainer,
     build_frequency_table,
     load_embeddings,
     negative_distribution,
     save_embeddings,
+    scatter_rows,
     sgns_pair_loss,
     train,
 )
 from fairwalks.graph import generate_sbm
+from fairwalks.sampling import AliasTable
 from fairwalks.walks import TransitionWeights, WalkConfig, generate_walks
 
 
@@ -121,8 +126,8 @@ class TestTrain:
 
     def test_exact_mode_deterministic(self):
         corpus, n, _ = clique_pair_corpus()
-        m1 = train(corpus.walks, n, dim=8, epochs=2, seed=3, mode="exact")
-        m2 = train(corpus.walks, n, dim=8, epochs=2, seed=3, mode="exact")
+        m1 = train(corpus.walks, n, dim=8, epochs=2, seed=3)
+        m2 = train(corpus.walks, n, dim=8, epochs=2, seed=3)
         assert np.array_equal(m1.vectors, m2.vectors)
         assert np.array_equal(m1.context_vectors, m2.context_vectors)
 
@@ -153,12 +158,6 @@ class TestTrain:
         inter = sims[np.ix_(mask_a, ~mask_a)].ravel()
         assert intra.mean() > inter.mean()
 
-    def test_parallel_mode_trains(self):
-        corpus, n, clique = clique_pair_corpus(seed=8)
-        m = train(corpus.walks, n, dim=8, epochs=2, seed=8, mode="parallel", workers=2)
-        assert np.isfinite(m.vectors).all()
-        assert m.meta["mode"] == "parallel"
-
     def test_two_block_sbm_nearest_neighbor_floor(self):
         g, _ = generate_sbm([60, 60], 0.2, 0.01, seed=17)
         tw = TransitionWeights.from_graph(g)
@@ -172,9 +171,106 @@ class TestTrain:
         accuracy = (blocks[nearest] == blocks).mean()
         assert accuracy >= 0.95
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            train([[0, 1]], 2, mode="gpu")
+
+def reference_pairs(walk, window):
+    """Per-walk pair order: offset by offset, forward then backward."""
+    arr = np.asarray(walk, dtype=np.int64)
+    centers, contexts = [], []
+    for offset in range(1, window + 1):
+        if len(arr) <= offset:
+            break
+        left, right = arr[:-offset], arr[offset:]
+        centers += [left, right]
+        contexts += [right, left]
+    if not centers:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(centers), np.concatenate(contexts)
+
+
+def mixed_walks(seed=0, count=120):
+    rng = np.random.default_rng(seed)
+    walks = [rng.integers(0, 30, rng.integers(1, 14)).tolist() for _ in range(count)]
+    return walks + [[4], [7, 7], [1, 2, 3]]
+
+
+class TestPairStream:
+    @pytest.mark.parametrize("window", [1, 3, 5, 20])
+    def test_matches_per_walk_reference(self, window):
+        walks = mixed_walks()
+        order = np.random.default_rng(window).permutation(len(walks))
+        stream = PairStream(walks, window)
+        batches = list(stream.batches(order, 37))
+        expected = [reference_pairs(walks[i], window) for i in order]
+        for got, want in zip(
+            (np.concatenate([b[0] for b in batches]), np.concatenate([b[1] for b in batches])),
+            (np.concatenate([e[0] for e in expected]), np.concatenate([e[1] for e in expected])),
+        ):
+            np.testing.assert_array_equal(got, want)
+        assert stream.pairs == sum(len(e[0]) for e in expected)
+
+    def test_length_one_walks_have_no_pairs(self):
+        stream = PairStream([[3], [1], [2]], window=5)
+        assert stream.pairs == 0
+        assert list(stream.batches(np.arange(3), 8)) == []
+
+    @pytest.mark.parametrize("block_pairs", [1, 50, 1 << 20])
+    def test_full_batches_but_the_last(self, monkeypatch, block_pairs):
+        monkeypatch.setattr(embedding_mod, "BLOCK_PAIRS", block_pairs)
+        stream = PairStream(mixed_walks(seed=1), window=4)
+        sizes = [len(c) for c, _ in stream.batches(np.arange(123), 64)]
+        assert all(size == 64 for size in sizes[:-1])
+        assert 0 < sizes[-1] <= 64
+        assert sum(sizes) == stream.pairs
+
+    def test_block_size_leaves_vectors_bitwise_identical(self, monkeypatch):
+        corpus, n, _ = clique_pair_corpus(seed=4)
+        reference = train(corpus.walks, n, dim=8, epochs=2, seed=4)
+        for block_pairs in (1, 333, 1 << 24):
+            monkeypatch.setattr(embedding_mod, "BLOCK_PAIRS", block_pairs)
+            m = train(corpus.walks, n, dim=8, epochs=2, seed=4)
+            assert np.array_equal(m.vectors, reference.vectors)
+            assert np.array_equal(m.context_vectors, reference.context_vectors)
+            assert m.meta["epoch_mean_loss"] == reference.meta["epoch_mean_loss"]
+
+
+class TestScatterRows:
+    def test_matches_sequential_add_at_on_duplicates(self):
+        rng = np.random.default_rng(9)
+        params = rng.normal(0, 1, (40, 6))
+        rows = rng.integers(0, 5, 500)  # heavy repeats over 5 of 40 rows
+        grads = rng.normal(0, 1, (500, 6))
+        expected = params.copy()
+        np.add.at(expected, rows, -0.05 * grads)
+        scatter_rows(params, rows, grads, 0.05, np.empty((500, 6), dtype=np.int64))
+        np.testing.assert_allclose(params, expected, rtol=0, atol=1e-12)
+
+
+class TestBatchStep:
+    def test_equals_summed_pair_gradients(self):
+        rng = np.random.default_rng(3)
+        n, d, k, b, lr = 6, 5, 3, 16, 0.1
+        w_in = rng.normal(0, 0.5, (n, d))
+        w_out = rng.normal(0, 0.5, (n, d))
+        table = AliasTable(np.full(n, 1.0 / n))
+        trainer = _Trainer(w_in.copy(), w_out.copy(), table, k, lr, 10**9, b)
+        centers = rng.integers(0, n, b)
+        contexts = rng.integers(0, n, b)
+        loss = trainer.process(centers, contexts, np.random.default_rng(7))
+
+        # same draws; negatives equal to the context are masked out
+        neg = table.draw(np.random.default_rng(7), size=(b, k))
+        assert (neg == contexts[:, None]).any()
+        want_in, want_out, want_loss = w_in.copy(), w_out.copy(), 0.0
+        for c, x, negs in zip(centers, contexts, neg):
+            negs = negs[negs != x]
+            pair_loss, gc, gx, gn = sgns_pair_loss(w_in[c], w_out[x], w_out[negs])
+            want_loss += pair_loss
+            want_in[c] -= lr * gc
+            want_out[x] -= lr * gx
+            np.add.at(want_out, negs, -lr * gn)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        np.testing.assert_allclose(trainer.w_in, want_in, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trainer.w_out, want_out, rtol=0, atol=1e-12)
 
 
 class TestEmbeddingIO:

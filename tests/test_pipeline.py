@@ -48,6 +48,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"alhpa": 0.5})
 
+    def test_removed_training_mode_key_rejected(self):
+        data = {**sbm_config().to_dict(), "training_mode": "exact"}
+        with pytest.raises(ValueError, match="training_mode"):
+            ExperimentConfig.from_dict(data)
+
     def test_baseline_must_not_set_alpha_beta(self):
         with pytest.raises(ValueError, match="baseline"):
             sbm_config(alpha=0.5)

@@ -194,6 +194,29 @@ class TestRunSweep:
         assert executed == 2
         assert [r["schema_version"] for r in read_sweep_table(csv_path)] == ["2", "2"]
 
+    def test_interrupted_resume_keeps_completed_rows(self, tmp_path, monkeypatch):
+        import fairwalks.sweep as sweep_mod
+
+        spec = SweepSpec(alphas=[0.5], betas=[1.0, 2.0])
+        csv_path, _, _ = run_sweep(spec, base_config(), tmp_path, runner=RecordingRunner())
+        before = read_sweep_table(csv_path)
+        assert len(before) == 3
+
+        real_row_line = sweep_mod._row_line
+        written = []
+
+        def interrupt_second_row(row):
+            written.append(row)
+            if len(written) == 2:
+                raise KeyboardInterrupt
+            return real_row_line(row)
+
+        monkeypatch.setattr(sweep_mod, "_row_line", interrupt_second_row)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(spec, base_config(), tmp_path, runner=RecordingRunner())
+        assert read_sweep_table(csv_path) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
+
 
 class TestCsvQuoting:
     def test_comma_label_round_trips(self, tmp_path):
