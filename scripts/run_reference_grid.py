@@ -7,7 +7,10 @@ and restarting skips completed rows. Expect hours at the default sizes;
 shrink the graph or walk settings for a faster pass.
 
 Run:
-    python3 scripts/run_reference_grid.py --out-dir grid-out --workers 2
+    python3 scripts/run_reference_grid.py --out-dir grid-out
+
+``--workers`` runs the grid on threads; they measured slower than one
+worker on the benchmark's sweep_small workload (sweep.thread_speedup 0.72).
 """
 
 import argparse

@@ -14,7 +14,6 @@ from fairwalks import crosswalk, embedding, evaluation, projection, walks
 from fairwalks import graph as graph_mod
 from fairwalks.graph import GroupPartition, _id_key
 from fairwalks.pipeline import PRESETS, ExperimentConfig, run_experiment
-from fairwalks.seeds import derive_seed
 from fairwalks.sweep import SweepSpec, run_sweep, summarize
 
 
@@ -198,7 +197,7 @@ def cmd_eval(args):
     with open(args.out, "w") as f:
         f.write(report.to_json())
     if args.pca_out:
-        coords = projection.pca_2d(vectors, seed=derive_seed(args.seed, "pca"))
+        coords = projection.pca_2d(vectors)
         groups = [sensitive.group_labels[i] for i in sensitive.group_of]
         projection.write_projection_csv(args.pca_out, tokens, coords, groups)
     print(f"awareness={report.awareness:.4f} disparity={report.disparity:.6f} "

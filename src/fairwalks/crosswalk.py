@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fairwalks.graph import AttributedGraph, GroupPartition, cumsum_by_row
+from fairwalks.graph import AttributedGraph, GroupPartition, step_walkers
 from fairwalks.seeds import rng_for
 
 CLOSENESS_SMOOTHING = 1e-3
@@ -72,28 +72,20 @@ def estimate_closeness(
         raise ValueError("walks_per_node and walk_length must be >= 1")
     if graph.edge_count < 1:
         raise ValueError("graph has no edges")
-    n = graph.node_count
     group = partition.group_of
-    indptr, indices = graph.indptr.tolist(), graph.indices
-    cumw = cumsum_by_row(graph.weights, graph.indptr)
-
-    values = np.zeros(n, dtype=np.float64)
-    total = walks_per_node * walk_length
-    for v in range(n):
-        if graph.degree(v) == 0:
-            continue
-        draws = rng_for(seed, "closeness", v).random((walks_per_node, walk_length))
-        foreign = 0
-        for r in range(walks_per_node):
-            cur = v
-            for step in range(walk_length):
-                lo, hi = indptr[cur], indptr[cur + 1]
-                cw = cumw[lo:hi]
-                idx = np.searchsorted(cw, draws[r, step] * cw[-1], side="right")
-                cur = int(indices[min(lo + idx, hi - 1)])
-                if group[cur] != group[v]:
-                    foreign += 1
-        values[v] = foreign / total
+    roots = np.flatnonzero(np.diff(graph.indptr))
+    draws = np.concatenate([
+        rng_for(seed, "closeness", v).random((walks_per_node, walk_length))
+        for v in roots.tolist()
+    ])
+    cur = np.repeat(roots, walks_per_node)
+    home = group[cur]
+    foreign = np.zeros(len(cur), dtype=np.int64)
+    for step in range(walk_length):
+        cur = graph.indices[step_walkers(graph.indptr, graph.weights, cur, draws[:, step])]
+        foreign += group[cur] != home
+    values = np.zeros(graph.node_count, dtype=np.float64)
+    values[roots] = foreign.reshape(-1, walks_per_node).sum(axis=1) / (walks_per_node * walk_length)
     return BoundaryCloseness(values, walks_per_node, walk_length, seed)
 
 

@@ -387,6 +387,25 @@ def cumsum_by_row(values, indptr) -> np.ndarray:
     return out
 
 
+def step_walkers(indptr, scores, rows, draws, reweigh=None) -> np.ndarray:
+    """Chosen CSR slot of every walker, each at a non-empty row ``rows[i]``
+    with a draw ``draws[i]`` in [0, 1): the count of the row's running score
+    sums <= draws[i] * row total, clamped to the row, bitwise the per-row
+    ``np.searchsorted(cum, u * cum[-1], "right")``. Scores need not be
+    normalized; ``reweigh(slots, walker)`` gives per-candidate factors."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    walker = np.repeat(np.arange(len(rows)), lengths)
+    slots = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
+    candidate = scores[slots]
+    if reweigh is not None:
+        candidate = candidate * reweigh(slots, walker)
+    cum = cumsum_by_row(candidate, offsets)
+    below = cum <= np.repeat(draws * cum[offsets[1:] - 1], lengths)
+    return starts + np.minimum(np.bincount(walker[below], minlength=len(rows)), lengths - 1)
+
+
 def component_labels(node_count: int, src, dst) -> np.ndarray:
     """Connected-component label per node: the smallest node ID it reaches.
 

@@ -9,8 +9,10 @@ downstream parameters reuse expensive artifacts.
 """
 
 import contextlib
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -376,6 +378,75 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
     return PipelineResult(report, g, sensitive, matrix, summary)
 
 
+# one CSV row format for report_row.csv and for sweep tables (results.csv)
+SWEEP_SCHEMA_VERSION = 2
+
+SWEEP_COLUMNS = (  # row identity, the varied config, metrics, per-group lists
+    "schema_version", "run_id", "config_hash", "dataset", "status", "error",
+    "intervention", "alpha", "beta", "p", "q", "seed",
+    "awareness", "disparity", "performance",
+    "q_mean", "qstar_mean", "group_labels", "group_sizes",
+)
+
+LIST_SEP = "|"
+
+
+def _format_value(value):
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return "" if value != value else repr(value)  # NaN -> empty field
+    return str(value)
+
+
+def _csv_line(fields) -> str:
+    """One CSV record; fields holding commas, quotes or newlines are quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+def csv_header_line() -> str:
+    return _csv_line(SWEEP_COLUMNS)
+
+
+def _row_line(values: dict) -> str:
+    return _csv_line(_format_value(values.get(col, "")) for col in SWEEP_COLUMNS)
+
+
+def report_csv_line(config: ExperimentConfig, report, error=None) -> str:
+    """One table row; failed runs carry status=error and empty metrics."""
+    values = {
+        "schema_version": SWEEP_SCHEMA_VERSION,
+        "run_id": config.run_id(),
+        "config_hash": config.config_hash(),
+        "dataset": config.dataset_name,
+        "intervention": config.intervention,
+        "alpha": config.alpha,
+        "beta": config.beta,
+        "p": config.p,
+        "q": config.q,
+        "seed": config.seed,
+    }
+    if error is not None:
+        values["status"] = "error"
+        values["error"] = str(error)
+        return _row_line(values)
+    values.update(
+        {
+            "status": "ok",
+            "awareness": report.awareness,
+            "disparity": report.disparity,
+            "performance": report.performance,
+            "q_mean": LIST_SEP.join(repr(float(v)) for v in report.q_mean),
+            "qstar_mean": LIST_SEP.join(repr(float(v)) for v in report.qstar_mean),
+            "group_labels": LIST_SEP.join(report.group_labels),
+            "group_sizes": LIST_SEP.join(str(s) for s in report.group_sizes),
+        }
+    )
+    return _row_line(values)
+
+
 def run_experiment(config: ExperimentConfig, out_dir, cache_dir=None):
     """Execute the pipeline and write the result artifacts.
 
@@ -383,8 +454,6 @@ def run_experiment(config: ExperimentConfig, out_dir, cache_dir=None):
     ``out_dir``. On failure, partially written artifacts are removed and a
     StageError naming the failed stage propagates.
     """
-    from fairwalks.sweep import csv_header_line, report_csv_line
-
     result = execute(config, cache_dir=cache_dir)
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -406,7 +475,7 @@ def run_experiment(config: ExperimentConfig, out_dir, cache_dir=None):
 
         pca_path = os.path.join(out_dir, "pca.csv")
         written.append(pca_path)
-        coords = projection.pca_2d(result.matrix.vectors, seed=derive_seed(config.seed, "pca"))
+        coords = projection.pca_2d(result.matrix.vectors)
         groups = [
             result.sensitive.group_labels[i] for i in result.sensitive.group_of
         ]

@@ -3,12 +3,12 @@
 import numpy as np
 
 
-def pca_2d(vectors, seed: int = 0) -> np.ndarray:
+def pca_2d(vectors) -> np.ndarray:
     """Project rows of ``vectors`` onto their top two principal components.
 
     The components are eigenvectors of the d x d covariance, each signed so
-    that its largest-magnitude coordinate is positive. The projection is
-    deterministic; ``seed`` is accepted for call compatibility only.
+    that its largest-magnitude coordinate is positive, so the projection is
+    deterministic.
     """
     x = np.asarray(vectors, dtype=np.float64)
     centered = x - x.mean(axis=0)

@@ -7,7 +7,6 @@ a completed row, so nothing but missing or failed runs is recomputed.
 """
 
 import csv
-import io
 import json
 import os
 import threading
@@ -15,33 +14,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
-from fairwalks.pipeline import PRESETS, ExperimentConfig, StageError, atomic_writer, execute
-
-SWEEP_SCHEMA_VERSION = 2
-
-SWEEP_COLUMNS = (
-    "schema_version",
-    "run_id",
-    "config_hash",
-    "dataset",
-    "status",
-    "error",
-    "intervention",
-    "alpha",
-    "beta",
-    "p",
-    "q",
-    "seed",
-    "awareness",
-    "disparity",
-    "performance",
-    "q_mean",
-    "qstar_mean",
-    "group_labels",
-    "group_sizes",
+from fairwalks.pipeline import (  # the row format lives in pipeline and is re-exported
+    LIST_SEP, PRESETS, SWEEP_COLUMNS, SWEEP_SCHEMA_VERSION, ExperimentConfig, StageError,
+    _csv_line, _format_value, _row_line, atomic_writer, csv_header_line, execute, report_csv_line,
 )
-
-LIST_SEP = "|"
 
 
 @dataclass
@@ -111,62 +87,6 @@ class SweepSpec:
         if len(plans) > self.cap:
             raise ValueError(f"sweep expands to {len(plans)} runs, over the cap of {self.cap}")
         return plans
-
-
-def _format_value(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return "" if value != value else repr(value)  # NaN -> empty field
-    return str(value)
-
-
-def _csv_line(fields) -> str:
-    """One CSV record; fields holding commas, quotes or newlines are quoted."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()
-
-
-def csv_header_line() -> str:
-    return _csv_line(SWEEP_COLUMNS)
-
-
-def _row_line(values: dict) -> str:
-    return _csv_line(_format_value(values.get(col, "")) for col in SWEEP_COLUMNS)
-
-
-def report_csv_line(config: ExperimentConfig, report, error=None) -> str:
-    """One table row; failed runs carry status=error and empty metrics."""
-    values = {
-        "schema_version": SWEEP_SCHEMA_VERSION,
-        "run_id": config.run_id(),
-        "config_hash": config.config_hash(),
-        "dataset": config.dataset_name,
-        "intervention": config.intervention,
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "p": config.p,
-        "q": config.q,
-        "seed": config.seed,
-    }
-    if error is not None:
-        values["status"] = "error"
-        values["error"] = str(error)
-        return _row_line(values)
-    values.update(
-        {
-            "status": "ok",
-            "awareness": report.awareness,
-            "disparity": report.disparity,
-            "performance": report.performance,
-            "q_mean": LIST_SEP.join(repr(float(v)) for v in report.q_mean),
-            "qstar_mean": LIST_SEP.join(repr(float(v)) for v in report.qstar_mean),
-            "group_labels": LIST_SEP.join(report.group_labels),
-            "group_sizes": LIST_SEP.join(str(s) for s in report.group_sizes),
-        }
-    )
-    return _row_line(values)
 
 
 def read_sweep_table(path):

@@ -7,12 +7,12 @@ previous node is weighted 1/p, moving to one of its neighbors 1, and
 jumping further away 1/q.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from fairwalks.crosswalk import BiasedGraph
-from fairwalks.graph import AttributedGraph, cumsum_by_row
+from fairwalks.graph import AttributedGraph, step_walkers
 from fairwalks.seeds import rng_for
 
 
@@ -45,18 +45,11 @@ class WalkCorpus:
 
 @dataclass
 class TransitionWeights:
-    """Normalized out-distributions aligned with a graph's CSR ``indices``;
-    ``cum`` holds their running sums, restarted at every row."""
+    """Normalized out-distributions aligned with a graph's CSR ``indices``."""
 
     indptr: np.ndarray
     indices: np.ndarray
     probs: np.ndarray
-    cum: np.ndarray = field(init=False, repr=False)
-    _bounds: list = field(init=False, repr=False)  # indptr as ints, for per-step slicing
-
-    def __post_init__(self):
-        self.cum = cumsum_by_row(self.probs, self.indptr)
-        self._bounds = self.indptr.tolist()
 
     @classmethod
     def from_graph(cls, graph: AttributedGraph) -> "TransitionWeights":
@@ -73,9 +66,19 @@ class TransitionWeights:
     def node_count(self) -> int:
         return len(self.indptr) - 1
 
-    def row(self, v: int) -> slice:
-        """Positions of node v's out-distribution in ``indices``/``probs``."""
-        return slice(self._bounds[v], self._bounds[v + 1])
+
+def _edge_keys(weights: TransitionWeights) -> np.ndarray:
+    """``row * n + neighbor`` per CSR slot, ascending because rows are sorted."""
+    rows = np.repeat(np.arange(weights.node_count), np.diff(weights.indptr))
+    return rows * weights.node_count + weights.indices
+
+
+def _node2vec_factors(keys, n, prev, nbrs, p, q) -> np.ndarray:
+    """(p, q) factor of each step to ``nbrs`` after ``prev``: 1/p back to prev,
+    1 to a neighbor of prev (its pair is in ``keys``), 1/q further away."""
+    wanted = prev * n + nbrs
+    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return np.where(nbrs == prev, 1.0 / p, np.where(keys[pos] == wanted, 1.0, 1.0 / q))
 
 
 def transition_distribution(weights: TransitionWeights, prev, cur: int, p: float, q: float):
@@ -85,43 +88,15 @@ def transition_distribution(weights: TransitionWeights, prev, cur: int, p: float
     step, where the second-order factors do not apply. Isolated ``cur``
     yields empty arrays.
     """
-    row = weights.row(cur)
+    row = slice(weights.indptr[cur], weights.indptr[cur + 1])
     nbrs = weights.indices[row]
-    base = weights.probs[row]
+    scores = weights.probs[row]
     if len(nbrs) == 0:
-        return nbrs, base
-    if prev is None or (p == 1.0 and q == 1.0):
-        return nbrs, base / base.sum()
-    factors = np.full(len(nbrs), 1.0 / q)
-    prev_nbrs = weights.indices[weights.row(prev)]
-    if len(prev_nbrs):
-        pos = np.minimum(np.searchsorted(prev_nbrs, nbrs), len(prev_nbrs) - 1)
-        factors[prev_nbrs[pos] == nbrs] = 1.0
-    factors[nbrs == prev] = 1.0 / p
-    scores = base * factors
+        return nbrs, scores
+    if prev is not None and (p != 1.0 or q != 1.0):
+        keys = _edge_keys(weights)
+        scores = scores * _node2vec_factors(keys, weights.node_count, prev, nbrs, p, q)
     return nbrs, scores / scores.sum()
-
-
-def _single_walk(weights, root, length, p, q, rng):
-    draws = rng.random(length)
-    walk = [root]
-    prev = None
-    cur = root
-    fast = p == 1.0 and q == 1.0
-    for step in range(length):
-        if fast or prev is None:
-            row = weights.row(cur)
-            nbrs, cum = weights.indices[row], weights.cum[row]
-        else:
-            nbrs, probs = transition_distribution(weights, prev, cur, p, q)
-            cum = np.cumsum(probs)
-        if len(nbrs) == 0:
-            break
-        idx = np.searchsorted(cum, draws[step] * cum[-1], side="right")
-        nxt = int(nbrs[min(idx, len(nbrs) - 1)])
-        walk.append(nxt)
-        prev, cur = cur, nxt
-    return walk
 
 
 def generate_walks(
@@ -132,19 +107,37 @@ def generate_walks(
     Each walk's randomness is seeded from (seed, root, walk index), so the
     corpus content is reproducible and independent of scheduling; root
     order is reshuffled every round, which only affects corpus ordering.
+    All walks advance together, one ``step_walkers`` call per step.
     """
     n = weights.node_count
     if n == 0:
         raise ValueError("empty graph")
-    walks = []
-    for k in range(config.walks_per_node):
-        order = rng_for(config.seed, "order", k).permutation(n)
-        for root in order:
-            root = int(root)
-            rng = rng_for(config.seed, "walk", root, k)
-            walks.append(
-                _single_walk(weights, root, config.walk_length, config.p, config.q, rng)
-            )
+    length, p, q = config.walk_length, config.p, config.q
+    roots = np.concatenate(
+        [rng_for(config.seed, "order", k).permutation(n) for k in range(config.walks_per_node)]
+    )
+    draws = np.empty((len(roots), length))
+    for i, root in enumerate(roots.tolist()):
+        draws[i] = rng_for(config.seed, "walk", root, i // n).random(length)
+    keys = None if p == q == 1.0 else _edge_keys(weights)
+    path = np.empty((len(roots), length + 1), dtype=np.int64)
+    path[:, 0] = roots
+    # rows are symmetric, so only a walk from an isolated root ever stops
+    isolated = np.diff(weights.indptr)[roots] == 0
+    live = np.flatnonzero(~isolated)
+
+    def reweigh(slots, walker):  # (p, q) factors for the walkers of this ``step``
+        prev = path[live[walker], step - 1]
+        return _node2vec_factors(keys, n, prev, weights.indices[slots], p, q)
+
+    for step in range(length):
+        cur, u = path[live, step], draws[live, step]
+        second_order = step > 0 and keys is not None
+        slots = step_walkers(weights.indptr, weights.probs, cur, u, reweigh if second_order else None)
+        path[live, step + 1] = weights.indices[slots]
+    walks = path.tolist()
+    for i in np.flatnonzero(isolated).tolist():
+        walks[i] = walks[i][:1]
     return WalkCorpus(walks, config, source)
 
 

@@ -11,6 +11,7 @@ from fairwalks.crosswalk import (
     save_biased,
 )
 from fairwalks.graph import generate_sbm, partition_by
+from fairwalks.seeds import rng_for
 from tests.conftest import make_graph
 
 ALPHA_GRID = (0.01, 0.25, 0.5, 0.75, 0.99)
@@ -19,6 +20,26 @@ BETA_GRID = (1.0, 2.0, 3.0, 5.0, 8.0, 11.0, 15.0)
 
 def closeness_of(values, r=1, d=1, seed=0):
     return BoundaryCloseness(np.asarray(values, dtype=float), r, d, seed)
+
+
+def reference_closeness(graph, partition, walks_per_node, walk_length, seed):
+    """One node, one walk and one step at a time."""
+    group = partition.group_of
+    values = np.zeros(graph.node_count)
+    for v in range(graph.node_count):
+        if graph.degree(v) == 0:
+            continue
+        draws = rng_for(seed, "closeness", v).random((walks_per_node, walk_length))
+        foreign = 0
+        for r in range(walks_per_node):
+            cur = v
+            for step in range(walk_length):
+                nbrs, cw = graph.neighbors(cur), np.cumsum(graph.neighbor_weights(cur))
+                idx = np.searchsorted(cw, draws[r, step] * cw[-1], side="right")
+                cur = int(nbrs[min(idx, len(nbrs) - 1)])
+                foreign += int(group[cur] != group[v])
+        values[v] = foreign / (walks_per_node * walk_length)
+    return values
 
 
 class TestEstimateCloseness:
@@ -53,6 +74,19 @@ class TestEstimateCloseness:
         m1 = estimate_closeness(g, p, 5, 4, seed=9)
         m2 = estimate_closeness(g, p, 5, 4, seed=9)
         assert np.array_equal(m1.values, m2.values)
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_matches_per_node_reference(self, seed):
+        sbm, _ = generate_sbm([6, 9, 12], 0.5, 0.1, seed=seed)
+        weighted = make_graph(
+            [(0, 1, 3.0), (0, 2, 0.5), (1, 2, 1.0), (2, 3, 7.0), (3, 4, 0.25)],
+            attrs={"block": ["X", "Y", "X", "Y", "Y", "X"]}, n=6,
+        )
+        for g in (sbm, weighted):
+            p = partition_by(g, "block")
+            m = estimate_closeness(g, p, walks_per_node=4, walk_length=6, seed=seed)
+            expected = reference_closeness(g, p, 4, 6, seed)
+            np.testing.assert_array_equal(m.values, expected)
 
     def test_isolated_node_gets_zero(self):
         g = make_graph([(0, 1)], attrs={"loc": ["X", "Y", "X"]}, n=3)

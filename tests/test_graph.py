@@ -19,6 +19,7 @@ from fairwalks.graph import (
     partition_by,
     save_graph,
     select_subgraph,
+    step_walkers,
 )
 
 
@@ -371,6 +372,24 @@ class TestCsrHelpers:
         values = rng.random(indptr[-1]) * rng.choice([1e-3, 1.0, 1e3], indptr[-1])
         expected = [np.cumsum(values[a:b]) for a, b in zip(indptr[:-1], indptr[1:])]
         np.testing.assert_array_equal(cumsum_by_row(values, indptr), np.concatenate(expected))
+
+    def test_step_walkers_bitwise_per_row_searchsorted(self):
+        rng = np.random.default_rng(8)
+        lengths = rng.integers(1, 60, 30)
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        scores = rng.random(indptr[-1]) * rng.choice([0.0, 1e-3, 1.0, 1e3], indptr[-1])
+        scores[indptr[3]:indptr[4]] = 0.0  # an all-zero row clamps to its last slot
+        rows = rng.integers(0, 30, 2000)
+        draws = np.concatenate([[0.0, 0.5], rng.random(1998)])
+        expected = []
+        for row, u in zip(rows, draws):
+            a, b = indptr[row], indptr[row + 1]
+            cum = np.cumsum(scores[a:b])
+            expected.append(a + min(np.searchsorted(cum, u * cum[-1], "right"), b - a - 1))
+        assert step_walkers(indptr, scores, rows, draws).tolist() == expected
+        factors = rng.random(indptr[-1])
+        got = step_walkers(indptr, scores / factors, rows, draws, lambda s, w: factors[s])
+        assert got.tolist() == step_walkers(indptr, scores / factors * factors, rows, draws).tolist()
 
     def test_csr_rows_match_edges(self, graph_factory):
         g = graph_factory([(0, 1, 2.0), (1, 2, 3.0), (0, 3, 0.5)], n=5)

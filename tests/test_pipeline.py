@@ -231,7 +231,7 @@ class TestProjection:
         points = rng.normal(0, 1, (200, 1)) * direction * 10 + rng.normal(
             0, 0.1, (200, 3)
         )
-        coords = pca_2d(points, seed=1)
+        coords = pca_2d(points)
         assert coords.shape == (200, 2)
         # first component carries almost all the variance
         assert coords[:, 0].var() > 50 * coords[:, 1].var()
@@ -239,7 +239,7 @@ class TestProjection:
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         points = rng.normal(0, 1, (50, 6))
-        np.testing.assert_array_equal(pca_2d(points, seed=3), pca_2d(points, seed=3))
+        np.testing.assert_array_equal(pca_2d(points), pca_2d(points))
 
 
 class TestArtifactCache:

@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairwalks.graph import generate_sbm
+from fairwalks.graph import generate_sbm, step_walkers
+from fairwalks.seeds import rng_for
 from fairwalks.walks import (
     TransitionWeights,
     WalkConfig,
     WalkCorpus,
+    _edge_keys,
+    _node2vec_factors,
     generate_walks,
     load_corpus_tokens,
     save_corpus,
@@ -18,6 +21,47 @@ from tests.conftest import make_graph
 
 def weights_for(edges, n=None):
     return TransitionWeights.from_graph(make_graph(edges, n=n))
+
+
+def reference_walk(weights, root, length, p, q, rng):
+    """One walk at a time, one inverse-CDF draw per step over its row."""
+    draws = rng.random(length)
+    walk = [root]
+    prev = None
+    cur = root
+    for step in range(length):
+        if prev is None or (p == 1.0 and q == 1.0):
+            row = slice(weights.indptr[cur], weights.indptr[cur + 1])
+            nbrs, cum = weights.indices[row], np.cumsum(weights.probs[row])
+        else:
+            nbrs, probs = transition_distribution(weights, prev, cur, p, q)
+            cum = np.cumsum(probs)
+        if len(nbrs) == 0:
+            break
+        idx = np.searchsorted(cum, draws[step] * cum[-1], side="right")
+        nxt = int(nbrs[min(idx, len(nbrs) - 1)])
+        walk.append(nxt)
+        prev, cur = cur, nxt
+    return walk
+
+
+def reference_walks(weights, config):
+    walks = []
+    for k in range(config.walks_per_node):
+        for root in rng_for(config.seed, "order", k).permutation(weights.node_count).tolist():
+            rng = rng_for(config.seed, "walk", root, k)
+            walks.append(reference_walk(weights, root, config.walk_length, config.p, config.q, rng))
+    return walks
+
+
+REFERENCE_GRAPHS = {
+    "sbm_two_blocks": lambda: generate_sbm([8, 8], 0.5, 0.1, seed=3)[0],
+    "sbm_three_blocks": lambda: generate_sbm([5, 10, 15], 0.4, 0.05, seed=7)[0],
+    "weighted": lambda: make_graph(
+        [(0, 1, 3.0), (0, 2, 0.5), (1, 2, 1.0), (2, 3, 7.0), (3, 4, 0.25), (1, 4, 2.0)]
+    ),
+    "isolated_node": lambda: make_graph([(0, 1), (1, 2), (2, 3), (0, 2)], n=6),
+}
 
 
 class TestTransitionDistribution:
@@ -53,7 +97,7 @@ class TestTransitionDistribution:
     def test_monte_carlo_matches_analytic(self):
         g, _ = generate_sbm([6, 6], 0.8, 0.4, seed=13)
         tw = TransitionWeights.from_graph(g)
-        prev, cur = int(tw.indices[tw.row(0)][0]), 0
+        prev, cur = int(tw.indices[tw.indptr[0]]), 0
         p, q = 0.5, 2.0
         nbrs, probs = transition_distribution(tw, prev, cur, p, q)
         rng = np.random.default_rng(99)
@@ -129,6 +173,32 @@ class TestGenerateWalks:
         idx = np.searchsorted(cum, draws * cum[-1], side="right").clip(0, len(nbrs) - 1)
         counts = np.bincount(idx, minlength=len(nbrs))
         tv = 0.5 * np.abs(counts / n_draws - probs).sum()
+        assert tv <= 0.01
+
+
+    @pytest.mark.parametrize("graph", sorted(REFERENCE_GRAPHS))
+    @pytest.mark.parametrize("p, q", [(1.0, 1.0), (0.5, 2.0), (4.0, 0.25)])
+    def test_matches_per_walk_reference(self, graph, p, q):
+        tw = TransitionWeights.from_graph(REFERENCE_GRAPHS[graph]())
+        config = WalkConfig(p=p, q=q, walks_per_node=3, walk_length=15, seed=11)
+        assert generate_walks(tw, config).walks == reference_walks(tw, config)
+
+    def test_engine_step_matches_distribution(self):
+        # criterion 1.1's fixture, sampled by the walk engine itself
+        tw = weights_for([(0, 1), (1, 2), (1, 3), (0, 2)])
+        p, q = 0.5, 2.0
+        nbrs, probs = transition_distribution(tw, prev=0, cur=1, p=p, q=q)
+        n_walkers = 100_000
+        prev, cur = np.zeros(n_walkers, dtype=np.int64), np.ones(n_walkers, dtype=np.int64)
+        draws = np.random.default_rng(17).random(n_walkers)
+        keys = _edge_keys(tw)
+
+        def reweigh(slots, walker):
+            return _node2vec_factors(keys, tw.node_count, prev[walker], tw.indices[slots], p, q)
+
+        nxt = tw.indices[step_walkers(tw.indptr, tw.probs, cur, draws, reweigh)]
+        freq = np.bincount(nxt, minlength=tw.node_count)[nbrs] / n_walkers
+        tv = 0.5 * np.abs(freq - probs).sum()
         assert tv <= 0.01
 
 
