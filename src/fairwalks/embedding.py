@@ -66,13 +66,14 @@ def embedding_meta(dim, window, negatives, epochs, learning_rate, seed) -> dict:
     }
 
 
-def _flatten(walks) -> np.ndarray:
+def flatten_walks(walks) -> np.ndarray:
+    """Every token of every walk, in order, as one int64 array."""
     return np.fromiter(itertools.chain.from_iterable(walks), dtype=np.int64)
 
 
 def build_frequency_table(walks, node_count: int) -> np.ndarray:
     """Occurrence count of every node over the corpus."""
-    tokens = _flatten(walks)
+    tokens = flatten_walks(walks)
     if len(tokens) == 0:
         raise ValueError("corpus is empty")
     if tokens.min() < 0 or tokens.max() >= node_count:
@@ -130,7 +131,7 @@ class PairStream:
         self.lengths = np.fromiter(map(len, walks), dtype=np.int64, count=len(walks))
         self.width = int(self.lengths.max())
         self.padded = np.zeros((len(walks), self.width), dtype=np.int64)
-        self.padded[np.arange(self.width) < self.lengths[:, None]] = _flatten(walks)
+        self.padded[np.arange(self.width) < self.lengths[:, None]] = flatten_walks(walks)
         centers, contexts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
         for offset in range(1, min(window, self.width - 1) + 1):
             left = np.arange(self.width - offset)

@@ -325,8 +325,7 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
         if flat is None:
             corpus = walks.generate_walks(weights, walk_config, source)
             lengths = np.array([len(w) for w in corpus.walks])
-            flat = np.concatenate([np.array([len(lengths)]), lengths,
-                                   np.concatenate([np.asarray(w) for w in corpus.walks])])
+            flat = np.concatenate([[len(lengths)], lengths, embedding.flatten_walks(corpus.walks)])
             cache.store_array(wkey, "corpus.npy", flat)
         else:
             n_walks = int(flat[0])

@@ -8,6 +8,7 @@ semi-supervised classification.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,7 +17,10 @@ from fairwalks.graph import component_labels
 
 @dataclass
 class PropagationGraph:
-    """Symmetric weighted similarity graph in COO form, sorted by row."""
+    """Symmetric weighted similarity graph in COO form, sorted by row.
+
+    Graph-only results are computed on first use and kept for every fold.
+    """
 
     node_count: int
     k: int
@@ -24,6 +28,18 @@ class PropagationGraph:
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
+
+    @cached_property
+    def transition(self) -> np.ndarray:
+        """Edge weights divided by their row's sum (0 where the sum is 0)."""
+        denom = np.bincount(self.rows, weights=self.weights, minlength=self.node_count)[self.rows]
+        return np.divide(self.weights, denom, out=np.zeros_like(self.weights), where=denom > 0)
+
+    @cached_property
+    def components(self) -> np.ndarray:
+        """Component label of every node over the positive-weight edges."""
+        positive = self.weights > 0
+        return component_labels(self.node_count, self.rows[positive], self.cols[positive])
 
 
 def build_propagation_graph(vectors, k: int = 10, sigma=None) -> PropagationGraph:
@@ -87,39 +103,34 @@ def propagate(
     n = pg.node_count
     if len(labels) != n:
         raise ValueError("labels length must match the graph")
+    bad = labels[(labels < -1) | (labels >= n_classes)]
+    if len(bad):
+        raise ValueError(f"label {bad[0]} outside [-1, {n_classes}) (-1 marks unlabeled)")
     labeled = labels >= 0
     if not labeled.any():
         raise ValueError("at least one labeled node is required")
 
-    warnings = []
-    present = np.unique(labels[labeled])
-    for c in range(n_classes):
-        if c not in present:
-            warnings.append(f"class {c} has no labeled seed and cannot be predicted")
+    warnings = [f"class {c} has no labeled seed and cannot be predicted"
+                for c in np.setdiff1d(np.arange(n_classes), labels[labeled])]
+    y = np.zeros((n, n_classes), dtype=np.float64)
+    y[labeled, labels[labeled]] = 1.0  # clamped: labeled rows are never rewritten
 
-    row_sum = np.bincount(pg.rows, weights=pg.weights, minlength=n)
-    denom = row_sum[pg.rows]
-    norm = np.divide(
-        pg.weights, denom, out=np.zeros_like(pg.weights), where=denom > 0
-    )
-    row_starts = np.searchsorted(pg.rows, np.arange(n + 1))
-    empty_rows = row_starts[:-1] == row_starts[1:]
-    pad = np.zeros((1, n_classes), dtype=np.float64)
-
-    clamp = np.zeros((n, n_classes), dtype=np.float64)
-    clamp[labeled, labels[labeled]] = 1.0
-    y = clamp.copy()
-
+    # Only unlabeled rows with edges change: sum just their edges, in row
+    # order as a full sweep would. prev == y[active], and no other row moves.
+    degree = np.bincount(pg.rows, minlength=n)
+    free = ~labeled & (degree > 0)
+    active, on_free = np.flatnonzero(free), free[pg.rows]
+    cols, scale = pg.cols[on_free], pg.transition[on_free, None]
+    starts = np.cumsum(degree[active]) - degree[active]
+    gathered = np.empty((len(cols), n_classes))
+    acc, prev, diff = (np.zeros((len(active), n_classes)) for _ in range(3))
     delta = np.inf
     for _ in range(max_iters):
-        # a zero pad row keeps reduceat boundaries valid when trailing
-        # nodes have no edges; empty middle segments are zeroed below
-        contrib = np.concatenate([norm[:, None] * y[pg.cols], pad])
-        y_next = np.add.reduceat(contrib, row_starts[:-1], axis=0)
-        y_next[empty_rows] = 0.0
-        y_next[labeled] = clamp[labeled]
-        delta = np.abs(y_next - y).max()
-        y = y_next
+        np.multiply(np.take(y, cols, axis=0, out=gathered), scale, out=gathered)
+        np.add.reduceat(gathered, starts, axis=0, out=acc)
+        delta = np.abs(np.subtract(acc, prev, out=diff), out=diff).max(initial=0.0)
+        y[active] = acc
+        acc, prev = prev, acc
         if delta < tol:
             break
     if delta >= tol:
@@ -128,8 +139,7 @@ def propagate(
             f"(last max change {delta:.3g}, tol {tol:g})"
         )
 
-    positive = pg.weights > 0
-    component = component_labels(n, pg.rows[positive], pg.cols[positive])
+    component = pg.components
     stranded = ~np.isin(component, component[labeled]) & ~labeled
     if stranded.any():
         y[stranded] = 1.0 / n_classes

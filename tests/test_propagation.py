@@ -5,11 +5,95 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairwalks.graph import component_labels
 from fairwalks.propagation import (
+    PropagationGraph,
     build_propagation_graph,
     predict,
     propagate,
 )
+
+
+def reference_propagate(pg, labels, n_classes, max_iters=1000, tol=1e-6):
+    """The full-sweep Jacobi loop: every row is recomputed each iteration."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n = pg.node_count
+    labeled = labels >= 0
+    warnings = []
+    present = np.unique(labels[labeled])
+    for c in range(n_classes):
+        if c not in present:
+            warnings.append(f"class {c} has no labeled seed and cannot be predicted")
+
+    row_sum = np.bincount(pg.rows, weights=pg.weights, minlength=n)
+    denom = row_sum[pg.rows]
+    norm = np.divide(pg.weights, denom, out=np.zeros_like(pg.weights), where=denom > 0)
+    row_starts = np.searchsorted(pg.rows, np.arange(n + 1))
+    empty_rows = row_starts[:-1] == row_starts[1:]
+    pad = np.zeros((1, n_classes), dtype=np.float64)
+
+    clamp = np.zeros((n, n_classes), dtype=np.float64)
+    clamp[labeled, labels[labeled]] = 1.0
+    y = clamp.copy()
+    delta = np.inf
+    for _ in range(max_iters):
+        contrib = np.concatenate([norm[:, None] * y[pg.cols], pad])
+        y_next = np.add.reduceat(contrib, row_starts[:-1], axis=0)
+        y_next[empty_rows] = 0.0
+        y_next[labeled] = clamp[labeled]
+        delta = np.abs(y_next - y).max()
+        y = y_next
+        if delta < tol:
+            break
+    if delta >= tol:
+        warnings.append(
+            f"propagation did not converge in {max_iters} iterations "
+            f"(last max change {delta:.3g}, tol {tol:g})"
+        )
+
+    positive = pg.weights > 0
+    component = component_labels(n, pg.rows[positive], pg.cols[positive])
+    stranded = ~np.isin(component, component[labeled]) & ~labeled
+    if stranded.any():
+        y[stranded] = 1.0 / n_classes
+        warnings.append(
+            f"{int(stranded.sum())} nodes unreachable from any seed; set to uniform"
+        )
+    return y, warnings
+
+
+def coo_graph(n, edges):
+    """PropagationGraph from (a, b, weight) triples, both directions, sorted by row."""
+    a, b, w = (np.array(x) for x in zip(*edges))
+    rows, cols, weights = np.r_[a, b], np.r_[b, a], np.r_[w, w].astype(np.float64)
+    sort = np.lexsort((cols, rows))
+    return PropagationGraph(n, 1, 1.0, rows[sort], cols[sort], weights[sort])
+
+
+def random_case(seed, n_classes):
+    rng = np.random.default_rng(seed)
+    pg = build_propagation_graph(rng.normal(0, 1, (60, 5)), k=4)
+    labels = np.full(60, -1)
+    seeds = rng.choice(60, 25, replace=False)
+    labels[seeds] = rng.integers(0, n_classes, 25)
+    return pg, labels, n_classes, {}
+
+
+# nodes 2 and 10 have no edges (mid-graph and trailing), row 6 has only
+# zero weights, and the component 8 - 9 can hold no seed
+SPECIAL = coo_graph(11, [(0, 1, 0.5), (1, 3, 2.0), (3, 4, 1.0), (4, 5, 0.25),
+                         (5, 6, 0.0), (6, 7, 0.0), (8, 9, 1.0)])
+
+PARITY_CASES = {
+    **{f"random-seed{s}-{c}classes": random_case(s, c) for s in (0, 1, 2) for c in (2, 3)},
+    "zero-weight-row": (SPECIAL, [0, -1, 1, -1, 1, -1, -1, 0, -1, -1, 1], 2, {}),
+    "free-nodes-without-edges": (SPECIAL, [0, -1, -1, -1, 1, 0, 1, 0, 1, 0, -1], 2, {}),
+    "component-without-seed": (SPECIAL, [0, -1, 1, -1, -1, 1, 0, 0, -1, -1, 0], 2, {}),
+    "every-node-labeled": (SPECIAL, [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0], 2, {}),
+    "one-free-node": (SPECIAL, [0, 1, 0, -1, 0, 1, 0, 1, 0, 1, 1], 2, {}),
+    "max-iters-1": (SPECIAL, [0, -1, 1, -1, -1, 1, -1, 0, 1, -1, -1], 2, {"max_iters": 1}),
+    "max-iters-1-random": (*random_case(5, 3)[:3], {"max_iters": 1}),
+}
 
 
 def weight_of(pg, a, b):
@@ -126,3 +210,32 @@ class TestPropagate:
         pg = self.path_graph()
         with pytest.raises(ValueError):
             propagate(pg, np.array([-1, -1, -1]), 2)
+
+    @pytest.mark.parametrize("label", [2, 7, -2])
+    def test_label_out_of_range_rejected(self, label):
+        pg = self.path_graph()
+        with pytest.raises(ValueError, match=f"label {label} outside"):
+            propagate(pg, np.array([0, label, -1]), 2)
+
+    def test_graph_only_work_done_once(self, monkeypatch):
+        import fairwalks.propagation as propagation
+
+        calls = []
+        monkeypatch.setattr(
+            propagation, "component_labels", lambda *a: calls.append(a) or component_labels(*a)
+        )
+        pg = self.path_graph()
+        propagate(pg, np.array([0, -1, -1]), 2)
+        propagate(pg, np.array([-1, -1, 1]), 2)
+        assert len(calls) == 1
+
+
+class TestPropagateMatchesFullSweep:
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_bitwise_equal_to_reference(self, case):
+        pg, labels, n_classes, kwargs = PARITY_CASES[case]
+        want, want_warnings = reference_propagate(pg, labels, n_classes, **kwargs)
+        got, got_warnings = propagate(pg, labels, n_classes, **kwargs)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got_warnings == want_warnings
