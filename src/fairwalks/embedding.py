@@ -26,7 +26,7 @@ BLOCK_PAIRS = 1 << 13
 
 
 class TrainingDiverged(RuntimeError):
-    """NaN or Inf appeared in the parameters during training."""
+    """An epoch's mean loss or the parameters blew up during training."""
 
 
 @dataclass
@@ -168,16 +168,23 @@ class PairStream:
             yield carry_c, carry_x
 
 
-def scatter_rows(params, rows, grads, scale, bins):
+def scatter_rows(params, rows, grads, scale, slot, cells, bins):
     """``params[rows] -= scale * grads`` with repeated rows summed first.
 
-    One ``np.bincount`` over compact row ids (``bins`` is scratch space of
-    ``grads``' shape) keeps the cost at O(len(rows) * dim) whatever the
-    number of rows in ``params``.
+    Each entry of ``rows`` writes its position into ``slot`` (one int64 per
+    row of ``params``); the surviving positions pick one entry per distinct
+    row, which numbers the rows without a sort. ``bins`` (int64, ``grads``'
+    shape) takes row ``id`` of ``cells`` (``id * dim + arange(dim)``), so
+    one ``np.bincount`` sums every (row, column) in input order at a cost
+    of O(len(rows) * dim), whatever ``len(params)``.
     """
     dim = params.shape[1]
-    unique, inverse = np.unique(rows, return_inverse=True)
-    np.add((inverse * dim)[:, None], np.arange(dim), out=bins)
+    order = np.arange(len(rows))
+    slot[rows] = order
+    unique = rows[slot[rows] == order]
+    slot[unique] = np.arange(len(unique))
+    # ids are in range by construction: "clip" skips the copy "raise" makes of out
+    np.take(cells, slot[rows], axis=0, out=bins, mode="clip")
     summed = np.bincount(bins.ravel(), weights=grads.ravel(), minlength=len(unique) * dim)
     summed *= -scale
     summed = summed.reshape(len(unique), dim)
@@ -188,47 +195,53 @@ def scatter_rows(params, rows, grads, scale, bins):
 class _Trainer:
     """SGD state plus the batch buffers, allocated once per ``train``.
 
-    Reused buffers matter: fresh half-megabyte temporaries in every batch
-    can be handed back to the OS by the allocator and re-faulted on the
-    next batch, which measured 2.3x slower on the same batches.
+    ``params`` stacks ``w_in`` over ``w_out``: a batch reads its rows with
+    one gather and writes them with one scatter. Reused buffers matter:
+    fresh half-megabyte temporaries in every batch can be handed back to
+    the OS and re-faulted on the next batch, measured 2.3x slower.
     """
 
-    def __init__(self, w_in, w_out, table, negatives, lr0, total_pairs, batch_size):
-        self.w_in = w_in
-        self.w_out = w_out
+    def __init__(self, params, table, negatives, lr0, total_pairs, batch_size):
+        self.params = params
+        self.n = len(params) // 2
+        self.w_in, self.w_out = params[: self.n], params[self.n :]
         self.table = table
         self.negatives = negatives
         self.lr0 = lr0
         self.total_pairs = max(total_pairs, 1)
         self.pairs_done = 0
-        b, k, d = batch_size, negatives, w_in.shape[1]
-        # per pair: its context, then its k negatives (the w_out rows it touches)
-        self.out_rows = np.empty((b, k + 1), dtype=np.int64)
+        b, k, d = batch_size, negatives, params.shape[1]
+        # the b centers, then per pair its context and its k negatives, offset by n
+        self.rows = np.empty(b * (k + 2), dtype=np.int64)
+        self.vecs = np.empty((b * (k + 2), d))
+        self.grad_in = np.empty((b, d))
         self.live = np.ones((b, k + 1))
-        self.center_vec = np.empty((b, d))
-        self.out_vec = np.empty((b, k + 1, d))
         self.logits = np.empty((b, k + 1))
         self.softplus = np.empty((b, k + 1))
-        self.grad_in = np.empty((b, d))
-        self.bins = np.empty((b * (k + 1), d), dtype=np.int64)
+        self.slot = np.empty(len(params), dtype=np.int64)
+        self.cells = np.arange(b * (k + 2) * d).reshape(b * (k + 2), d)
+        self.bins = np.empty((b * (k + 2), d), dtype=np.int64)
         # -1 flips the positive logit: every column's loss is softplus(sign * logit)
         self.sign = np.ones(k + 1)
         self.sign[0] = -1.0
 
     def process(self, centers, contexts, rng):
         """One mini-batch of SGD updates; returns the summed pair loss."""
-        b = len(centers)
+        b, k = len(centers), self.negatives
         frac = min(self.pairs_done / self.total_pairs, 1.0)
         lr = self.lr0 * (1.0 - frac * (1.0 - FINAL_LR_FRACTION))
-        neg = self.table.draw(rng, size=(b, self.negatives))
-        rows = self.out_rows[:b]
-        rows[:, 0] = contexts
-        rows[:, 1:] = neg
+        neg = self.table.draw(rng, size=(b, k))
+        rows = self.rows[: b * (k + 2)]
+        rows[:b] = centers
+        out_rows = rows[b:].reshape(b, k + 1)
+        out_rows[:, 0], out_rows[:, 1:] = contexts + self.n, neg + self.n
         live = self.live[:b]
-        np.not_equal(neg, contexts[:, None], out=live[:, 1:])
+        np.not_equal(out_rows[:, 1:], out_rows[:, :1], out=live[:, 1:])
 
-        c_vec = np.take(self.w_in, centers, axis=0, out=self.center_vec[:b])
-        o_vec = np.take(self.w_out, rows, axis=0, out=self.out_vec[:b])
+        # rows lie in [0, 2n): the corpus was checked and negatives come from the table
+        vecs = np.take(self.params, rows, axis=0, out=self.vecs[: len(rows)], mode="clip")
+        c_vec = vecs[:b]
+        o_vec = vecs[b:].reshape(b, k + 1, -1)
         # z = -pos_dot, +neg_dot; loss = sum softplus(z); dloss/dz = sigmoid(z)
         z = np.einsum("bjd,bd->bj", o_vec, c_vec, out=self.logits[:b])
         z *= self.sign
@@ -240,13 +253,10 @@ class _Trainer:
         coef *= self.sign
 
         grad_in = np.einsum("bj,bjd->bd", coef, o_vec, out=self.grad_in[:b])
-        # o_vec is spent: its buffer takes the w_out gradients
-        grad_out = np.multiply(coef[:, :, None], c_vec[:, None, :], out=o_vec)
-        scatter_rows(self.w_in, centers, grad_in, lr, self.bins[:b])
-        scatter_rows(
-            self.w_out, rows.ravel(), grad_out.reshape(-1, grad_out.shape[2]), lr,
-            self.bins[: rows.size],
-        )
+        # the spent vectors become the gradients of the rows they were read from
+        np.einsum("bj,bd->bjd", coef, c_vec, out=o_vec)
+        c_vec[...] = grad_in
+        scatter_rows(self.params, rows, vecs, lr, self.slot, self.cells, self.bins[: len(rows)])
         self.pairs_done += b
         return loss
 
@@ -268,7 +278,9 @@ def train(
     pairs through batches of ``batch_size`` (the last batch of an epoch
     may be shorter). The learning rate decays linearly from
     ``learning_rate`` to 1% of it across all scheduled pairs. A fixed
-    seed gives bit-identical parameters.
+    seed gives bit-identical parameters. An epoch whose mean loss is not
+    finite or exceeds ten times an untrained pair's (k + 1) ln 2, or that
+    leaves a parameter non-finite, raises ``TrainingDiverged``.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
@@ -280,15 +292,15 @@ def train(
     table = AliasTable(negative_distribution(counts))
     stream = PairStream(walks, window)
 
-    init_rng = rng_for(seed, "init")
-    w_in = (init_rng.random((node_count, dim)) - 0.5) / dim
-    w_out = np.zeros((node_count, dim), dtype=np.float64)
+    params = np.zeros((2 * node_count, dim))
+    params[:node_count] = (rng_for(seed, "init").random((node_count, dim)) - 0.5) / dim
 
     # cap batches at the vocabulary size: a node then appears O(1) times per
     # batch and the accumulated stale-gradient step stays close to per-pair SGD
     batch_size = max(8, min(batch_size, node_count))
     total_pairs = stream.pairs * max(epochs, 1)
-    trainer = _Trainer(w_in, w_out, table, negatives, learning_rate, total_pairs, batch_size)
+    trainer = _Trainer(params, table, negatives, learning_rate, total_pairs, batch_size)
+    limit = 10 * (negatives + 1) * np.log(2)
 
     epoch_losses = []
     for epoch in range(epochs):
@@ -298,15 +310,14 @@ def train(
         for centers, contexts in stream.batches(order, batch_size):
             loss_sum += trainer.process(centers, contexts, rng)
         epoch_losses.append(loss_sum / max(stream.pairs, 1))
-        if not np.isfinite(w_in).all() or not np.isfinite(w_out).all():
-            raise TrainingDiverged(
-                f"non-finite parameters after epoch {epoch}; "
-                f"lower the learning rate (currently {learning_rate})"
-            )
+        if not epoch_losses[-1] <= limit or not np.isfinite(params).all():
+            raise TrainingDiverged(f"epoch {epoch} diverged (mean loss {epoch_losses[-1]:.3g}, "
+                                   f"limit {limit:.3g}); lower the learning rate "
+                                   f"(currently {learning_rate})")
 
     meta = embedding_meta(dim, window, negatives, epochs, learning_rate, seed)
     meta["epoch_mean_loss"] = epoch_losses
-    return EmbeddingMatrix(w_in, w_out, meta)
+    return EmbeddingMatrix(trainer.w_in, trainer.w_out, meta)
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path, tokens=None):
@@ -316,8 +327,8 @@ def save_embeddings(matrix: EmbeddingMatrix, path, tokens=None):
         tokens = [str(i) for i in range(n)]
     with open(path, "w") as f:
         f.write(f"{n} {dim}\n")
-        for tok, row in zip(tokens, matrix.vectors):
-            f.write(tok + " " + " ".join(repr(float(x)) for x in row) + "\n")
+        for tok, row in zip(tokens, matrix.vectors.tolist()):
+            f.write(tok + " " + " ".join(map(repr, row)) + "\n")
 
 
 def load_embeddings(path):

@@ -37,21 +37,12 @@ class GroupScores:
             raise ValueError("scores must lie in [0, 1]")
 
 
-def binary_f1(true_positive: int, false_positive: int, false_negative: int) -> float:
-    """F1 from confusion counts; 0 when there is nothing to score."""
-    denom = 2 * true_positive + false_positive + false_negative
-    if denom == 0:
-        return 0.0
-    return 2 * true_positive / denom
-
-
-def one_vs_rest_f1(truth, predicted, positive) -> float:
-    truth = np.asarray(truth)
-    predicted = np.asarray(predicted)
-    tp = int(np.sum((truth == positive) & (predicted == positive)))
-    fp = int(np.sum((truth != positive) & (predicted == positive)))
-    fn = int(np.sum((truth == positive) & (predicted != positive)))
-    return binary_f1(tp, fp, fn)
+def class_f1(table) -> np.ndarray:
+    """Per-class one-vs-rest F1 from (..., truth, predicted) counts; 0 if unscored."""
+    true_positive = np.diagonal(table, axis1=-2, axis2=-1)
+    # truth count + predicted count = 2 TP + FP + FN
+    denom = table.sum(axis=-1) + table.sum(axis=-2)
+    return np.divide(2 * true_positive, denom, out=np.zeros(denom.shape), where=denom > 0)
 
 
 def per_group_f1(
@@ -67,15 +58,13 @@ def per_group_f1(
     "is in group i" as the positive class.
     """
     eval_set = np.asarray(eval_set, dtype=np.int64)
-    predicted = np.asarray(predicted)[eval_set]
-    truth = np.asarray(truth)[eval_set]
-    scores = np.zeros(partition.num_groups)
-    flags = []
-    for i in range(partition.num_groups):
-        scores[i] = one_vs_rest_f1(truth, predicted, i)
-        if not np.any(truth == i) and not np.any(predicted == i):
-            flags.append(f"group {partition.group_labels[i]}: no positives, F1 set to 0")
-    return GroupScores(partition.attribute, scores, flags)
+    c = partition.num_groups
+    cells = np.asarray(truth)[eval_set] * c + np.asarray(predicted)[eval_set]
+    table = np.bincount(cells, minlength=c * c).reshape(c, c)
+    absent = table.sum(axis=0) + table.sum(axis=1) == 0
+    flags = [f"group {label}: no positives, F1 set to 0"
+             for label, none in zip(partition.group_labels, absent) if none]
+    return GroupScores(partition.attribute, class_f1(table), flags)
 
 
 def per_group_macro_f1(
@@ -91,21 +80,21 @@ def per_group_macro_f1(
     that actually occur in that group's eval-set truth.
     """
     eval_set = np.asarray(eval_set, dtype=np.int64)
-    predicted = np.asarray(predicted)
-    truth = np.asarray(truth)
-    scores = np.zeros(sensitive.num_groups)
+    t = np.asarray(truth)[eval_set]
+    p = np.asarray(predicted)[eval_set]
+    c = 1 + int(max(t.max(initial=0), p.max(initial=0)))
+    groups = sensitive.num_groups
+    cells = (sensitive.group_of[eval_set] * c + t) * c + p
+    table = np.bincount(cells, minlength=groups * c * c).reshape(groups, c, c)
+    f1 = class_f1(table)
+    present = table.sum(axis=2) > 0
+    scores = np.zeros(groups)
     flags = []
-    for i in range(sensitive.num_groups):
-        members = eval_set[sensitive.group_of[eval_set] == i]
-        if len(members) == 0:
+    for i in range(groups):
+        if not present[i].any():
             flags.append(f"group {sensitive.group_labels[i]}: empty eval set")
             continue
-        t = truth[members]
-        p = predicted[members]
-        present = np.unique(t)
-        scores[i] = float(
-            np.mean([one_vs_rest_f1(t, p, c) for c in present])
-        )
+        scores[i] = np.mean(f1[i, present[i]])
     return GroupScores(attribute, scores, flags)
 
 

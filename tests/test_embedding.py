@@ -5,8 +5,10 @@ import pytest
 
 import fairwalks.embedding as embedding_mod
 from fairwalks.embedding import (
+    FINAL_LR_FRACTION,
     EmbeddingMatrix,
     PairStream,
+    TrainingDiverged,
     _Trainer,
     build_frequency_table,
     load_embeddings,
@@ -17,8 +19,11 @@ from fairwalks.embedding import (
     train,
 )
 from fairwalks.graph import generate_sbm
+from fairwalks.pipeline import build_dataset
 from fairwalks.sampling import AliasTable
+from fairwalks.seeds import rng_for
 from fairwalks.walks import TransitionWeights, WalkConfig, generate_walks
+from tests.test_acceptance import acceptance_config
 
 
 class TestFrequencyTable:
@@ -241,7 +246,8 @@ class TestScatterRows:
         grads = rng.normal(0, 1, (500, 6))
         expected = params.copy()
         np.add.at(expected, rows, -0.05 * grads)
-        scatter_rows(params, rows, grads, 0.05, np.empty((500, 6), dtype=np.int64))
+        slot, bins = np.empty(40, dtype=np.int64), np.empty((500, 6), dtype=np.int64)
+        scatter_rows(params, rows, grads, 0.05, slot, np.arange(3000).reshape(500, 6), bins)
         np.testing.assert_allclose(params, expected, rtol=0, atol=1e-12)
 
 
@@ -252,7 +258,7 @@ class TestBatchStep:
         w_in = rng.normal(0, 0.5, (n, d))
         w_out = rng.normal(0, 0.5, (n, d))
         table = AliasTable(np.full(n, 1.0 / n))
-        trainer = _Trainer(w_in.copy(), w_out.copy(), table, k, lr, 10**9, b)
+        trainer = _Trainer(np.vstack([w_in, w_out]), table, k, lr, 10**9, b)
         centers = rng.integers(0, n, b)
         contexts = rng.integers(0, n, b)
         loss = trainer.process(centers, contexts, np.random.default_rng(7))
@@ -273,6 +279,110 @@ class TestBatchStep:
         np.testing.assert_allclose(trainer.w_out, want_out, rtol=0, atol=1e-12)
 
 
+def reference_scatter(params, rows, grads, scale):
+    """Sorted compact ids from ``np.unique``, then one ``np.bincount``."""
+    dim = params.shape[1]
+    unique, inverse = np.unique(rows, return_inverse=True)
+    bins = (inverse * dim)[:, None] + np.arange(dim)
+    summed = np.bincount(bins.ravel(), weights=grads.ravel(), minlength=len(unique) * dim)
+    summed *= -scale
+    summed = summed.reshape(len(unique), dim)
+    summed += params[unique]
+    params[unique] = summed
+
+
+def reference_train(walks, node_count, dim, window, negatives, epochs, learning_rate, seed,
+                    batch_size):
+    """SGNS with separate input and context matrices: two gathers and two
+    scatters per batch. Returns (vectors, context vectors, epoch losses)."""
+    walks = [w for w in walks if len(w) > 0]
+    table = AliasTable(negative_distribution(build_frequency_table(walks, node_count)))
+    stream = PairStream(walks, window)
+    w_in = (rng_for(seed, "init").random((node_count, dim)) - 0.5) / dim
+    w_out = np.zeros((node_count, dim))
+    batch_size = max(8, min(batch_size, node_count))
+    total_pairs = max(stream.pairs * max(epochs, 1), 1)
+    sign = np.ones(negatives + 1)
+    sign[0] = -1.0
+    done, losses = 0, []
+    for epoch in range(epochs):
+        order = rng_for(seed, "epoch", epoch).permutation(len(walks))
+        rng = rng_for(seed, "sgd", epoch)
+        loss_sum = 0.0
+        for centers, contexts in stream.batches(order, batch_size):
+            b = len(centers)
+            frac = min(done / total_pairs, 1.0)
+            lr = learning_rate * (1.0 - frac * (1.0 - FINAL_LR_FRACTION))
+            neg = table.draw(rng, size=(b, negatives))
+            rows = np.column_stack([contexts, neg])
+            live = np.ones((b, negatives + 1))
+            live[:, 1:] = neg != contexts[:, None]
+            c_vec, o_vec = w_in[centers], w_out[rows]
+            z = np.einsum("bjd,bd->bj", o_vec, c_vec) * sign
+            softplus = np.logaddexp(0.0, z)
+            loss_sum += float(np.vdot(softplus, live))
+            coef = np.exp(z - softplus) * live * sign
+            grad_in = np.einsum("bj,bjd->bd", coef, o_vec)
+            grad_out = coef[:, :, None] * c_vec[:, None, :]
+            reference_scatter(w_in, centers, grad_in, lr)
+            reference_scatter(w_out, rows.ravel(), grad_out.reshape(-1, dim), lr)
+            done += b
+        losses.append(loss_sum / max(stream.pairs, 1))
+    return w_in, w_out, losses
+
+
+def acceptance_walks(walks_per_node):
+    g, _ = build_dataset(acceptance_config(1))
+    cfg = WalkConfig(walks_per_node=walks_per_node, walk_length=30, seed=1)
+    return generate_walks(TransitionWeights.from_graph(g), cfg), g.node_count
+
+
+class TestAgainstReferenceTrainer:
+    @pytest.mark.parametrize(
+        "walks, n, kwargs",
+        [
+            # walks of 1..13 tokens against window 5, last batch of 37 short
+            (mixed_walks(seed=0), 30, dict(dim=8, window=5, negatives=5, batch_size=37)),
+            (mixed_walks(seed=2), 30, dict(dim=6, window=20, negatives=1, batch_size=11)),
+            # three tokens: most batches draw negatives equal to their context
+            ([[0, 1, 2, 1], [2, 0], [1]] * 9, 3, dict(dim=4, window=2, negatives=4, batch_size=8)),
+        ],
+    )
+    def test_bitwise_equal(self, walks, n, kwargs):
+        assert PairStream(walks, kwargs["window"]).pairs % max(8, min(kwargs["batch_size"], n))
+        m = train(walks, n, epochs=3, learning_rate=0.05, seed=4, **kwargs)
+        w_in, w_out, losses = reference_train(
+            walks, n, epochs=3, learning_rate=0.05, seed=4, **kwargs
+        )
+        assert m.vectors.tobytes() == w_in.tobytes()
+        assert m.context_vectors.tobytes() == w_out.tobytes()
+        assert m.meta["epoch_mean_loss"] == losses
+
+    def test_acceptance_walks_bitwise_equal(self):
+        corpus, n = acceptance_walks(walks_per_node=1)
+        m = train(corpus.walks, n, dim=16, epochs=1, seed=1)
+        w_in, w_out, losses = reference_train(
+            corpus.walks, n, dim=16, window=5, negatives=5, epochs=1, learning_rate=0.025,
+            seed=1, batch_size=1024,
+        )
+        assert m.vectors.tobytes() == w_in.tobytes()
+        assert m.context_vectors.tobytes() == w_out.tobytes()
+        assert m.meta["epoch_mean_loss"] == losses
+
+
+class TestDivergence:
+    def test_exploding_loss_raises(self):
+        corpus, n = acceptance_walks(walks_per_node=2)
+        with pytest.raises(TrainingDiverged, match=r"epoch 0 .*learning rate \(currently 0.5\)"):
+            train(corpus.walks, n, dim=32, epochs=2, learning_rate=0.5, seed=1)
+
+    def test_recovering_loss_passes(self):
+        corpus, n = acceptance_walks(walks_per_node=2)
+        m = train(corpus.walks, n, dim=32, epochs=2, learning_rate=0.2, seed=1)
+        first, last = m.meta["epoch_mean_loss"]
+        assert first > 6 * math.log(2) > last
+
+
 class TestEmbeddingIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -288,3 +398,12 @@ class TestEmbeddingIO:
         path.write_text("2 3\na 0.0 0.0 0.0\n")
         with pytest.raises(ValueError):
             load_embeddings(path)
+
+    def test_bytes_match_per_element_formatter(self, tmp_path):
+        vectors = np.array([[-0.0, 1e-300, 3.0], [2.0, -5e-324, 0.1], [1e16, -7.0, 2.5e-8]])
+        path = tmp_path / "emb.txt"
+        save_embeddings(EmbeddingMatrix(vectors, np.zeros_like(vectors), {}), path)
+        want = "3 3\n" + "".join(
+            f"{i} " + " ".join(repr(float(x)) for x in row) + "\n" for i, row in enumerate(vectors)
+        )
+        assert path.read_text() == want

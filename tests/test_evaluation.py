@@ -7,7 +7,6 @@ from fairwalks.evaluation import (
     awareness,
     cross_validate,
     disparity,
-    one_vs_rest_f1,
     per_group_f1,
     per_group_macro_f1,
     performance,
@@ -64,6 +63,69 @@ class TestPerGroupF1:
         # group 0: class0 F1 = 0.5, class1 F1 = 0.5 -> 0.5 ; group 1 perfect -> 1.0
         assert scores.values[0] == pytest.approx(0.5)
         assert scores.values[1] == pytest.approx(1.0)
+
+
+def reference_binary_f1(true_positive, false_positive, false_negative):
+    denom = 2 * true_positive + false_positive + false_negative
+    if denom == 0:
+        return 0.0
+    return 2 * true_positive / denom
+
+
+def reference_one_vs_rest_f1(truth, predicted, positive):
+    tp = int(np.sum((truth == positive) & (predicted == positive)))
+    fp = int(np.sum((truth != positive) & (predicted == positive)))
+    fn = int(np.sum((truth == positive) & (predicted != positive)))
+    return reference_binary_f1(tp, fp, fn)
+
+
+def reference_per_group_f1(predicted, truth, partition, eval_set):
+    """Per-class loops over the eval set: scores and flags."""
+    predicted, truth = predicted[eval_set], truth[eval_set]
+    scores = np.zeros(partition.num_groups)
+    flags = []
+    for i in range(partition.num_groups):
+        scores[i] = reference_one_vs_rest_f1(truth, predicted, i)
+        if not np.any(truth == i) and not np.any(predicted == i):
+            flags.append(f"group {partition.group_labels[i]}: no positives, F1 set to 0")
+    return scores, flags
+
+
+def reference_per_group_macro_f1(predicted, truth, sensitive, eval_set):
+    scores = np.zeros(sensitive.num_groups)
+    flags = []
+    for i in range(sensitive.num_groups):
+        members = eval_set[sensitive.group_of[eval_set] == i]
+        if len(members) == 0:
+            flags.append(f"group {sensitive.group_labels[i]}: empty eval set")
+            continue
+        t, p = truth[members], predicted[members]
+        scores[i] = float(np.mean([reference_one_vs_rest_f1(t, p, c) for c in np.unique(t)]))
+    return scores, flags
+
+
+class TestConfusionTable:
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_per_class_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 90))
+        groups = int(rng.integers(2, 5))
+        sens = partition(np.concatenate([np.arange(groups), rng.integers(0, groups, n - groups)]))
+        # small eval sets miss whole groups and classes
+        eval_set = np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+        group_pred = rng.integers(0, groups, n)
+        scores = per_group_f1(group_pred, sens.group_of, sens, eval_set)
+        want, want_flags = reference_per_group_f1(group_pred, sens.group_of, sens, eval_set)
+        assert scores.values.tobytes() == want.tobytes()
+        assert scores.flags == want_flags
+
+        classes = int(rng.integers(1, 6))
+        truth, pred = rng.integers(0, classes, n), rng.integers(0, classes, n)
+        macro = per_group_macro_f1(pred, truth, sens, eval_set, "ctl")
+        want, want_flags = reference_per_group_macro_f1(pred, truth, sens, eval_set)
+        assert macro.values.tobytes() == want.tobytes()
+        assert macro.flags == want_flags
 
 
 class TestMetrics:

@@ -15,6 +15,7 @@ from fairwalks.sweep import (
     run_sweep,
     summarize,
 )
+from tests.test_acceptance import acceptance_config
 
 
 def base_config(**overrides):
@@ -136,6 +137,16 @@ class TestRunSweep:
         assert rerun.calls == [victim]
         assert executed == 1
         assert len(read_sweep_table(csv_path)) == 3
+
+    def test_diverged_training_recorded_as_error(self, tmp_path):
+        # lr 0.5 on the acceptance graph sends the epoch mean loss past 1e200
+        base = acceptance_config(1).replace(
+            walks_per_node=2, epochs=2, learning_rate=0.5, folds=2
+        )
+        csv_path, _, _ = run_sweep(SweepSpec(), base, tmp_path)
+        (row,) = read_sweep_table(csv_path)
+        assert row["status"] == "error"
+        assert "learning rate" in row["error"]
 
     def test_failures_recorded_and_sweep_continues(self, tmp_path):
         spec = SweepSpec(alphas=[0.5], betas=[1.0, 2.0])
