@@ -280,7 +280,7 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
 
     gkey = _graph_key(g)
 
-    stage = "bias"
+    stage = "walks"
     try:
         if config.intervention == "crosswalk":
             closeness_seed = derive_seed(config.seed, "closeness")
@@ -288,30 +288,11 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
                 "closeness", gkey, config.sensitive_attribute,
                 config.closeness_walks, config.closeness_length, closeness_seed,
             )
-            values = cache.load_array(ckey, "closeness.npy")
-            if values is None:
-                closeness = crosswalk.estimate_closeness(
-                    g, sensitive, config.closeness_walks,
-                    config.closeness_length, closeness_seed,
-                )
-                cache.store_array(ckey, "closeness.npy", closeness.values)
-            else:
-                closeness = crosswalk.BoundaryCloseness(
-                    values, config.closeness_walks, config.closeness_length, closeness_seed
-                )
-            biased = crosswalk.reweight(g, sensitive, closeness, config.alpha, config.beta)
-            weights = walks.TransitionWeights.from_biased(biased)
             source = f"crosswalk(alpha={config.alpha:g}, beta={config.beta:g})"
             wkey_bias = _hash_key(ckey, config.alpha, config.beta, crosswalk.CLOSENESS_SMOOTHING)
         else:
-            weights = walks.TransitionWeights.from_graph(g)
             source = "baseline"
             wkey_bias = "baseline"
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
-
-    stage = "walks"
-    try:
         walk_seed = derive_seed(config.seed, "walks")
         walk_config = walks.WalkConfig(
             p=config.p, q=config.q, walks_per_node=config.walks_per_node,
@@ -323,6 +304,26 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
         )
         flat = cache.load_array(wkey, "corpus.npy")
         if flat is None:
+            # the bias key covers every input of the weights, so a cached
+            # corpus needs neither closeness nor reweighting
+            stage = "bias"
+            if config.intervention == "crosswalk":
+                values = cache.load_array(ckey, "closeness.npy")
+                if values is None:
+                    closeness = crosswalk.estimate_closeness(
+                        g, sensitive, config.closeness_walks,
+                        config.closeness_length, closeness_seed,
+                    )
+                    cache.store_array(ckey, "closeness.npy", closeness.values)
+                else:
+                    closeness = crosswalk.BoundaryCloseness(
+                        values, config.closeness_walks, config.closeness_length, closeness_seed
+                    )
+                biased = crosswalk.reweight(g, sensitive, closeness, config.alpha, config.beta)
+                weights = walks.TransitionWeights.from_biased(biased)
+            else:
+                weights = walks.TransitionWeights.from_graph(g)
+            stage = "walks"
             corpus = walks.generate_walks(weights, walk_config, source)
             lengths = np.array([len(w) for w in corpus.walks])
             flat = np.concatenate([[len(lengths)], lengths, embedding.flatten_walks(corpus.walks)])

@@ -36,6 +36,11 @@ class PropagationGraph:
         return np.divide(self.weights, denom, out=np.zeros_like(self.weights), where=denom > 0)
 
     @cached_property
+    def degree(self) -> np.ndarray:
+        """Edge count of every node."""
+        return np.bincount(self.rows, minlength=self.node_count)
+
+    @cached_property
     def components(self) -> np.ndarray:
         """Component label of every node over the positive-weight edges."""
         positive = self.weights > 0
@@ -61,17 +66,25 @@ def build_propagation_graph(vectors, k: int = 10, sigma=None) -> PropagationGrap
     np.clip(d2, 0.0, None, out=d2)
     np.fill_diagonal(d2, np.inf)
 
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    # the k nearest of each row are those below its k-th smallest distance
+    # plus, at that distance, the lowest column indices: the first k of a
+    # stable sort, without sorting (the copy frees the partitioned matrix)
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
+    nearest = d2 <= kth[:, None]
+    over = np.flatnonzero(nearest.sum(axis=1) > k)
+    if len(over):
+        closer = d2[over] < kth[over, None]
+        tied = d2[over] == kth[over, None]
+        tied &= np.cumsum(tied, axis=1) <= k - closer.sum(axis=1)[:, None]
+        nearest[over] = closer | tied
     if sigma is None:
-        kth = np.sqrt(d2[np.arange(n), order[:, k - 1]])
-        sigma = float(kth.mean())
+        sigma = float(np.sqrt(kth).mean())
         if sigma == 0.0:
             sigma = 1.0  # all points identical
     if sigma <= 0:
         raise ValueError("sigma must be positive")
 
-    src = np.repeat(np.arange(n), k)
-    dst = order.ravel()
+    src, dst = np.nonzero(nearest)
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
     undirected = np.unique(lo * n + hi)
@@ -112,25 +125,30 @@ def propagate(
 
     warnings = [f"class {c} has no labeled seed and cannot be predicted"
                 for c in np.setdiff1d(np.arange(n_classes), labels[labeled])]
-    y = np.zeros((n, n_classes), dtype=np.float64)
-    y[labeled, labels[labeled]] = 1.0  # clamped: labeled rows are never rewritten
 
-    # Only unlabeled rows with edges change: sum just their edges, in row
-    # order as a full sweep would. prev == y[active], and no other row moves.
-    degree = np.bincount(pg.rows, minlength=n)
-    free = ~labeled & (degree > 0)
-    active, on_free = np.flatnonzero(free), free[pg.rows]
-    cols, scale = pg.cols[on_free], pg.transition[on_free, None]
-    starts = np.cumsum(degree[active]) - degree[active]
-    gathered = np.empty((len(cols), n_classes))
-    acc, prev, diff = (np.zeros((len(active), n_classes)) for _ in range(3))
+    # Only unlabeled rows with edges change. They come first in the node
+    # order (pos maps a node to its place), so a sweep sums just their
+    # edges, in row order as a full sweep would, straight into the head of
+    # the next class-major buffer; the tail holds the fixed rows.
+    free = ~labeled & (pg.degree > 0)
+    active = np.flatnonzero(free)
+    a = len(active)
+    pos = np.empty(n, dtype=np.int64)
+    pos[np.concatenate([active, np.flatnonzero(~free)])] = np.arange(n)
+    on_free = free[pg.rows]
+    cols, scale = pos[pg.cols[on_free]], pg.transition[on_free]
+    starts = np.cumsum(pg.degree[active]) - pg.degree[active]
+    cur = np.zeros((n_classes, n), dtype=np.float64)
+    cur[labels[labeled], pos[labeled]] = 1.0  # clamped: never rewritten
+    nxt = cur.copy()
+    gathered = np.empty((n_classes, len(cols)))
+    diff = np.empty((n_classes, a))
     delta = np.inf
     for _ in range(max_iters):
-        np.multiply(np.take(y, cols, axis=0, out=gathered), scale, out=gathered)
-        np.add.reduceat(gathered, starts, axis=0, out=acc)
-        delta = np.abs(np.subtract(acc, prev, out=diff), out=diff).max(initial=0.0)
-        y[active] = acc
-        acc, prev = prev, acc
+        np.multiply(np.take(cur, cols, axis=1, out=gathered), scale, out=gathered)
+        np.add.reduceat(gathered, starts, axis=1, out=nxt[:, :a])
+        delta = np.abs(np.subtract(nxt[:, :a], cur[:, :a], out=diff), out=diff).max(initial=0.0)
+        cur, nxt = nxt, cur
         if delta < tol:
             break
     if delta >= tol:
@@ -138,9 +156,12 @@ def propagate(
             f"propagation did not converge in {max_iters} iterations "
             f"(last max change {delta:.3g}, tol {tol:g})"
         )
+    y = cur.T[pos]
 
     component = pg.components
-    stranded = ~np.isin(component, component[labeled]) & ~labeled
+    seeded = np.zeros(n, dtype=bool)
+    seeded[component[labeled]] = True
+    stranded = ~seeded[component] & ~labeled
     if stranded.any():
         y[stranded] = 1.0 / n_classes
         warnings.append(

@@ -6,8 +6,10 @@ between the named presets and the unbiased baseline.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,11 +321,15 @@ class TestCriterion3Determinism:
         }
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
+        # the subprocess imports the package from this checkout's src
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": pythonpath}
         for out in ("run1", "run2"):
             result = subprocess.run(
                 [sys.executable, "-m", "fairwalks", "run",
                  "--config", str(config_path), "--out-dir", str(tmp_path / out)],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=env,
             )
             assert result.returncode == 0, result.stderr
         b1 = (tmp_path / "run1/report.json").read_bytes()

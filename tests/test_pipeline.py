@@ -188,6 +188,27 @@ class TestExecute:
             execute(config).report.to_json() == r1.to_json()
         )  # and without any cache
 
+    def test_cached_corpus_skips_bias_work(self, tmp_path, monkeypatch):
+        import fairwalks.pipeline as pl
+
+        calls = {"estimate_closeness": 0, "reweight": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(pl.crosswalk, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pl.crosswalk, name, counted)
+        cache = str(tmp_path / "cache")
+        config = sbm_config(intervention="crosswalk", alpha=0.5, beta=2.0)
+        cold = execute(config, cache_dir=cache).report
+        assert calls == {"estimate_closeness": 1, "reweight": 1}
+        warm = execute(config, cache_dir=cache).report
+        assert calls == {"estimate_closeness": 1, "reweight": 1}
+        assert warm.to_json() == cold.to_json()
+        # a new alpha needs new weights, but the closeness comes from the cache
+        execute(config.replace(alpha=0.25), cache_dir=cache)
+        assert calls == {"estimate_closeness": 1, "reweight": 2}
+
 
 class TestRunExperiment:
     def test_artifacts_written(self, tmp_path):

@@ -62,6 +62,39 @@ def reference_propagate(pg, labels, n_classes, max_iters=1000, tol=1e-6):
     return y, warnings
 
 
+def reference_knn_graph(vectors, k=10, sigma=None):
+    """The stable-argsort union-kNN graph: each row keeps the first k of
+    its stable distance order, so ties go to the lowest column index."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    n = len(vectors)
+    k = min(k, n - 1)
+    sq_norm = np.einsum("ij,ij->i", vectors, vectors)
+    d2 = sq_norm[:, None] + sq_norm[None, :] - 2.0 * (vectors @ vectors.T)
+    np.clip(d2, 0.0, None, out=d2)
+    np.fill_diagonal(d2, np.inf)
+
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    if sigma is None:
+        kth = np.sqrt(d2[np.arange(n), order[:, k - 1]])
+        sigma = float(kth.mean())
+        if sigma == 0.0:
+            sigma = 1.0
+
+    src = np.repeat(np.arange(n), k)
+    dst = order.ravel()
+    lo = np.minimum(src, dst)
+    hi = np.maximum(src, dst)
+    undirected = np.unique(lo * n + hi)
+    lo, hi = undirected // n, undirected % n
+
+    w = np.exp(-d2[lo, hi] / (sigma * sigma))
+    rows = np.concatenate([lo, hi])
+    cols = np.concatenate([hi, lo])
+    weights = np.concatenate([w, w])
+    sort = np.lexsort((cols, rows))
+    return PropagationGraph(n, k, sigma, rows[sort], cols[sort], weights[sort])
+
+
 def coo_graph(n, edges):
     """PropagationGraph from (a, b, weight) triples, both directions, sorted by row."""
     a, b, w = (np.array(x) for x in zip(*edges))
@@ -132,6 +165,24 @@ class TestBuildPropagationGraph:
         table = {(int(r), int(c)): float(w) for r, c, w in zip(pg.rows, pg.cols, pg.weights)}
         for (r, c), w in table.items():
             assert table[(c, r)] == w
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_stable_sort_reference(self, data):
+        # integer-grid points: many exact distance ties and duplicate points
+        n = data.draw(st.integers(2, 30))
+        dim = data.draw(st.integers(1, 3))
+        side = data.draw(st.integers(1, 4))
+        points = data.draw(
+            st.lists(st.integers(0, side), min_size=n * dim, max_size=n * dim)
+        )
+        vectors = np.array(points, dtype=np.float64).reshape(n, dim)
+        k = data.draw(st.integers(1, n - 1))
+        want = reference_knn_graph(vectors, k=k)
+        got = build_propagation_graph(vectors, k=k)
+        assert got.sigma == want.sigma
+        for name in ("rows", "cols", "weights"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
