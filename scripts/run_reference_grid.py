@@ -8,9 +8,6 @@ shrink the graph or walk settings for a faster pass.
 
 Run:
     python3 scripts/run_reference_grid.py --out-dir grid-out
-
-``--workers`` runs the grid on threads; they measured slower than one
-worker on the benchmark's sweep_small workload (sweep.thread_speedup 0.72).
 """
 
 import argparse
@@ -34,7 +31,6 @@ def main():
     parser.add_argument("--dim", type=int, default=32)
     parser.add_argument("--epochs", type=int, default=3)
     parser.add_argument("--folds", type=int, default=25)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     base = ExperimentConfig(
@@ -57,9 +53,7 @@ def main():
     plans = spec.expand(base)
     print(f"grid: {len(plans)} runs (resume supported, rerun to continue)")
 
-    csv_path, _, executed = run_sweep(
-        spec, base, args.out_dir, workers=args.workers
-    )
+    csv_path, _, executed = run_sweep(spec, base, args.out_dir)
     print(f"executed {executed} new runs; table at {csv_path}")
 
     summary = summarize(csv_path)

@@ -88,7 +88,7 @@ def cmd_sweep(args):
         for cfg in plans:
             print(cfg.run_id())
         return 0
-    csv_path, _, executed = run_sweep(spec, base, args.out_dir, workers=args.workers)
+    csv_path, _, executed = run_sweep(spec, base, args.out_dir)
     print(f"executed {executed} runs; table at {csv_path}")
     return 0
 
@@ -227,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--reference-grid", action="store_true",
                        help="use the full reference grid (875 + 25 runs)")
     sweep.add_argument("--out-dir", required=True)
-    sweep.add_argument("--workers", type=int, default=1)
     sweep.add_argument("--dry-run", action="store_true",
                        help="list the expansion without executing")
     sweep.set_defaults(func=cmd_sweep)

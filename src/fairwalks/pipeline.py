@@ -3,9 +3,11 @@
 A flat JSON-serializable config drives: dataset selection (files or a
 synthetic block model), optional boundary-biased reweighting, walk
 generation, embedding training, and cross-validated evaluation of the
-sensitive and control attributes. Stage outputs are cached by a hash
-chain over their upstream configuration, so sweeps that vary only
-downstream parameters reuse expensive artifacts.
+sensitive and control attributes. Two stage outputs are cached under a
+hash chain over their upstream configuration: the boundary closeness and
+the embedding. A cached embedding needs nothing upstream of it, so a warm
+run reads that one file. Walk corpora are not cached: regenerating one
+costs a fraction of the training it feeds.
 """
 
 import contextlib
@@ -256,125 +258,105 @@ class PipelineResult:
     dataset_summary: dict
 
 
+@contextlib.contextmanager
+def _stage(name):
+    """Re-raise a failure in the block as ``StageError(name)``; a StageError
+    from a stage nested inside keeps its own name."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
+def _cached(cache, key, suffix, compute):
+    """The array cached under ``key``, or on a miss ``compute()``, stored."""
+    array = cache.load_array(key, suffix)
+    if array is None:
+        array = compute()
+        cache.store_array(key, suffix, array)
+    return array
+
+
 def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
-    """Run all pipeline stages in memory; artifacts are written by callers."""
+    """Run all pipeline stages in memory; artifacts are written by callers.
+
+    Every cache key is computed first, then the chain resolves from the
+    embedding backwards: a cached embedding needs no bias, walks or training.
+    """
     config.validate()
     cache = ArtifactCache(cache_dir)
 
-    stage = "dataset"
-    try:
+    with _stage("dataset"):
         g, summary = build_dataset(config)
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
-
-    stage = "partition"
-    try:
+    with _stage("partition"):
         sensitive = graph_mod.partition_by(g, config.sensitive_attribute)
-        control = (
-            graph_mod.partition_by(g, config.control_attribute)
-            if config.control_attribute
-            else None
-        )
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
+        control = (graph_mod.partition_by(g, config.control_attribute)
+                   if config.control_attribute else None)
 
     gkey = _graph_key(g)
-
-    stage = "walks"
-    try:
-        if config.intervention == "crosswalk":
-            closeness_seed = derive_seed(config.seed, "closeness")
-            ckey = _hash_key(
-                "closeness", gkey, config.sensitive_attribute,
-                config.closeness_walks, config.closeness_length, closeness_seed,
-            )
-            source = f"crosswalk(alpha={config.alpha:g}, beta={config.beta:g})"
-            wkey_bias = _hash_key(ckey, config.alpha, config.beta, crosswalk.CLOSENESS_SMOOTHING)
-        else:
-            source = "baseline"
-            wkey_bias = "baseline"
-        walk_seed = derive_seed(config.seed, "walks")
-        walk_config = walks.WalkConfig(
-            p=config.p, q=config.q, walks_per_node=config.walks_per_node,
-            walk_length=config.walk_length, seed=walk_seed,
+    closeness_seed = derive_seed(config.seed, "closeness")
+    walk_seed = derive_seed(config.seed, "walks")
+    embed_seed = derive_seed(config.seed, "embed")
+    if config.intervention == "crosswalk":
+        ckey = _hash_key(
+            "closeness", gkey, config.sensitive_attribute,
+            config.closeness_walks, config.closeness_length, closeness_seed,
         )
-        wkey = _hash_key(
-            "corpus", gkey, wkey_bias, config.p, config.q,
-            config.walks_per_node, config.walk_length, walk_seed,
-        )
-        flat = cache.load_array(wkey, "corpus.npy")
-        if flat is None:
-            # the bias key covers every input of the weights, so a cached
-            # corpus needs neither closeness nor reweighting
-            stage = "bias"
-            if config.intervention == "crosswalk":
-                values = cache.load_array(ckey, "closeness.npy")
-                if values is None:
-                    closeness = crosswalk.estimate_closeness(
-                        g, sensitive, config.closeness_walks,
-                        config.closeness_length, closeness_seed,
-                    )
-                    cache.store_array(ckey, "closeness.npy", closeness.values)
-                else:
-                    closeness = crosswalk.BoundaryCloseness(
-                        values, config.closeness_walks, config.closeness_length, closeness_seed
-                    )
-                biased = crosswalk.reweight(g, sensitive, closeness, config.alpha, config.beta)
-                weights = walks.TransitionWeights.from_biased(biased)
-            else:
-                weights = walks.TransitionWeights.from_graph(g)
-            stage = "walks"
-            corpus = walks.generate_walks(weights, walk_config, source)
-            lengths = np.array([len(w) for w in corpus.walks])
-            flat = np.concatenate([[len(lengths)], lengths, embedding.flatten_walks(corpus.walks)])
-            cache.store_array(wkey, "corpus.npy", flat)
-        else:
-            n_walks = int(flat[0])
-            bounds = np.cumsum(flat[1:n_walks])  # every walk length but the last
-            corpus = walks.WalkCorpus(
-                [w.tolist() for w in np.split(flat[1 + n_walks :], bounds)], walk_config, source
-            )
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
+        source = f"crosswalk(alpha={config.alpha:g}, beta={config.beta:g})"
+        wkey_bias = _hash_key(ckey, config.alpha, config.beta, crosswalk.CLOSENESS_SMOOTHING)
+    else:
+        source = "baseline"
+        wkey_bias = "baseline"
+    wkey = _hash_key(
+        "corpus", gkey, wkey_bias, config.p, config.q,
+        config.walks_per_node, config.walk_length, walk_seed,
+    )
+    ekey = _hash_key(
+        "embed", wkey, config.dim, config.window, config.negatives,
+        config.epochs, config.learning_rate, embed_seed,
+    )
 
-    stage = "embed"
-    try:
-        embed_seed = derive_seed(config.seed, "embed")
-        ekey = _hash_key(
-            "embed", wkey, config.dim, config.window, config.negatives,
-            config.epochs, config.learning_rate, embed_seed,
-        )
-        vectors = cache.load_array(ekey, "emb.npy")
-        if vectors is None:
-            matrix = embedding.train(
-                corpus.walks, g.node_count, dim=config.dim, window=config.window,
-                negatives=config.negatives, epochs=config.epochs,
-                learning_rate=config.learning_rate, seed=embed_seed,
-            )
-            cache.store_array(ekey, "emb.npy", matrix.vectors)
-        else:
-            meta = embedding.embedding_meta(
-                config.dim, config.window, config.negatives, config.epochs,
-                config.learning_rate, embed_seed,
-            )
-            matrix = embedding.EmbeddingMatrix(vectors, np.zeros_like(vectors), meta)
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
+    def transition_weights():
+        if config.intervention == "baseline":
+            return walks.TransitionWeights.from_graph(g)
+        estimator = (config.closeness_walks, config.closeness_length, closeness_seed)
+        values = _cached(cache, ckey, "closeness.npy",
+                         lambda: crosswalk.estimate_closeness(g, sensitive, *estimator).values)
+        closeness = crosswalk.BoundaryCloseness(values, *estimator)
+        biased = crosswalk.reweight(g, sensitive, closeness, config.alpha, config.beta)
+        return walks.TransitionWeights.from_biased(biased)
 
-    stage = "evaluate"
-    try:
-        echo = {"experiment": config.to_dict(), "walk_source": source,
-                "embedding_meta": {k: v for k, v in matrix.meta.items()
-                                   if k != "epoch_mean_loss"}}
+    def embed():
+        with _stage("bias"):
+            weights = transition_weights()
+        with _stage("walks"):
+            corpus = walks.generate_walks(weights, walks.WalkConfig(
+                p=config.p, q=config.q, walks_per_node=config.walks_per_node,
+                walk_length=config.walk_length, seed=walk_seed,
+            ), source)
+        return embedding.train(
+            corpus.walks, g.node_count, dim=config.dim, window=config.window,
+            negatives=config.negatives, epochs=config.epochs,
+            learning_rate=config.learning_rate, seed=embed_seed,
+        ).vectors
+
+    with _stage("embed"):
+        vectors = _cached(cache, ekey, "emb.npy", embed)
+    meta = embedding.embedding_meta(
+        config.dim, config.window, config.negatives, config.epochs,
+        config.learning_rate, embed_seed,
+    )
+    with _stage("evaluate"):
         report = evaluation.cross_validate(
-            matrix.vectors, sensitive, control,
+            vectors, sensitive, control,
             folds=config.folds, labeled_fraction=config.labeled_fraction,
-            k=config.knn_k, sigma=config.sigma,
-            seed=derive_seed(config.seed, "eval"), config_echo=echo,
+            k=config.knn_k, sigma=config.sigma, seed=derive_seed(config.seed, "eval"),
+            config_echo={"experiment": config.to_dict(), "walk_source": source,
+                         "embedding_meta": meta},
         )
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
-
+    matrix = embedding.EmbeddingMatrix(vectors, np.zeros_like(vectors), meta)
     return PipelineResult(report, g, sensitive, matrix, summary)
 
 

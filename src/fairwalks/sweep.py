@@ -9,14 +9,12 @@ a completed row, so nothing but missing or failed runs is recomputed.
 import csv
 import json
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
 from fairwalks.pipeline import (  # the row format lives in pipeline and is re-exported
     LIST_SEP, PRESETS, SWEEP_COLUMNS, SWEEP_SCHEMA_VERSION, ExperimentConfig, StageError,
-    _csv_line, _format_value, _row_line, atomic_writer, csv_header_line, execute, report_csv_line,
+    _row_line, atomic_writer, csv_header_line, execute, report_csv_line,
 )
 
 
@@ -108,7 +106,9 @@ def run_sweep(
 
     Returns (csv path, plans, executed count). ``dry_run`` enumerates
     without executing. A run is skipped when an ok row has its config hash;
-    rows of an older schema (no hash) are dropped and rerun.
+    rows of an older schema (no hash) are dropped and rerun. Runs are
+    serial whatever ``workers`` is: the sweep's work holds the interpreter
+    lock, and threads measured slower than one worker.
     """
     plans = spec.expand(base)
     csv_path = os.path.join(out_dir, "results.csv")
@@ -136,24 +136,13 @@ def run_sweep(
         runner = lambda cfg: execute(cfg, cache_dir=cache_dir).report
 
     todo = [cfg for cfg in plans if cfg.config_hash() not in done]
-    write_lock = threading.Lock()
-
-    def run_one(cfg):
+    for cfg in todo:
         try:
-            report = runner(cfg)
-            line = report_csv_line(cfg, report)
+            line = report_csv_line(cfg, runner(cfg))
         except (StageError, ValueError, RuntimeError) as exc:
             line = report_csv_line(cfg, None, error=exc)
-        with write_lock:
-            with open(csv_path, "a") as f:
-                f.write(line)
-
-    if workers <= 1:
-        for cfg in todo:
-            run_one(cfg)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_one, todo))
+        with open(csv_path, "a") as f:
+            f.write(line)
     return csv_path, plans, len(todo)
 
 

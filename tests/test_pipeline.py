@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 
+import fairwalks.pipeline as pl
+from fairwalks import crosswalk, embedding, evaluation, walks
 from fairwalks.pipeline import (
     PRESETS,
     ArtifactCache,
@@ -177,6 +179,57 @@ class TestExecute:
         config = sbm_config(sensitive_attribute="nope")
         with pytest.raises(StageError, match="partition"):
             execute(config)
+
+    @pytest.mark.parametrize(
+        "module, name, stage",
+        [
+            (pl, "build_dataset", "dataset"),
+            (crosswalk, "estimate_closeness", "bias"),
+            (crosswalk, "reweight", "bias"),
+            (walks, "generate_walks", "walks"),
+            (embedding, "train", "embed"),
+            (evaluation, "cross_validate", "evaluate"),
+        ],
+    )
+    def test_failure_names_its_own_stage(self, monkeypatch, module, name, stage):
+        cause = RuntimeError(f"{name} exploded")
+
+        def boom(*args, **kwargs):
+            raise cause
+
+        monkeypatch.setattr(module, name, boom)
+        with pytest.raises(StageError) as info:
+            execute(sbm_config(intervention="crosswalk", alpha=0.5, beta=2.0))
+        assert info.value.stage == stage
+        assert info.value.cause is cause
+
+    def test_warm_run_reads_only_the_embedding(self, tmp_path, monkeypatch):
+        loads = []
+        calls = {"generate_walks": 0, "train": 0}
+        original_load = ArtifactCache.load_array
+
+        def counted_load(self, key, suffix):
+            loads.append(suffix)
+            return original_load(self, key, suffix)
+
+        monkeypatch.setattr(ArtifactCache, "load_array", counted_load)
+        for module, name in ((walks, "generate_walks"), (embedding, "train")):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        cache = tmp_path / "cache"
+        config = sbm_config(intervention="crosswalk", alpha=0.5, beta=2.0)
+        cold = execute(config, cache_dir=str(cache))
+        assert calls == {"generate_walks": 1, "train": 1}
+        loads.clear()
+        warm = execute(config, cache_dir=str(cache))
+        assert loads == ["emb.npy"]
+        assert calls == {"generate_walks": 1, "train": 1}
+        assert warm.matrix.vectors.tobytes() == cold.matrix.vectors.tobytes()
+        assert warm.matrix.meta == cold.matrix.meta
+        assert not list(cache.glob("*.corpus.npy"))
 
     def test_cache_reuse_is_equivalent(self, tmp_path):
         cache = str(tmp_path / "cache")
