@@ -7,7 +7,6 @@ disparity, performance).
 """
 
 from fairwalks.crosswalk import (
-    BiasedGraph,
     BoundaryCloseness,
     estimate_closeness,
     reweight,
@@ -47,7 +46,6 @@ from fairwalks.walks import TransitionWeights, WalkConfig, WalkCorpus, generate_
 
 __all__ = [
     "AttributedGraph",
-    "BiasedGraph",
     "BoundaryCloseness",
     "ControlAttributeSpec",
     "EmbeddingMatrix",

@@ -140,9 +140,7 @@ def cmd_bias(args):
 def cmd_walk(args):
     g = graph_mod.load_graph(args.edges, args.attrs)
     if args.biased:
-        weights = walks.TransitionWeights.from_biased(
-            crosswalk.load_biased(args.biased, g)
-        )
+        weights = crosswalk.load_biased(args.biased, g)
         source = f"crosswalk({args.biased})"
     else:
         weights = walks.TransitionWeights.from_graph(g)

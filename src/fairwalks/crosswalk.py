@@ -9,12 +9,14 @@ individual neighbor weights are tilted toward boundary-close nodes by
 raising the closeness to the power ``beta``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from fairwalks.graph import AttributedGraph, GroupPartition, step_walkers
 from fairwalks.seeds import rng_for
+from fairwalks.walks import TransitionWeights
 
 CLOSENESS_SMOOTHING = 1e-3
 
@@ -32,26 +34,6 @@ class BoundaryCloseness:
         self.values = np.asarray(self.values, dtype=np.float64)
         if np.any(self.values < 0) or np.any(self.values > 1):
             raise ValueError("closeness values must lie in [0, 1]")
-
-
-@dataclass
-class BiasedGraph:
-    """Per-node normalized outgoing transition distributions.
-
-    ``probs`` is aligned with ``base.indices``: each CSR row sums to 1 for
-    every non-isolated node. Directed: the probability of v -> u generally
-    differs from that of u -> v.
-    """
-
-    base: AttributedGraph
-    probs: np.ndarray
-    alpha: float
-    beta: float
-
-    def out_distribution(self, v: int):
-        """(neighbor IDs, probabilities) of node v's outgoing row."""
-        row = slice(self.base.indptr[v], self.base.indptr[v + 1])
-        return self.base.indices[row], self.probs[row]
 
 
 def estimate_closeness(
@@ -96,7 +78,7 @@ def reweight(
     alpha: float,
     beta: float,
     smoothing: float = CLOSENESS_SMOOTHING,
-) -> BiasedGraph:
+) -> TransitionWeights:
     """Build boundary-biased transition distributions.
 
     For a node with same-group neighbors S and foreign groups c_1..c_R
@@ -104,77 +86,67 @@ def reweight(
     over each foreign group, proportional to w(v, u) * (m(u) + eps)^beta
     within each share. Nodes with no foreign neighbors keep all mass
     in-group; nodes with only foreign neighbors spread the full mass over
-    the foreign groups equally.
+    the foreign groups equally. Every share is one (node, neighbor group)
+    segment of the CSR slots, summed by ``np.bincount``.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    boost = np.power(closeness.values + smoothing, beta)
+    n, c = graph.node_count, partition.num_groups
     group = partition.group_of
-
-    probs = np.zeros(len(graph.indices), dtype=np.float64)
-    for v in range(graph.node_count):
-        row = slice(graph.indptr[v], graph.indptr[v + 1])
-        nbrs = graph.indices[row]
-        if len(nbrs) == 0:
-            continue
-        scores = graph.weights[row] * boost[nbrs]
-        nbr_groups = group[nbrs]
-        same = nbr_groups == group[v]
-        foreign_groups = np.unique(nbr_groups[~same])
-        r = len(foreign_groups)
-        out = probs[row]
-        cross_mass = alpha if same.any() else 1.0
-        if same.any():
-            out += _share(scores, same, 1.0 - alpha if r else 1.0)
-        for g in foreign_groups:
-            out += _share(scores, nbr_groups == g, cross_mass / r)
-    return BiasedGraph(graph, probs, alpha, beta)
+    rows, nbrs = graph.rows, graph.indices
+    scores = graph.weights * np.power(closeness.values + smoothing, beta)[nbrs]
+    share = rows * c + group[nbrs]
+    size = np.bincount(share, minlength=n * c)
+    total = np.bincount(share, weights=scores, minlength=n * c)[share]
+    seen = size.reshape(n, c) > 0
+    own = seen[np.arange(n), group]  # has same-group neighbors
+    foreign = seen.sum(axis=1) - own  # R, the foreign groups it sees
+    in_mass = np.where(foreign > 0, 1.0 - alpha, 1.0)
+    out_mass = np.where(own, alpha, 1.0) / np.maximum(foreign, 1)
+    mass = np.where(group[nbrs] == group[rows], in_mass[rows], out_mass[rows])
+    even = mass / size[share]  # kept where all scores are 0: only when smoothing is 0
+    probs = np.divide(mass * scores, total, out=even, where=total > 0)
+    return TransitionWeights(graph, probs, alpha, beta)
 
 
-def _share(scores, mask, mass):
-    """Distribute ``mass`` over the masked entries proportional to scores."""
-    out = np.zeros(len(scores), dtype=np.float64)
-    total = scores[mask].sum()
-    if total > 0:
-        out[mask] = mass * scores[mask] / total
-    else:  # all-zero scores only when smoothing is disabled
-        out[mask] = mass / mask.sum()
-    return out
-
-
-def save_biased(biased: BiasedGraph, path):
+def save_biased(weights: TransitionWeights, path):
     """Directed weighted edge list ``u<TAB>v<TAB>prob`` with original IDs."""
-    ids = biased.base.original_ids
+    g = weights.graph
+    ids = g.original_ids
+    lines = zip(g.rows.tolist(), g.indices.tolist(), weights.probs.tolist())
     with open(path, "w") as f:
-        f.write(f"# alpha={biased.alpha!r} beta={biased.beta!r}\n")
-        for v in range(biased.base.node_count):
-            for u, p in zip(*biased.out_distribution(v)):
-                f.write(f"{ids[v]}\t{ids[u]}\t{float(p)!r}\n")
+        f.write(f"# alpha={weights.alpha!r} beta={weights.beta!r}\n")
+        f.writelines(f"{ids[v]}\t{ids[u]}\t{p!r}\n" for v, u, p in lines)
 
 
-def load_biased(path, graph: AttributedGraph) -> BiasedGraph:
+def _number(path, lineno, what, text) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: {what} {text!r} is not a number") from None
+
+
+def load_biased(path, graph: AttributedGraph) -> TransitionWeights:
     """Rebind a serialized biased edge list to its base graph.
 
-    Each line must name a distinct edge of ``graph``, and every edge needs
-    a line in both directions; otherwise ValueError names the culprit.
+    Each line must name a distinct edge of ``graph`` with a finite
+    probability >= 0, and every edge needs a line in both directions;
+    otherwise ValueError names the culprit.
     """
     index = {nid: i for i, nid in enumerate(graph.original_ids)}
-    rows = np.repeat(np.arange(graph.node_count), np.diff(graph.indptr))
-    slot_of = {pair: s for s, pair in enumerate(zip(rows.tolist(), graph.indices.tolist()))}
+    slot_of = {pair: s for s, pair in enumerate(zip(graph.rows.tolist(), graph.indices.tolist()))}
     prob_at = {}  # CSR slot -> probability
-    alpha = beta = float("nan")
+    header = {}  # alpha and beta
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             stripped = line.strip()
             if stripped.startswith("#"):
                 for token in stripped[1:].split():
                     key, _, value = token.partition("=")
-                    if key == "alpha":
-                        alpha = float(value)
-                    elif key == "beta":
-                        beta = float(value)
+                    if key in ("alpha", "beta") and value != "None":  # None: baseline weights
+                        header[key] = _number(path, lineno, key, value)
                 continue
             if not stripped:
                 continue
@@ -189,11 +161,15 @@ def load_biased(path, graph: AttributedGraph) -> BiasedGraph:
             if slot is None or slot in prob_at:
                 problem = "is not an edge of the graph" if slot is None else "is a duplicate entry"
                 raise ValueError(f"{path}:{lineno}: {parts[0]} -> {parts[1]} {problem}")
-            prob_at[slot] = float(parts[2])
+            prob = _number(path, lineno, "probability", parts[2])
+            if not (math.isfinite(prob) and prob >= 0):
+                raise ValueError(f"{path}:{lineno}: probability {parts[2]!r} is not finite >= 0")
+            prob_at[slot] = prob
     if len(prob_at) < len(slot_of):
         e = min(set(range(len(slot_of))) - prob_at.keys())
         ids = graph.original_ids
-        raise ValueError(f"{path}: no line for edge {ids[rows[e]]} -> {ids[graph.indices[e]]}")
+        u, v = ids[graph.rows[e]], ids[graph.indices[e]]
+        raise ValueError(f"{path}: no line for edge {u} -> {v}")
     probs = np.empty(len(slot_of), dtype=np.float64)
     probs[list(prob_at)] = list(prob_at.values())
-    return BiasedGraph(graph, probs, alpha, beta)
+    return TransitionWeights(graph, probs, **header)

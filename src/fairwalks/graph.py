@@ -43,6 +43,7 @@ class AttributedGraph:
     Read-only after construction. The one adjacency is CSR over both edge
     directions: row v is ``indices[indptr[v]:indptr[v + 1]]`` (ascending),
     and ``weights`` and every other per-edge array align with ``indices``.
+    ``rows[s]`` is the row of CSR slot s, ascending.
     """
 
     node_count: int
@@ -50,6 +51,7 @@ class AttributedGraph:
     edge_weight: np.ndarray
     attributes: dict
     original_ids: list
+    rows: np.ndarray = field(init=False, repr=False)
     indptr: np.ndarray = field(init=False, repr=False)
     indices: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
@@ -88,7 +90,8 @@ class AttributedGraph:
         dst = np.concatenate([self.edge_index[:, 1], self.edge_index[:, 0]])
         w = np.concatenate([self.edge_weight, self.edge_weight])
         order = np.lexsort((dst, src))
-        self.indptr = np.searchsorted(src[order], np.arange(n + 1))
+        self.rows = src[order]
+        self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
         self.indices = dst[order]
         self.weights = w[order]
 

@@ -325,8 +325,7 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
         values = _cached(cache, ckey, "closeness.npy",
                          lambda: crosswalk.estimate_closeness(g, sensitive, *estimator).values)
         closeness = crosswalk.BoundaryCloseness(values, *estimator)
-        biased = crosswalk.reweight(g, sensitive, closeness, config.alpha, config.beta)
-        return walks.TransitionWeights.from_biased(biased)
+        return crosswalk.reweight(g, sensitive, closeness, config.alpha, config.beta)
 
     def embed():
         with _stage("bias"):

@@ -72,8 +72,8 @@ class SweepSpec:
                     raise ValueError("non-cartesian sweeps need aligned alpha/beta lists")
                 pairs = list(zip(alphas, betas))
         for name in self.presets:
-            preset = PRESETS[name]
-            pairs.append((preset["alpha"], preset["beta"]))
+            preset = base.with_preset(name)
+            pairs.append((preset.alpha, preset.beta))
         for (alpha, beta), (p, q) in product(pairs, product(ps, qs)):
             plans.append(
                 base.replace(

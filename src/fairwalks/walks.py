@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fairwalks.crosswalk import BiasedGraph
 from fairwalks.graph import AttributedGraph, step_walkers
 from fairwalks.seeds import rng_for
 
@@ -45,32 +44,44 @@ class WalkCorpus:
 
 @dataclass
 class TransitionWeights:
-    """Normalized out-distributions aligned with a graph's CSR ``indices``."""
+    """Normalized out-distributions aligned with ``graph``'s CSR ``indices``.
 
-    indptr: np.ndarray
-    indices: np.ndarray
+    Each non-empty row of ``probs`` sums to 1. Directed: the probability of
+    v -> u generally differs from that of u -> v. ``alpha`` and ``beta`` are
+    set when the probabilities come from CrossWalk reweighting.
+    """
+
+    graph: AttributedGraph
     probs: np.ndarray
+    alpha: float = None
+    beta: float = None
 
     @classmethod
     def from_graph(cls, graph: AttributedGraph) -> "TransitionWeights":
-        # per-row sums, so every row normalizes exactly as w / w.sum() would
-        sums = [graph.neighbor_weights(v).sum() for v in range(graph.node_count)]
-        totals = np.repeat(np.array(sums, dtype=np.float64), np.diff(graph.indptr))
-        return cls(graph.indptr, graph.indices, graph.weights / totals)
+        totals = np.bincount(graph.rows, weights=graph.weights, minlength=graph.node_count)
+        return cls(graph, graph.weights / totals[graph.rows])
 
-    @classmethod
-    def from_biased(cls, biased: BiasedGraph) -> "TransitionWeights":
-        return cls(biased.base.indptr, biased.base.indices, biased.probs)
+    @property
+    def indptr(self) -> np.ndarray:
+        return self.graph.indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.graph.indices
 
     @property
     def node_count(self) -> int:
-        return len(self.indptr) - 1
+        return self.graph.node_count
+
+    def out_distribution(self, v: int):
+        """(neighbor IDs, probabilities) of node v's outgoing row."""
+        row = slice(self.indptr[v], self.indptr[v + 1])
+        return self.indices[row], self.probs[row]
 
 
 def _edge_keys(weights: TransitionWeights) -> np.ndarray:
     """``row * n + neighbor`` per CSR slot, ascending because rows are sorted."""
-    rows = np.repeat(np.arange(weights.node_count), np.diff(weights.indptr))
-    return rows * weights.node_count + weights.indices
+    return weights.graph.rows * weights.node_count + weights.indices
 
 
 def _node2vec_factors(keys, n, prev, nbrs, p, q) -> np.ndarray:
@@ -88,9 +99,7 @@ def transition_distribution(weights: TransitionWeights, prev, cur: int, p: float
     step, where the second-order factors do not apply. Isolated ``cur``
     yields empty arrays.
     """
-    row = slice(weights.indptr[cur], weights.indptr[cur + 1])
-    nbrs = weights.indices[row]
-    scores = weights.probs[row]
+    nbrs, scores = weights.out_distribution(cur)
     if len(nbrs) == 0:
         return nbrs, scores
     if prev is not None and (p != 1.0 or q != 1.0):

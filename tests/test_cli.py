@@ -124,6 +124,21 @@ class TestSweepVerb:
         assert "875 crosswalk" in out
         assert out.count("\n") == 901  # summary line + one id per run
 
+    def test_unknown_preset_is_an_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "sbm_block_sizes": [10, 10], "sbm_p_intra": 0.5, "sbm_p_inter": 0.1,
+            "sensitive_attribute": "block",
+        }))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"presets": ["medium_awareness"]}))
+        assert main([
+            "sweep", "--config", str(config), "--grid", str(grid),
+            "--out-dir", str(tmp_path / "sweep"), "--dry-run",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "medium_awareness" in err
+
     def test_sweep_and_summarize(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({

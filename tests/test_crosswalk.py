@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairwalks.crosswalk import (
+    CLOSENESS_SMOOTHING,
     BoundaryCloseness,
     estimate_closeness,
     load_biased,
@@ -12,6 +13,7 @@ from fairwalks.crosswalk import (
 )
 from fairwalks.graph import generate_sbm, partition_by
 from fairwalks.seeds import rng_for
+from fairwalks.walks import TransitionWeights
 from tests.conftest import make_graph
 
 ALPHA_GRID = (0.01, 0.25, 0.5, 0.75, 0.99)
@@ -40,6 +42,40 @@ def reference_closeness(graph, partition, walks_per_node, walk_length, seed):
                 foreign += int(group[cur] != group[v])
         values[v] = foreign / (walks_per_node * walk_length)
     return values
+
+
+def reference_reweight(graph, partition, closeness, alpha, beta, smoothing):
+    """One node, and one (node, neighbor group) share, at a time."""
+    boost = np.power(closeness.values + smoothing, beta)
+    group = partition.group_of
+    probs = np.zeros(len(graph.indices), dtype=np.float64)
+    for v in range(graph.node_count):
+        row = slice(graph.indptr[v], graph.indptr[v + 1])
+        nbrs = graph.indices[row]
+        if len(nbrs) == 0:
+            continue
+        scores = graph.weights[row] * boost[nbrs]
+        nbr_groups = group[nbrs]
+        same = nbr_groups == group[v]
+        foreign_groups = np.unique(nbr_groups[~same])
+        r = len(foreign_groups)
+        out = probs[row]
+        cross_mass = alpha if same.any() else 1.0
+        if same.any():
+            out += reference_share(scores, same, 1.0 - alpha if r else 1.0)
+        for g in foreign_groups:
+            out += reference_share(scores, nbr_groups == g, cross_mass / r)
+    return probs
+
+
+def reference_share(scores, mask, mass):
+    out = np.zeros(len(scores), dtype=np.float64)
+    total = scores[mask].sum()
+    if total > 0:
+        out[mask] = mass * scores[mask] / total
+    else:
+        out[mask] = mass / mask.sum()
+    return out
 
 
 class TestEstimateCloseness:
@@ -200,6 +236,47 @@ def random_attributed_graph(draw):
     return g, m
 
 
+@st.composite
+def reweight_case(draw):
+    """A weighted graph with isolated nodes, nodes that see no foreign group
+    and nodes that see only foreign groups, plus closeness with exact zeros."""
+    n = draw(st.integers(2, 24))
+    density = draw(st.sampled_from((0.1, 0.3, 0.9)))  # dense graphs have shares of 8+ slots
+    groups = "XYZW"[:draw(st.integers(2, 4))]
+    labels = draw(
+        st.lists(st.sampled_from(groups), min_size=n, max_size=n).filter(
+            lambda ls: len(set(ls)) >= 2
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [(u, v, float(rng.uniform(0.1, 4.0))) for u, v in pairs if rng.random() < density]
+    g = make_graph(edges, attrs={"loc": labels}, n=n)
+    m = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 1.0, n))
+    return g, m
+
+
+class TestReweightMatchesReference:
+    @given(
+        reweight_case(),
+        st.sampled_from(ALPHA_GRID),
+        st.sampled_from((0.0, 0.5, 1.0, 3.0, 15.0)),
+        st.sampled_from((0.0, CLOSENESS_SMOOTHING)),
+    )
+    @settings(max_examples=150)
+    def test_segment_sums_match_per_node_loop(self, case, alpha, beta, smoothing):
+        g, m = case
+        p = partition_by(g, "loc")
+        got = reweight(g, p, closeness_of(m), alpha, beta, smoothing=smoothing).probs
+        expected = reference_reweight(g, p, closeness_of(m), alpha, beta, smoothing)
+        shares = g.rows * p.num_groups + p.group_of[g.indices]
+        if np.bincount(shares).max(initial=0) < 8:
+            # an in-order bincount sum equals numpy's pairwise sum below 8 terms
+            np.testing.assert_array_equal(got, expected)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
 class TestGridProperties:
     @given(random_attributed_graph(), st.sampled_from(ALPHA_GRID), st.sampled_from(BETA_GRID))
     @settings(max_examples=60)
@@ -246,6 +323,16 @@ class TestSerialization:
             np.testing.assert_array_equal(probs, probs2)
 
 
+    def test_baseline_weights_round_trip(self, tmp_path):
+        g = make_graph([(0, 1, 3.0), (0, 2, 1.0), (1, 2, 0.5)], attrs={"loc": ["X", "Y", "X"]})
+        tw = TransitionWeights.from_graph(g)
+        path = tmp_path / "baseline.edges"
+        save_biased(tw, path)
+        back = load_biased(path, g)
+        assert back.alpha is None and back.beta is None
+        np.testing.assert_array_equal(back.probs, tw.probs)
+
+
 class TestLoadBiasedValidation:
     def write(self, tmp_path, lines):
         path = tmp_path / "biased.edges"
@@ -276,4 +363,20 @@ class TestLoadBiasedValidation:
         g = make_graph([(0, 1), (1, 2)], attrs={"loc": ["X", "Y", "X"]})
         path = self.write(tmp_path, self.PATH_LINES[:3])
         with pytest.raises(ValueError, match=r"no line for edge 2 -> 1"):
+            load_biased(path, g)
+
+    @pytest.mark.parametrize("prob", ["-0.5", "nan", "inf", "abc"])
+    def test_probability_must_be_a_finite_number_at_least_zero(self, tmp_path, prob):
+        g = make_graph([(0, 1), (1, 2)], attrs={"loc": ["X", "Y", "X"]})
+        lines = list(self.PATH_LINES)
+        lines[2] = f"1\t2\t{prob}"
+        with pytest.raises(ValueError, match=rf"biased\.edges:4: probability '{prob}'"):
+            load_biased(self.write(tmp_path, lines), g)
+
+    @pytest.mark.parametrize("header", ["# alpha=abc beta=1.0", "# alpha=0.5 beta="])
+    def test_header_parameters_must_be_numbers(self, tmp_path, header):
+        g = make_graph([(0, 1), (1, 2)], attrs={"loc": ["X", "Y", "X"]})
+        path = tmp_path / "biased.edges"
+        path.write_text(header + "\n" + "".join(line + "\n" for line in self.PATH_LINES))
+        with pytest.raises(ValueError, match=r"biased\.edges:1: (alpha|beta) '.*' is not a number"):
             load_biased(path, g)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fairwalks.graph import (
     AttributedGraph,
+    _induced,
     ControlAttributeSpec,
     GraphFormatError,
     bin_age,
@@ -397,3 +398,12 @@ class TestCsrHelpers:
         assert g.indices.tolist() == [1, 3, 0, 2, 1, 0]
         assert g.weights.tolist() == [2.0, 0.5, 2.0, 3.0, 3.0, 0.5]
         assert g.degree(4) == 0 and len(g.neighbors(4)) == 0
+
+    def test_rows_name_the_row_of_every_slot(self, graph_factory):
+        # isolated nodes 0, 4 and 6 own no slots
+        g = graph_factory([(1, 2, 2.0), (1, 3), (2, 5), (3, 5), (5, 7)], n=8)
+        sub = _induced(g, [1, 2, 4, 5, 7])
+        for graph in (g, sub):
+            expected = np.repeat(np.arange(graph.node_count), np.diff(graph.indptr))
+            np.testing.assert_array_equal(graph.rows, expected)
+        assert sub.rows.tolist() == [0, 1, 1, 3, 3, 4]

@@ -104,6 +104,11 @@ class TestExpand:
         assert len(plans) == 1
         assert (plans[0].alpha, plans[0].beta) == (0.99, 15.0)
 
+    def test_unknown_preset_names_the_choices(self):
+        spec = SweepSpec(presets=["medium_awareness"])
+        with pytest.raises(ValueError, match=r"'medium_awareness'.*high_awareness.*low_awareness"):
+            spec.expand(base_config())
+
 
 class TestRunSweep:
     def test_rows_and_baseline_fields_empty(self, tmp_path):

@@ -64,6 +64,30 @@ REFERENCE_GRAPHS = {
 }
 
 
+class TestTransitionWeights:
+    def test_from_graph_normalizes_each_row(self):
+        # node 0 has 9 neighbors, so a pairwise row sum and an in-order one may differ
+        rng = np.random.default_rng(3)
+        edges = [(0, v, float(rng.uniform(0.1, 9.0))) for v in range(1, 10)]
+        edges += [(1, 2, 0.3), (2, 3, 1.7), (4, 9, 2.2)]
+        g = make_graph(edges, n=11)  # node 10 is isolated
+        tw = TransitionWeights.from_graph(g)
+        for v in range(g.node_count):
+            nbrs, probs = tw.out_distribution(v)
+            w = g.neighbor_weights(v)
+            assert nbrs.tolist() == g.neighbors(v).tolist()
+            np.testing.assert_allclose(probs, w / w.sum(), rtol=1e-12)
+        assert len(tw.out_distribution(10)[1]) == 0
+
+    def test_baseline_weights_expose_the_graph(self):
+        g = make_graph([(0, 1, 3.0), (0, 2, 1.0), (1, 2, 1.0)])
+        tw = TransitionWeights.from_graph(g)
+        assert tw.alpha is None and tw.beta is None
+        assert tw.node_count == 3 and tw.indptr is g.indptr and tw.indices is g.indices
+        nbrs, probs = tw.out_distribution(0)
+        assert nbrs.tolist() == [1, 2] and probs.tolist() == [0.75, 0.25]
+
+
 class TestTransitionDistribution:
     def test_p_q_one_ignores_prev(self):
         tw = weights_for([(0, 1, 3.0), (0, 2, 1.0), (1, 2, 1.0)])
