@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fairwalks.graph import AttributedGraph, GroupPartition, step_walkers
+from fairwalks.graph import AttributedGraph, GroupPartition, cumsum_by_row, draw_slots
 from fairwalks.seeds import rng_for
 from fairwalks.walks import TransitionWeights
 
 CLOSENESS_SMOOTHING = 1e-3
+ROW_SUM_TOLERANCE = 1e-9  # how far a loaded row's probabilities may sum from 1
 
 
 @dataclass
@@ -63,8 +64,9 @@ def estimate_closeness(
     cur = np.repeat(roots, walks_per_node)
     home = group[cur]
     foreign = np.zeros(len(cur), dtype=np.int64)
+    cum = cumsum_by_row(graph.weights, graph.indptr)
     for step in range(walk_length):
-        cur = graph.indices[step_walkers(graph.indptr, graph.weights, cur, draws[:, step])]
+        cur = graph.indices[draw_slots(cum, graph.indptr, cur, draws[:, step])]
         foreign += group[cur] != home
     values = np.zeros(graph.node_count, dtype=np.float64)
     values[roots] = foreign.reshape(-1, walks_per_node).sum(axis=1) / (walks_per_node * walk_length)
@@ -132,8 +134,9 @@ def load_biased(path, graph: AttributedGraph) -> TransitionWeights:
     """Rebind a serialized biased edge list to its base graph.
 
     Each line must name a distinct edge of ``graph`` with a finite
-    probability >= 0, and every edge needs a line in both directions;
-    otherwise ValueError names the culprit.
+    probability >= 0, every edge needs a line in both directions, and the
+    probabilities out of every non-isolated node must sum to 1 within
+    ``ROW_SUM_TOLERANCE``; otherwise ValueError names the culprit.
     """
     index = {nid: i for i, nid in enumerate(graph.original_ids)}
     slot_of = {pair: s for s, pair in enumerate(zip(graph.rows.tolist(), graph.indices.tolist()))}
@@ -172,4 +175,10 @@ def load_biased(path, graph: AttributedGraph) -> TransitionWeights:
         raise ValueError(f"{path}: no line for edge {u} -> {v}")
     probs = np.empty(len(slot_of), dtype=np.float64)
     probs[list(prob_at)] = list(prob_at.values())
+    sums = np.bincount(graph.rows, weights=probs, minlength=graph.node_count)
+    bad = np.flatnonzero((np.diff(graph.indptr) > 0) & ~(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE))
+    if len(bad):
+        v = bad[0]
+        raise ValueError(f"{path}: probabilities out of node {graph.original_ids[v]} "
+                         f"sum to {float(sums[v])!r}, not 1")
     return TransitionWeights(graph, probs, **header)

@@ -34,6 +34,9 @@ class EmbeddingMatrix:
     """Trained node vectors plus the context-side vectors and run metadata.
 
     ``vectors`` (the input side) is the embedding used downstream.
+    ``context_vectors`` is None for a matrix from ``pipeline.execute``,
+    which keeps only the input side (the cached ``emb.npy``); ``train``
+    returns the real context vectors.
     """
 
     vectors: np.ndarray

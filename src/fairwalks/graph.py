@@ -28,10 +28,8 @@ class IngestReport:
 
     nodes_seen: int = 0
     nodes_dropped_missing_attr: int = 0
-    nodes_dropped_bad_age: int = 0
     self_loops_dropped: int = 0
     duplicate_edges_merged: int = 0
-    isolated_removed: int = 0
 
 
 @dataclass(eq=False)
@@ -390,23 +388,40 @@ def cumsum_by_row(values, indptr) -> np.ndarray:
     return out
 
 
-def step_walkers(indptr, scores, rows, draws, reweigh=None) -> np.ndarray:
+def draw_slots(cum, indptr, rows, draws) -> np.ndarray:
     """Chosen CSR slot of every walker, each at a non-empty row ``rows[i]``
-    with a draw ``draws[i]`` in [0, 1): the count of the row's running score
-    sums <= draws[i] * row total, clamped to the row, bitwise the per-row
-    ``np.searchsorted(cum, u * cum[-1], "right")``. Scores need not be
-    normalized; ``reweigh(slots, walker)`` gives per-candidate factors."""
+    with a draw ``draws[i]`` in [0, 1), given ``cum = cumsum_by_row(scores,
+    indptr)``: the count of the row's running sums <= draws[i] * row total,
+    clamped to the row, bitwise the per-row ``np.searchsorted(cum, u *
+    cum[-1], "right")``. Scores need not be normalized. A vectorized
+    bisection: one O(walkers) round per bit of the longest row's length."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    before = starts - 1
+    target = draws * cum[before + lengths]
+    count = np.zeros(len(rows), dtype=np.int64)
+    for bit in reversed(range(int(lengths.max(initial=0)).bit_length())):
+        # grow the count by 2**bit where the sum ending there is still <= target;
+        # past the row's end the row total stands in: it fits only when every
+        # sum does, and then the clamp picks the last slot either way
+        probe = count + (1 << bit)
+        np.copyto(count, probe, where=cum[before + np.minimum(probe, lengths)] <= target)
+    return starts + np.minimum(count, lengths - 1)
+
+
+def step_walkers(indptr, scores, rows, draws, reweigh=None) -> np.ndarray:
+    """``draw_slots`` over ``scores``, with each candidate's score first
+    multiplied by ``reweigh(slots, walker)`` when given: the walkers' rows
+    are gathered and their running sums taken per step."""
+    if reweigh is None:
+        return draw_slots(cumsum_by_row(scores, indptr), indptr, rows, draws)
     starts = indptr[rows]
     lengths = indptr[rows + 1] - starts
     offsets = np.concatenate(([0], np.cumsum(lengths)))
     walker = np.repeat(np.arange(len(rows)), lengths)
     slots = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
-    candidate = scores[slots]
-    if reweigh is not None:
-        candidate = candidate * reweigh(slots, walker)
-    cum = cumsum_by_row(candidate, offsets)
-    below = cum <= np.repeat(draws * cum[offsets[1:] - 1], lengths)
-    return starts + np.minimum(np.bincount(walker[below], minlength=len(rows)), lengths - 1)
+    cum = cumsum_by_row(scores[slots] * reweigh(slots, walker), offsets)
+    return starts - offsets[:-1] + draw_slots(cum, offsets, np.arange(len(rows)), draws)
 
 
 def component_labels(node_count: int, src, dst) -> np.ndarray:
@@ -469,6 +484,9 @@ class ControlAttributeSpec:
     name: str = "control"
 
 
+SBM_BLOCK_CELLS = 1 << 16  # pair draws per row block of generate_sbm
+
+
 def generate_sbm(
     block_sizes,
     p_intra: float,
@@ -482,7 +500,9 @@ def generate_sbm(
 
     The block index becomes a categorical attribute (the location-like
     grouping). Isolated nodes are removed and counted in the summary.
-    Returns (graph, summary dict).
+    Pairs are drawn in row blocks of about ``SBM_BLOCK_CELLS`` entries (one
+    row when n is larger), never as one n x n array. Returns (graph,
+    summary dict).
     """
     block_sizes = [int(s) for s in block_sizes]
     if any(s < 1 for s in block_sizes):
@@ -508,13 +528,21 @@ def generate_sbm(
         control_of = rng.choice(control.classes, size=n, p=probs)
         attributes[control.name] = [f"class{c}" for c in control_of]
 
-    prob = np.where(block[:, None] == block[None, :], p_intra, p_inter)
-    if control is not None and control.intra_class_bonus > 0:
-        same_class = control_of[:, None] == control_of[None, :]
-        prob = np.clip(prob + control.intra_class_bonus * same_class, 0.0, 1.0)
-    draws = rng.random((n, n))
-    upper = np.triu(draws < prob, k=1)
-    u_idx, v_idx = np.nonzero(upper)
+    # consecutive (b, n) draws consume the stream exactly as one (n, n) draw
+    bonus = control.intra_class_bonus if control is not None else 0.0
+    b = max(1, SBM_BLOCK_CELLS // n)
+    u_parts, v_parts = [], []
+    for lo in range(0, n, b):
+        hi = min(lo + b, n)
+        prob = np.where(block[lo:hi, None] == block[None, :], p_intra, p_inter)
+        if bonus > 0:
+            same_class = control_of[lo:hi, None] == control_of[None, :]
+            prob = np.clip(prob + bonus * same_class, 0.0, 1.0)
+        upper = np.triu(rng.random((hi - lo, n)) < prob, k=lo + 1)  # v > u only
+        u_blk, v_blk = np.nonzero(upper)
+        u_parts.append(u_blk + lo)
+        v_parts.append(v_blk)
+    u_idx, v_idx = np.concatenate(u_parts), np.concatenate(v_parts)
 
     degree = np.bincount(np.concatenate([u_idx, v_idx]), minlength=n)
     keep = np.nonzero(degree > 0)[0]

@@ -355,7 +355,7 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
             config_echo={"experiment": config.to_dict(), "walk_source": source,
                          "embedding_meta": meta},
         )
-    matrix = embedding.EmbeddingMatrix(vectors, np.zeros_like(vectors), meta)
+    matrix = embedding.EmbeddingMatrix(vectors, None, meta)
     return PipelineResult(report, g, sensitive, matrix, summary)
 
 

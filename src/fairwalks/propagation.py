@@ -47,11 +47,21 @@ class PropagationGraph:
         return component_labels(self.node_count, self.rows[positive], self.cols[positive])
 
 
+KNN_BLOCK_CELLS = 1 << 22  # distance entries per row block of build_propagation_graph
+
+
 def build_propagation_graph(vectors, k: int = 10, sigma=None) -> PropagationGraph:
     """Union-kNN graph with RBF edge weights.
 
     ``sigma=None`` selects the bandwidth automatically as the mean distance
     to the k-th nearest neighbor. Duplicate points get weight 1 edges.
+
+    Distances are computed in row blocks of ``max(1, KNN_BLOCK_CELLS // n)``
+    rows, never as one n x n array. Up to 2,048 points that is one block,
+    the full Gram product. A row-blocked Gram product can differ from it in
+    the last bits, so larger graphs may pick a different neighbor at a
+    near-tie; an edge's distance is the one its lower endpoint's row
+    computed when that row lists it, else the other row's.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     n = len(vectors)
@@ -62,21 +72,31 @@ def build_propagation_graph(vectors, k: int = 10, sigma=None) -> PropagationGrap
     k = min(k, n - 1)
 
     sq_norm = np.einsum("ij,ij->i", vectors, vectors)
-    d2 = sq_norm[:, None] + sq_norm[None, :] - 2.0 * (vectors @ vectors.T)
-    np.clip(d2, 0.0, None, out=d2)
-    np.fill_diagonal(d2, np.inf)
+    b = max(1, KNN_BLOCK_CELLS // n)
+    kth = np.empty(n)
+    src, dst, dist = [], [], []
+    for lo in range(0, n, b):
+        hi = min(lo + b, n)
+        d2 = sq_norm[lo:hi, None] + sq_norm[None, :] - 2.0 * (vectors[lo:hi] @ vectors.T)
+        np.clip(d2, 0.0, None, out=d2)
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
 
-    # the k nearest of each row are those below its k-th smallest distance
-    # plus, at that distance, the lowest column indices: the first k of a
-    # stable sort, without sorting (the copy frees the partitioned matrix)
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
-    nearest = d2 <= kth[:, None]
-    over = np.flatnonzero(nearest.sum(axis=1) > k)
-    if len(over):
-        closer = d2[over] < kth[over, None]
-        tied = d2[over] == kth[over, None]
-        tied &= np.cumsum(tied, axis=1) <= k - closer.sum(axis=1)[:, None]
-        nearest[over] = closer | tied
+        # the k nearest of each row are those below its k-th smallest
+        # distance plus, at that distance, the lowest column indices: the
+        # first k of a stable sort, without sorting
+        cut = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()  # frees the partitioned block
+        kth[lo:hi] = cut
+        nearest = d2 <= cut[:, None]
+        over = np.flatnonzero(nearest.sum(axis=1) > k)
+        if len(over):
+            closer = d2[over] < cut[over, None]
+            tied = d2[over] == cut[over, None]
+            tied &= np.cumsum(tied, axis=1) <= k - closer.sum(axis=1)[:, None]
+            nearest[over] = closer | tied
+        r, c = np.nonzero(nearest)
+        src.append(r + lo)
+        dst.append(c)
+        dist.append(d2[r, c])
     if sigma is None:
         sigma = float(np.sqrt(kth).mean())
         if sigma == 0.0:
@@ -84,13 +104,13 @@ def build_propagation_graph(vectors, k: int = 10, sigma=None) -> PropagationGrap
     if sigma <= 0:
         raise ValueError("sigma must be positive")
 
-    src, dst = np.nonzero(nearest)
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    undirected = np.unique(lo * n + hi)
+    # pairs are in row order, so an edge's first entry is from its lower row
+    src, dst, dist = np.concatenate(src), np.concatenate(dst), np.concatenate(dist)
+    undirected, first = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst),
+                                  return_index=True)
     lo, hi = undirected // n, undirected % n
 
-    w = np.exp(-d2[lo, hi] / (sigma * sigma))
+    w = np.exp(-dist[first] / (sigma * sigma))
     rows = np.concatenate([lo, hi])
     cols = np.concatenate([hi, lo])
     weights = np.concatenate([w, w])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fairwalks.graph import AttributedGraph, step_walkers
+from fairwalks.graph import AttributedGraph, cumsum_by_row, draw_slots, step_walkers
 from fairwalks.seeds import rng_for
 
 
@@ -116,7 +116,9 @@ def generate_walks(
     Each walk's randomness is seeded from (seed, root, walk index), so the
     corpus content is reproducible and independent of scheduling; root
     order is reshuffled every round, which only affects corpus ordering.
-    All walks advance together, one ``step_walkers`` call per step.
+    All walks advance together. First-order steps (the first, and every
+    one when p = q = 1) bisect running sums taken once per call; later
+    (p, q) steps reweigh the walkers' rows through ``step_walkers``.
     """
     n = weights.node_count
     if n == 0:
@@ -139,10 +141,13 @@ def generate_walks(
         prev = path[live[walker], step - 1]
         return _node2vec_factors(keys, n, prev, weights.indices[slots], p, q)
 
+    cum = cumsum_by_row(weights.probs, weights.indptr)  # first-order running sums
     for step in range(length):
         cur, u = path[live, step], draws[live, step]
-        second_order = step > 0 and keys is not None
-        slots = step_walkers(weights.indptr, weights.probs, cur, u, reweigh if second_order else None)
+        if step > 0 and keys is not None:
+            slots = step_walkers(weights.indptr, weights.probs, cur, u, reweigh)
+        else:
+            slots = draw_slots(cum, weights.indptr, cur, u)
         path[live, step + 1] = weights.indices[slots]
     walks = path.tolist()
     for i in np.flatnonzero(isolated).tolist():

@@ -365,6 +365,31 @@ class TestLoadBiasedValidation:
         with pytest.raises(ValueError, match=r"no line for edge 2 -> 1"):
             load_biased(path, g)
 
+    def test_all_zero_row_is_rejected(self, tmp_path):
+        # every walk through node 1 stepped to 2 when this file loaded
+        g = make_graph([(0, 1), (1, 2)], attrs={"loc": ["X", "Y", "X"]})
+        path = self.write(tmp_path, ["0\t1\t1.0", "1\t0\t0.0", "1\t2\t0.0", "2\t1\t1.0"])
+        with pytest.raises(ValueError, match=r"out of node 1 sum to 0\.0, not 1"):
+            load_biased(path, g)
+
+    def test_row_summing_to_half_is_rejected(self, tmp_path):
+        g = make_graph([(0, 1), (1, 2)], attrs={"loc": ["X", "Y", "X"]})
+        path = self.write(tmp_path, ["0\t1\t1.0", "1\t0\t0.25", "1\t2\t0.25", "2\t1\t1.0"])
+        with pytest.raises(ValueError, match=r"out of node 1 sum to 0\.5, not 1"):
+            load_biased(path, g)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.99, 15.0), (0.01, 1.0), (None, None)])
+    def test_saved_files_on_a_larger_graph_load(self, tmp_path, alpha, beta):
+        g, _ = generate_sbm([50, 100, 200], 0.1, 0.02, seed=2)
+        if alpha is None:
+            weights = TransitionWeights.from_graph(g)
+        else:
+            p = partition_by(g, "block")
+            weights = reweight(g, p, estimate_closeness(g, p, 4, 3, seed=1), alpha, beta)
+        save_biased(weights, tmp_path / "biased.edges")
+        back = load_biased(tmp_path / "biased.edges", g)
+        assert back.probs.tobytes() == weights.probs.tobytes()
+
     @pytest.mark.parametrize("prob", ["-0.5", "nan", "inf", "abc"])
     def test_probability_must_be_a_finite_number_at_least_zero(self, tmp_path, prob):
         g = make_graph([(0, 1), (1, 2)], attrs={"loc": ["X", "Y", "X"]})

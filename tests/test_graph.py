@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairwalks.graph as graph_mod
 from fairwalks.graph import (
     AttributedGraph,
     _induced,
@@ -14,6 +15,7 @@ from fairwalks.graph import (
     bin_age_attribute,
     component_labels,
     cumsum_by_row,
+    draw_slots,
     generate_sbm,
     ingest,
     load_graph,
@@ -328,6 +330,60 @@ class TestGenerateSbm:
             generate_sbm([5], 0.2, 0.5, seed=1)
 
 
+def reference_sbm(block_sizes, p_intra, p_inter, seed, control=None):
+    """The single (n, n) draw that ``generate_sbm`` replaced by row blocks."""
+    n = sum(block_sizes)
+    block = np.repeat(np.arange(len(block_sizes)), block_sizes)
+    rng = np.random.default_rng(seed)
+    attributes = {"block": [f"block{b}" for b in block]}
+    if control is not None:
+        probs = np.full(control.classes, 1.0 / control.classes)
+        control_of = rng.choice(control.classes, size=n, p=probs)
+        attributes[control.name] = [f"class{c}" for c in control_of]
+    prob = np.where(block[:, None] == block[None, :], p_intra, p_inter)
+    if control is not None and control.intra_class_bonus > 0:
+        same_class = control_of[:, None] == control_of[None, :]
+        prob = np.clip(prob + control.intra_class_bonus * same_class, 0.0, 1.0)
+    draws = rng.random((n, n))
+    u_idx, v_idx = np.nonzero(np.triu(draws < prob, k=1))
+    keep = np.nonzero(np.bincount(np.concatenate([u_idx, v_idx]), minlength=n) > 0)[0]
+    remap = np.full(n, -1, dtype=np.int64)
+    remap[keep] = np.arange(len(keep))
+    edge_index = np.stack([remap[u_idx], remap[v_idx]], axis=1)
+    attrs = {name: [vals[v] for v in keep] for name, vals in attributes.items()}
+    graph = AttributedGraph(len(keep), edge_index, np.ones(len(edge_index)), attrs,
+                            [str(v) for v in keep])
+    return graph, n - len(keep)
+
+
+class TestSbmRowBlocks:
+    # default budget: one block (n = 100), exactly one block (256 rows of 256),
+    # one row over (257: 255 + 2) and walk_chain's 600 nodes (109 rows a block)
+    @pytest.mark.parametrize("sizes, cells", [
+        ([40, 60], None),
+        ([128, 128], None),
+        ([128, 129], None),
+        ([100, 200, 300], None),
+        ([10, 20], 30 * 3),  # ten blocks of 3 rows
+        ([10, 21], 31 * 4),  # 4-row blocks and a 3-row rest
+        ([7, 9], 1),  # one row per block
+    ])
+    @pytest.mark.parametrize("bonus", [0.0, 0.05])
+    def test_matches_single_draw(self, monkeypatch, sizes, cells, bonus):
+        if cells is not None:
+            monkeypatch.setattr(graph_mod, "SBM_BLOCK_CELLS", cells)
+        spec = ControlAttributeSpec(classes=3, intra_class_bonus=bonus)
+        p_intra, p_inter = (0.3, 0.1) if sum(sizes) < 100 else (0.06, 0.01)
+        got, summary = generate_sbm(sizes, p_intra, p_inter, seed=9, control=spec)
+        want, isolated = reference_sbm(sizes, p_intra, p_inter, 9, spec)
+        assert got == want
+        assert got.edge_index.tobytes() == want.edge_index.tobytes()
+        assert summary["isolated_removed"] == isolated
+
+    def test_a_600_node_graph_splits(self):
+        assert graph_mod.SBM_BLOCK_CELLS // 600 == 109
+
+
 class TestGraphInvariants:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -391,6 +447,25 @@ class TestCsrHelpers:
         factors = rng.random(indptr[-1])
         got = step_walkers(indptr, scores / factors, rows, draws, lambda s, w: factors[s])
         assert got.tolist() == step_walkers(indptr, scores / factors * factors, rows, draws).tolist()
+
+    def test_draw_slots_bisect_like_per_row_searchsorted(self):
+        rng = np.random.default_rng(13)
+        lengths = np.concatenate([rng.integers(1, 40, 25), [3_000, 1, 7]])  # row 25 is a hub
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        scores = rng.random(indptr[-1]) * rng.choice([0.0, 1e-3, 1.0, 1e3], indptr[-1])
+        scores[indptr[2]:indptr[3]] = 0.0  # all-zero rows clamp to their last slot
+        scores[indptr[26]:indptr[27]] = 0.0
+        edge = [0.0, 1.0 - 2.0**-53]
+        rows = np.concatenate([np.repeat(np.arange(len(lengths)), 2), rng.integers(0, 28, 3000)])
+        draws = np.concatenate([np.tile(edge, len(lengths)), rng.random(3000)])
+        cum = cumsum_by_row(scores, indptr)
+        expected = []
+        for row, u in zip(rows, draws):
+            a, b = indptr[row], indptr[row + 1]
+            row_cum = np.cumsum(scores[a:b])
+            expected.append(a + min(np.searchsorted(row_cum, u * row_cum[-1], "right"), b - a - 1))
+        assert draw_slots(cum, indptr, rows, draws).tolist() == expected
+        assert step_walkers(indptr, scores, rows, draws).tolist() == expected
 
     def test_csr_rows_match_edges(self, graph_factory):
         g = graph_factory([(0, 1, 2.0), (1, 2, 3.0), (0, 3, 0.5)], n=5)

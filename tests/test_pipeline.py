@@ -203,6 +203,14 @@ class TestExecute:
         assert info.value.stage == stage
         assert info.value.cause is cause
 
+    def test_execute_keeps_only_the_input_side(self, tmp_path):
+        # cold and warm runs alike: no n x d block of zeros for the context side
+        cache = str(tmp_path / "cache")
+        for _ in range(2):
+            matrix = execute(sbm_config(), cache_dir=cache).matrix
+            assert matrix.context_vectors is None
+            assert matrix.vectors.shape == (50, 12)
+
     def test_warm_run_reads_only_the_embedding(self, tmp_path, monkeypatch):
         loads = []
         calls = {"generate_walks": 0, "train": 0}

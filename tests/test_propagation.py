@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairwalks.propagation as propagation_mod
 from fairwalks.graph import component_labels
 from fairwalks.propagation import (
     PropagationGraph,
@@ -183,6 +184,21 @@ class TestBuildPropagationGraph:
         assert got.sigma == want.sigma
         for name in ("rows", "cols", "weights"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("cells", [1, 60 * 7, 60 * 20])
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    def test_row_blocks_match_one_block(self, monkeypatch, cells, k):
+        # integer-grid points keep the Gram product exact, so blocks are bitwise
+        vectors = np.random.default_rng(k).integers(0, 4, (60, 3)).astype(np.float64)
+        want = build_propagation_graph(vectors, k=k)
+        monkeypatch.setattr(propagation_mod, "KNN_BLOCK_CELLS", cells)
+        got = build_propagation_graph(vectors, k=k)
+        assert got.sigma == want.sigma
+        for name in ("rows", "cols", "weights"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_up_to_2048_points_are_one_block(self):
+        assert propagation_mod.KNN_BLOCK_CELLS // 2048 == 2048
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):

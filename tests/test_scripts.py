@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,13 +9,30 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["compare_presets.py", "run_reference_grid.py"])
-def test_script_imports_and_shows_help(script):
+def run_script(script, *args):
     # the subprocess imports the package from this checkout's src
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--help"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
     )
+
+
+@pytest.mark.parametrize(
+    "script", ["compare_presets.py", "run_reference_grid.py", "measure_peak_rss.py"]
+)
+def test_script_imports_and_shows_help(script):
+    result = run_script(script, "--help")
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage:")
+
+
+def test_measure_peak_rss_reports_memory_and_stages():
+    result = run_script("measure_peak_rss.py", "--nodes", "120", "--folds", "1")
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert 0 < out["nodes"] <= 120 and out["edges"] > 0
+    assert out["ru_maxrss_mb"] >= out["ru_maxrss_import_mb"] > 0
+    assert set(out["stage_s"]) == {
+        "dataset", "closeness", "reweight", "walks", "train", "knn_graph", "evaluate",
+    }
