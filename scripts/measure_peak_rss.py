@@ -32,6 +32,16 @@ STAGES = (
     (evaluation, "cross_validate", "evaluate"),
 )
 
+# the run's fixed budget: expected mean degree (a fifth of it crosses
+# blocks), walks per node, walk length, dimension, epochs, folds, seed
+DEGREE = 10.0
+WALKS_PER_NODE = 2
+WALK_LENGTH = 10
+DIM = 16
+EPOCHS = 1
+FOLDS = 2
+SEED = 1
+
 
 def maxrss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -54,20 +64,12 @@ def timed(seconds, name, fn):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nodes", type=int, default=20000)
-    parser.add_argument("--degree", type=float, default=10.0,
-                        help="expected mean degree; a fifth of it crosses blocks")
-    parser.add_argument("--walks-per-node", type=int, default=2)
-    parser.add_argument("--walk-length", type=int, default=10)
-    parser.add_argument("--dim", type=int, default=16)
-    parser.add_argument("--epochs", type=int, default=1)
-    parser.add_argument("--folds", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
     n = args.nodes
     sizes = [n // 7, 2 * n // 7, n - n // 7 - 2 * n // 7]
-    p_intra = min(1.0, 0.8 * args.degree * 3 / n)
-    p_inter = min(p_intra, 0.2 * args.degree * 3 / (2 * n))
+    p_intra = min(1.0, 0.8 * DEGREE * 3 / n)
+    p_inter = min(p_intra, 0.2 * DEGREE * 3 / (2 * n))
     config = ExperimentConfig(
         sbm_block_sizes=sizes,
         sbm_p_intra=p_intra,
@@ -76,12 +78,12 @@ def main():
         sbm_control_bonus=p_inter,
         dataset_name=f"sbm-{n}",
         control_attribute="control",
-        walks_per_node=args.walks_per_node,
-        walk_length=args.walk_length,
-        dim=args.dim,
-        epochs=args.epochs,
-        folds=args.folds,
-        seed=args.seed,
+        walks_per_node=WALKS_PER_NODE,
+        walk_length=WALK_LENGTH,
+        dim=DIM,
+        epochs=EPOCHS,
+        folds=FOLDS,
+        seed=SEED,
     ).with_preset("low_awareness")
 
     seconds = {}

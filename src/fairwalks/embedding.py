@@ -40,7 +40,7 @@ class EmbeddingMatrix:
     """
 
     vectors: np.ndarray
-    context_vectors: np.ndarray
+    context_vectors: np.ndarray | None
     meta: dict
 
     @property

@@ -28,7 +28,7 @@ def test_script_imports_and_shows_help(script):
 
 
 def test_measure_peak_rss_reports_memory_and_stages():
-    result = run_script("measure_peak_rss.py", "--nodes", "120", "--folds", "1")
+    result = run_script("measure_peak_rss.py", "--nodes", "120")
     assert result.returncode == 0, result.stderr
     out = json.loads(result.stdout)
     assert 0 < out["nodes"] <= 120 and out["edges"] > 0
