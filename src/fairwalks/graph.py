@@ -375,16 +375,19 @@ def _induced(graph: AttributedGraph, nodes):
 
 def cumsum_by_row(values, indptr) -> np.ndarray:
     """Running sums restarted at every CSR row, bitwise equal to ``np.cumsum``
-    of each row (a global cumsum minus row offsets is not). One vectorized
-    pass per position within a row, up to the longest row."""
+    of each row (a global cumsum minus row offsets is not). Rows of one
+    length are gathered into a dense (rows, length) block and summed along
+    it, one ``np.cumsum(axis=1)`` per distinct length, which adds each row
+    in order."""
     out = np.array(values, dtype=np.float64)
-    starts = indptr[:-1]
     lengths = np.diff(indptr)
-    rows = np.flatnonzero(lengths > 1)
-    for k in range(1, int(lengths.max(initial=0))):
-        rows = rows[lengths[rows] > k]
-        pos = starts[rows] + k
-        out[pos] += out[pos - 1]
+    order = np.argsort(lengths, kind="stable")
+    order = order[lengths[order] > 1]  # a row of 0 or 1 slots is its own sums
+    sizes, starts = lengths[order], indptr[order]
+    heads = np.flatnonzero(np.diff(sizes, prepend=0)).tolist()  # first row of each length
+    for a, b in zip(heads, heads[1:] + [len(order)]):
+        block = starts[a:b, None] + np.arange(sizes[a])
+        out[block] = out[block].cumsum(axis=1)
     return out
 
 
@@ -409,19 +412,18 @@ def draw_slots(cum, indptr, rows, draws) -> np.ndarray:
     return starts + np.minimum(count, lengths - 1)
 
 
-def step_walkers(indptr, scores, rows, draws, reweigh=None) -> np.ndarray:
-    """``draw_slots`` over ``scores``, with each candidate's score first
-    multiplied by ``reweigh(slots, walker)`` when given: the walkers' rows
-    are gathered and their running sums taken per step."""
-    if reweigh is None:
-        return draw_slots(cumsum_by_row(scores, indptr), indptr, rows, draws)
+def fill_spans(table, offsets, rows, indptr, scores, reweigh) -> None:
+    """Write, for every i, the running sums of CSR row ``rows[i]``'s scores,
+    each first multiplied by ``reweigh(slots, i)``, into
+    ``table[offsets[i]:offsets[i] + len(row)]``, so that ``draw_slots`` can
+    count over each span as over a row."""
     starts = indptr[rows]
     lengths = indptr[rows + 1] - starts
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    walker = np.repeat(np.arange(len(rows)), lengths)
-    slots = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
-    cum = cumsum_by_row(scores[slots] * reweigh(slots, walker), offsets)
-    return starts - offsets[:-1] + draw_slots(cum, offsets, np.arange(len(rows)), draws)
+    local = np.concatenate(([0], np.cumsum(lengths)))
+    owner = np.repeat(np.arange(len(rows)), lengths)
+    slots = np.arange(local[-1]) + np.repeat(starts - local[:-1], lengths)
+    spans = cumsum_by_row(scores[slots] * reweigh(slots, owner), local)
+    table[slots + (offsets - starts)[owner]] = spans
 
 
 def component_labels(node_count: int, src, dst) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fairwalks.graph import AttributedGraph, cumsum_by_row, draw_slots, step_walkers
+from fairwalks.graph import AttributedGraph, cumsum_by_row, draw_slots, fill_spans
 from fairwalks.seeds import rng_for
 
 
@@ -108,6 +108,26 @@ def transition_distribution(weights: TransitionWeights, prev, cur: int, p: float
     return nbrs, scores / scores.sum()
 
 
+FILL_BLOCK_SLOTS = 1 << 16  # candidate slots per fill block of generate_walks' edge table
+
+
+def _fill_edges(table, start, new, weights, keys, p, q):
+    """Fill the table spans of edges ``new`` (see ``generate_walks``) in blocks
+    of at most ``FILL_BLOCK_SLOTS`` candidate slots; a longer span fills alone."""
+    n, indices = weights.node_count, weights.indices
+    prev = weights.graph.rows[new]  # each edge's source, the walkers' previous node
+    ends = np.cumsum(start[new + 1] - start[new])
+    lo = 0
+    while lo < len(new):
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + FILL_BLOCK_SLOTS, "right")))
+        fill_spans(
+            table, start[new[lo:hi]], indices[new[lo:hi]], weights.indptr, weights.probs,
+            lambda cand, owner: _node2vec_factors(keys, n, prev[lo + owner], indices[cand], p, q),
+        )
+        lo = hi
+
+
 def generate_walks(
     weights: TransitionWeights, config: WalkConfig, source: str = "baseline"
 ) -> WalkCorpus:
@@ -117,9 +137,31 @@ def generate_walks(
     corpus content is reproducible and independent of scheduling; root
     order is reshuffled every round, which only affects corpus ordering.
     All walks advance together. First-order steps (the first, and every
-    one when p = q = 1) bisect running sums taken once per call; later
-    (p, q) steps reweigh the walkers' rows through ``step_walkers``.
+    one when p = q = 1) bisect running sums taken once per call.
+
+    A later (p, q) step depends only on the directed edge the walker just
+    crossed, CSR slot e from ``rows[e]`` to ``indices[e]``. Each edge owns
+    the span ``table[start[e]:start[e + 1]]`` of one float64 table, with
+    ``start`` the running total of ``deg[indices]``, so the table holds at
+    most sum_v deg(v)**2 entries. A span holds the running sums of the
+    target's row reweighted by the (p, q) factors after ``rows[e]``. It is
+    filled the first time a walker crosses its edge; the edges new at a
+    step are deduplicated and filled in blocks of at most
+    ``FILL_BLOCK_SLOTS`` candidate slots (an edge with a longer span fills
+    alone). Only filled spans are written. The table saves work in
+    proportion to how often each directed edge is crossed, which is live
+    walkers x (walk_length - 1) / 2m.
     """
+    path, isolated = _walk_paths(weights, config)  # frees the table and draws before tolist
+    walks = path.tolist()
+    for i in np.flatnonzero(isolated).tolist():
+        walks[i] = walks[i][:1]
+    return WalkCorpus(walks, config, source)
+
+
+def _walk_paths(weights: TransitionWeights, config: WalkConfig):
+    """(walks x (length + 1)) node array of ``generate_walks`` and the mask
+    of walks from isolated roots, whose rows past the root are unset."""
     n = weights.node_count
     if n == 0:
         raise ValueError("empty graph")
@@ -130,29 +172,33 @@ def generate_walks(
     draws = np.empty((len(roots), length))
     for i, root in enumerate(roots.tolist()):
         draws[i] = rng_for(config.seed, "walk", root, i // n).random(length)
-    keys = None if p == q == 1.0 else _edge_keys(weights)
+    indptr, indices = weights.indptr, weights.indices
     path = np.empty((len(roots), length + 1), dtype=np.int64)
     path[:, 0] = roots
     # rows are symmetric, so only a walk from an isolated root ever stops
-    isolated = np.diff(weights.indptr)[roots] == 0
+    isolated = np.diff(indptr)[roots] == 0
     live = np.flatnonzero(~isolated)
 
-    def reweigh(slots, walker):  # (p, q) factors for the walkers of this ``step``
-        prev = path[live[walker], step - 1]
-        return _node2vec_factors(keys, n, prev, weights.indices[slots], p, q)
-
-    cum = cumsum_by_row(weights.probs, weights.indptr)  # first-order running sums
-    for step in range(length):
-        cur, u = path[live, step], draws[live, step]
-        if step > 0 and keys is not None:
-            slots = step_walkers(weights.indptr, weights.probs, cur, u, reweigh)
+    cum = cumsum_by_row(weights.probs, indptr)  # first-order running sums
+    slots = draw_slots(cum, indptr, roots[live], draws[live, 0])
+    path[live, 1] = indices[slots]
+    second_order = p != 1.0 or q != 1.0
+    if second_order:
+        keys = _edge_keys(weights)
+        start = np.concatenate(([0], np.cumsum(np.diff(indptr)[indices])))
+        table = np.empty(start[-1])
+        filled = np.zeros(len(indices), dtype=bool)
+    for step in range(1, length):
+        edge, cur, u = slots, indices[slots], draws[live, step]
+        if second_order:
+            new = np.unique(edge[~filled[edge]])
+            _fill_edges(table, start, new, weights, keys, p, q)
+            filled[new] = True
+            slots = indptr[cur] + draw_slots(table, start, edge, u) - start[edge]
         else:
-            slots = draw_slots(cum, weights.indptr, cur, u)
-        path[live, step + 1] = weights.indices[slots]
-    walks = path.tolist()
-    for i in np.flatnonzero(isolated).tolist():
-        walks[i] = walks[i][:1]
-    return WalkCorpus(walks, config, source)
+            slots = draw_slots(cum, indptr, cur, u)
+        path[live, step + 1] = indices[slots]
+    return path, isolated
 
 
 def save_corpus(corpus: WalkCorpus, path, original_ids=None):

@@ -16,13 +16,13 @@ from fairwalks.graph import (
     component_labels,
     cumsum_by_row,
     draw_slots,
+    fill_spans,
     generate_sbm,
     ingest,
     load_graph,
     partition_by,
     save_graph,
     select_subgraph,
-    step_walkers,
 )
 
 
@@ -424,13 +424,16 @@ class TestCsrHelpers:
 
     def test_cumsum_by_row_bitwise_per_row(self):
         rng = np.random.default_rng(5)
-        lengths = rng.integers(0, 300, 40)
+        # hub rows of 3,000+ slots and runs of equal-length rows share one dense block
+        lengths = np.concatenate([rng.integers(0, 300, 40), [3_000, 7, 4_100, 7, 3_000, 0, 7]])
+        lengths = rng.permutation(lengths)
         indptr = np.concatenate([[0], np.cumsum(lengths)])
-        values = rng.random(indptr[-1]) * rng.choice([1e-3, 1.0, 1e3], indptr[-1])
+        values = rng.random(indptr[-1]) * 10.0 ** rng.integers(-8, 8, indptr[-1])
         expected = [np.cumsum(values[a:b]) for a, b in zip(indptr[:-1], indptr[1:])]
         np.testing.assert_array_equal(cumsum_by_row(values, indptr), np.concatenate(expected))
+        assert cumsum_by_row(np.empty(0), np.zeros(1, dtype=np.int64)).tolist() == []
 
-    def test_step_walkers_bitwise_per_row_searchsorted(self):
+    def test_fill_spans_bitwise_per_row_searchsorted(self):
         rng = np.random.default_rng(8)
         lengths = rng.integers(1, 60, 30)
         indptr = np.concatenate([[0], np.cumsum(lengths)])
@@ -443,10 +446,20 @@ class TestCsrHelpers:
             a, b = indptr[row], indptr[row + 1]
             cum = np.cumsum(scores[a:b])
             expected.append(a + min(np.searchsorted(cum, u * cum[-1], "right"), b - a - 1))
-        assert step_walkers(indptr, scores, rows, draws).tolist() == expected
+        assert draw_slots(cumsum_by_row(scores, indptr), indptr, rows, draws).tolist() == expected
+        # one span per walker, reweighted on the fill: the same picks as the
+        # running sums of the products taken row by row
         factors = rng.random(indptr[-1])
-        got = step_walkers(indptr, scores / factors, rows, draws, lambda s, w: factors[s])
-        assert got.tolist() == step_walkers(indptr, scores / factors * factors, rows, draws).tolist()
+        offsets = np.concatenate([[0], np.cumsum(lengths[rows])])
+        table = np.full(offsets[-1], np.nan)
+        fill_spans(table, offsets[:-1], rows, indptr, scores / factors, lambda s, w: factors[s])
+        walkers = np.arange(len(rows))
+        got = indptr[rows] + draw_slots(table, offsets, walkers, draws) - offsets[:-1]
+        products = cumsum_by_row(scores / factors * factors, indptr)
+        assert got.tolist() == draw_slots(products, indptr, rows, draws).tolist()
+        for i, row in enumerate(rows[:50].tolist()):
+            span = table[offsets[i]:offsets[i + 1]]
+            assert span.tolist() == products[indptr[row]:indptr[row + 1]].tolist()
 
     def test_draw_slots_bisect_like_per_row_searchsorted(self):
         rng = np.random.default_rng(13)
@@ -465,7 +478,6 @@ class TestCsrHelpers:
             row_cum = np.cumsum(scores[a:b])
             expected.append(a + min(np.searchsorted(row_cum, u * row_cum[-1], "right"), b - a - 1))
         assert draw_slots(cum, indptr, rows, draws).tolist() == expected
-        assert step_walkers(indptr, scores, rows, draws).tolist() == expected
 
     def test_csr_rows_match_edges(self, graph_factory):
         g = graph_factory([(0, 1, 2.0), (1, 2, 3.0), (0, 3, 0.5)], n=5)

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairwalks.graph import generate_sbm, step_walkers
+from fairwalks import walks
+from fairwalks.graph import draw_slots, generate_sbm
 from fairwalks.seeds import rng_for
 from fairwalks.walks import (
     TransitionWeights,
     WalkConfig,
     WalkCorpus,
     _edge_keys,
-    _node2vec_factors,
+    _fill_edges,
     generate_walks,
     load_corpus_tokens,
     save_corpus,
@@ -61,6 +62,10 @@ REFERENCE_GRAPHS = {
         [(0, 1, 3.0), (0, 2, 0.5), (1, 2, 1.0), (2, 3, 7.0), (3, 4, 0.25), (1, 4, 2.0)]
     ),
     "isolated_node": lambda: make_graph([(0, 1), (1, 2), (2, 3), (0, 2)], n=6),
+    # a weighted star of degree 40 plus a path among its leaves
+    "hub": lambda: make_graph(
+        [(0, v, 1.0 + v % 7) for v in range(1, 41)] + [(v, v + 1, 0.5) for v in range(1, 40)]
+    ),
 }
 
 
@@ -208,22 +213,33 @@ class TestGenerateWalks:
         assert generate_walks(tw, config).walks == reference_walks(tw, config)
 
     def test_engine_step_matches_distribution(self):
-        # criterion 1.1's fixture, sampled by the walk engine itself
+        # criterion 1.1's fixture, sampled by the walk engine's edge table
         tw = weights_for([(0, 1), (1, 2), (1, 3), (0, 2)])
         p, q = 0.5, 2.0
         nbrs, probs = transition_distribution(tw, prev=0, cur=1, p=p, q=q)
+        start = np.concatenate(([0], np.cumsum(np.diff(tw.indptr)[tw.indices])))
+        table = np.full(start[-1], np.nan)
+        edge = tw.indptr[0] + tw.graph.neighbors(0).tolist().index(1)  # the slot of 0 -> 1
+        _fill_edges(table, start, np.array([edge]), tw, _edge_keys(tw), p, q)
         n_walkers = 100_000
-        prev, cur = np.zeros(n_walkers, dtype=np.int64), np.ones(n_walkers, dtype=np.int64)
+        edges = np.full(n_walkers, edge)
         draws = np.random.default_rng(17).random(n_walkers)
-        keys = _edge_keys(tw)
-
-        def reweigh(slots, walker):
-            return _node2vec_factors(keys, tw.node_count, prev[walker], tw.indices[slots], p, q)
-
-        nxt = tw.indices[step_walkers(tw.indptr, tw.probs, cur, draws, reweigh)]
-        freq = np.bincount(nxt, minlength=tw.node_count)[nbrs] / n_walkers
+        slots = tw.indptr[1] + draw_slots(table, start, edges, draws) - start[edges]
+        freq = np.bincount(tw.indices[slots], minlength=tw.node_count)[nbrs] / n_walkers
         tv = 0.5 * np.abs(freq - probs).sum()
         assert tv <= 0.01
+        # only the crossed edge's span is written
+        assert np.isnan(np.delete(table, np.arange(start[edge], start[edge + 1]))).all()
+
+    @pytest.mark.parametrize("graph", ["hub", "sbm_three_blocks"])
+    @pytest.mark.parametrize("block_slots", [1, 41])
+    def test_small_fill_blocks_match(self, graph, block_slots, monkeypatch):
+        # 1 fills every new edge alone; 41 packs leaf spans and fills each hub span alone
+        tw = TransitionWeights.from_graph(REFERENCE_GRAPHS[graph]())
+        config = WalkConfig(p=0.5, q=2.0, walks_per_node=3, walk_length=15, seed=11)
+        expected = generate_walks(tw, config).walks
+        monkeypatch.setattr(walks, "FILL_BLOCK_SLOTS", block_slots)
+        assert generate_walks(tw, config).walks == expected
 
 
 class TestCorpusIO:
