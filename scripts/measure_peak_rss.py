@@ -21,7 +21,7 @@ import time
 from fairwalks import crosswalk, embedding, evaluation, pipeline, walks
 from fairwalks.pipeline import ExperimentConfig
 
-# (module, function, stage name); evaluate includes knn_graph
+# (module, function, stage name); evaluate includes knn_graph and propagate
 STAGES = (
     (pipeline, "build_dataset", "dataset"),
     (crosswalk, "estimate_closeness", "closeness"),
@@ -29,6 +29,7 @@ STAGES = (
     (walks, "generate_walks", "walks"),
     (embedding, "train", "train"),
     (evaluation, "build_propagation_graph", "knn_graph"),
+    (evaluation, "propagate", "propagate"),
     (evaluation, "cross_validate", "evaluate"),
 )
 

@@ -1,10 +1,11 @@
 """Attribute prediction from embeddings and the three fairness metrics.
 
-Evaluation runs repeated stratified 50/50 labeled/unlabeled splits. Per
-split, label propagation predicts the sensitive attribute and (when
-configured) a control attribute; scores are one-vs-rest F1 per sensitive
-group for the sensitive attribute, and macro-F1 of the control prediction
-within each sensitive group. The fold-averaged score vectors feed:
+Evaluation runs repeated stratified labeled/unlabeled splits that label
+``labeled_fraction`` of the nodes (half by default). Per split, one label
+propagation call predicts the sensitive attribute and (when configured) a
+control attribute; scores are one-vs-rest F1 per sensitive group for the
+sensitive attribute, and macro-F1 of the control prediction within each
+sensitive group. The fold-averaged score vectors feed:
 
   awareness    max over groups (how recoverable the sensitive attribute is)
   disparity    population variance over groups (how uneven recovery is)
@@ -114,6 +115,16 @@ def performance(control_scores) -> float:
     return float(np.mean(np.asarray(control_scores, dtype=np.float64)))
 
 
+def check_split(folds: int, labeled_fraction: float):
+    """Raise ValueError unless folds >= 1 and 0 < labeled_fraction < 1."""
+    if folds < 1:
+        raise ValueError(f"folds must be >= 1, got {folds}")
+    if not 0 < labeled_fraction < 1:
+        raise ValueError(
+            f"labeled_fraction must lie strictly between 0 and 1, got {labeled_fraction}"
+        )
+
+
 def stratified_split(partition: GroupPartition, labeled_fraction: float, rng):
     """Random labeled/unlabeled node split, stratified by group.
 
@@ -219,9 +230,10 @@ def cross_validate(
     """Repeated stratified-split evaluation of embedding predictiveness.
 
     Each fold draws an independent split (seeded per fold index), clamps
-    the labeled half, propagates, and scores the unlabeled half. Metrics
+    the labeled nodes, propagates, and scores the unlabeled ones. Metrics
     are computed on the fold-averaged score vectors.
     """
+    check_split(folds, labeled_fraction)
     vectors = np.asarray(vectors, dtype=np.float64)
     n = len(vectors)
     c_groups = sensitive.num_groups
@@ -230,6 +242,8 @@ def cross_validate(
 
     pg = build_propagation_graph(vectors, k=k, sigma=sigma)
     warnings = []
+    attributes = [sensitive] if control is None else [sensitive, control]
+    n_classes = [attribute.num_groups for attribute in attributes]
 
     q_folds = np.zeros((folds, c_groups))
     qstar_folds = np.zeros((folds, c_groups)) if control is not None else np.zeros((folds, 0))
@@ -237,17 +251,18 @@ def cross_validate(
         rng = rng_for(seed, "fold", f)
         labeled, unlabeled = stratified_split(sensitive, labeled_fraction, rng)
 
-        seed_labels = np.full(n, -1, dtype=np.int64)
-        seed_labels[labeled] = sensitive.group_of[labeled]
-        probs, warn = propagate(pg, seed_labels, c_groups, max_iters, tol)
+        # the attributes share the labeled set, so one call propagates both
+        seed_labels = np.full((len(attributes), n), -1, dtype=np.int64)
+        for row, attribute in zip(seed_labels, attributes):
+            row[labeled] = attribute.group_of[labeled]
+        results = propagate(pg, seed_labels, n_classes, max_iters, tol)
+        probs, warn = results[0]
         q = per_group_f1(predict(probs), sensitive.group_of, sensitive, unlabeled)
         q_folds[f] = q.values
         warnings.extend(f"fold {f}: {w}" for w in warn + q.flags)
 
         if control is not None:
-            ctrl_labels = np.full(n, -1, dtype=np.int64)
-            ctrl_labels[labeled] = control.group_of[labeled]
-            cprobs, cwarn = propagate(pg, ctrl_labels, control.num_groups, max_iters, tol)
+            cprobs, cwarn = results[1]
             qstar = per_group_macro_f1(
                 predict(cprobs),
                 control.group_of,

@@ -112,6 +112,7 @@ class ExperimentConfig:
             raise ValueError("sensitive and control attribute must differ")
         if self.p <= 0 or self.q <= 0:
             raise ValueError("p and q must be positive")
+        evaluation.check_split(self.folds, self.labeled_fraction)
         return self
 
     def to_dict(self) -> dict:

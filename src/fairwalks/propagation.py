@@ -121,7 +121,7 @@ def build_propagation_graph(vectors, k: int = 10, sigma=None) -> PropagationGrap
 def propagate(
     pg: PropagationGraph,
     labels,
-    n_classes: int,
+    n_classes: int | list[int],
     max_iters: int = 1000,
     tol: float = 1e-6,
 ):
@@ -131,25 +131,42 @@ def propagate(
     (probabilities (n, C), warnings). Unlabeled nodes with no path to any
     seed get the uniform distribution. Stopping at ``max_iters`` before the
     change falls below ``tol`` adds a warning.
+
+    Labels of shape (k, n), with -1 at the same nodes in every row, and a
+    sequence of k class counts propagate k attributes over one labeled
+    set and return a list of k such pairs, each bitwise what the row's own
+    1-D call returns.
     """
     labels = np.asarray(labels, dtype=np.int64)
+    single = labels.ndim == 1
+    if single:
+        labels, n_classes = labels[None], [n_classes]
     n = pg.node_count
-    if len(labels) != n:
+    if labels.ndim != 2 or labels.shape[1] != n:
         raise ValueError("labels length must match the graph")
-    bad = labels[(labels < -1) | (labels >= n_classes)]
-    if len(bad):
-        raise ValueError(f"label {bad[0]} outside [-1, {n_classes}) (-1 marks unlabeled)")
-    labeled = labels >= 0
+    if len(n_classes) != len(labels):
+        raise ValueError(f"{len(labels)} label rows need {len(labels)} class counts, "
+                         f"got {len(n_classes)}")
+    for row, count in zip(labels, n_classes):
+        bad = row[(row < -1) | (row >= count)]
+        if len(bad):
+            raise ValueError(f"label {bad[0]} outside [-1, {count}) (-1 marks unlabeled)")
+    labeled = labels[0] >= 0
+    if ((labels[1:] >= 0) != labeled).any():
+        raise ValueError("every label row must leave the same nodes unlabeled")
     if not labeled.any():
         raise ValueError("at least one labeled node is required")
-
-    warnings = [f"class {c} has no labeled seed and cannot be predicted"
-                for c in np.setdiff1d(np.arange(n_classes), labels[labeled])]
+    seeds = labels[:, labeled]
+    warnings = [[f"class {c} has no labeled seed and cannot be predicted"
+                 for c in np.flatnonzero(np.bincount(row, minlength=count) == 0)]
+                for row, count in zip(seeds, n_classes)]
 
     # Only unlabeled rows with edges change. They come first in the node
     # order (pos maps a node to its place), so a sweep sums just their
     # edges, in row order as a full sweep would, straight into the head of
-    # the next class-major buffer; the tail holds the fixed rows.
+    # the next class-major buffer; the tail holds the fixed rows. The
+    # attributes' classes are stacked on the class axis: attribute i owns
+    # channels bounds[i]:bounds[i + 1].
     free = ~labeled & (pg.degree > 0)
     active = np.flatnonzero(free)
     a = len(active)
@@ -158,36 +175,55 @@ def propagate(
     on_free = free[pg.rows]
     cols, scale = pos[pg.cols[on_free]], pg.transition[on_free]
     starts = np.cumsum(pg.degree[active]) - pg.degree[active]
-    cur = np.zeros((n_classes, n), dtype=np.float64)
-    cur[labels[labeled], pos[labeled]] = 1.0  # clamped: never rewritten
+    bounds = np.cumsum([0, *n_classes])
+    cur = np.zeros((bounds[-1], n), dtype=np.float64)
+    for first, row in zip(bounds, seeds):
+        cur[first + row, pos[labeled]] = 1.0  # clamped: never rewritten
     nxt = cur.copy()
-    gathered = np.empty((n_classes, len(cols)))
-    diff = np.empty((n_classes, a))
-    delta = np.inf
+    gathered = np.empty((bounds[-1], len(cols)))
+    diff = np.empty((bounds[-1], a))
+
+    # Each attribute stops at its own first sweep with max change < tol;
+    # later sweeps cover only the channels of the attributes still moving.
+    # Channels hold no cross terms, so every result is the 1-D call's.
+    k = len(labels)
+    delta = np.full(k, np.inf)
+    moving = list(range(k))
+    out = [None] * k
     for _ in range(max_iters):
-        np.multiply(np.take(cur, cols, axis=1, out=gathered), scale, out=gathered)
-        np.add.reduceat(gathered, starts, axis=1, out=nxt[:, :a])
-        delta = np.abs(np.subtract(nxt[:, :a], cur[:, :a], out=diff), out=diff).max(initial=0.0)
+        lo, hi = bounds[moving[0]], bounds[moving[-1] + 1]
+        g = gathered[lo:hi]
+        # indices are in range by construction; "clip" skips the copy of out
+        np.multiply(np.take(cur[lo:hi], cols, axis=1, out=g, mode="clip"), scale, out=g)
+        np.add.reduceat(g, starts, axis=1, out=nxt[lo:hi, :a])
+        d = np.abs(np.subtract(nxt[lo:hi, :a], cur[lo:hi, :a], out=diff[lo:hi]), out=diff[lo:hi])
         cur, nxt = nxt, cur
-        if delta < tol:
+        for i in moving:
+            delta[i] = d[bounds[i] - lo:bounds[i + 1] - lo].max(initial=0.0)
+            if delta[i] < tol:
+                out[i] = cur[bounds[i]:bounds[i + 1]].T[pos]
+        moving = [i for i in moving if out[i] is None]
+        if not moving:
             break
-    if delta >= tol:
-        warnings.append(
+    for i in moving:
+        out[i] = cur[bounds[i]:bounds[i + 1]].T[pos]
+        warnings[i].append(
             f"propagation did not converge in {max_iters} iterations "
-            f"(last max change {delta:.3g}, tol {tol:g})"
+            f"(last max change {delta[i]:.3g}, tol {tol:g})"
         )
-    y = cur.T[pos]
 
     component = pg.components
     seeded = np.zeros(n, dtype=bool)
     seeded[component[labeled]] = True
     stranded = ~seeded[component] & ~labeled
     if stranded.any():
-        y[stranded] = 1.0 / n_classes
-        warnings.append(
-            f"{int(stranded.sum())} nodes unreachable from any seed; set to uniform"
-        )
-    return y, warnings
+        for y, count, warn in zip(out, n_classes, warnings):
+            y[stranded] = 1.0 / count
+            warn.append(
+                f"{int(stranded.sum())} nodes unreachable from any seed; set to uniform"
+            )
+    results = list(zip(out, warnings))
+    return results[0] if single else results
 
 
 def predict(probabilities) -> np.ndarray:

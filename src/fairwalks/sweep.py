@@ -52,7 +52,12 @@ class SweepSpec:
         return cls(**data)
 
     def expand(self, base: ExperimentConfig):
-        """All run configs, baselines first. Honors the cartesian flag."""
+        """All distinct run configs, baselines first. Honors the cartesian flag.
+
+        A config that comes up twice (a preset whose (alpha, beta) is also
+        on the grid) is kept once, in its first place; ``cap`` counts the
+        distinct configs.
+        """
         ps = self.ps or [base.p]
         qs = self.qs or [base.q]
         plans = []
@@ -82,6 +87,13 @@ class SweepSpec:
             )
         if not plans:
             plans = [base]
+        # a preset on the grid would otherwise run, and be counted, twice;
+        # plans differ from base only in these fields, so equal keys mean
+        # equal configs (a tuple key costs far less than config_hash)
+        unique = {}
+        for cfg in plans:
+            unique.setdefault((cfg.intervention, cfg.alpha, cfg.beta, cfg.p, cfg.q), cfg)
+        plans = list(unique.values())
         if len(plans) > self.cap:
             raise ValueError(f"sweep expands to {len(plans)} runs, over the cap of {self.cap}")
         return plans

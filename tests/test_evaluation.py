@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairwalks import evaluation
 from fairwalks.evaluation import (
     awareness,
     cross_validate,
@@ -287,3 +288,32 @@ class TestCrossValidate:
         report = cross_validate(vectors, p, folds=2, seed=8)
         if report.disparity == 0.0:
             assert np.all(report.q_mean == report.q_mean[0])
+
+    def test_one_propagate_call_per_fold_with_control(self, monkeypatch):
+        vectors, p = self.embedding_with_groups(seed=2)
+        control = partition(np.arange(len(vectors)) % 2, attribute="parity")
+        calls = []
+        original = evaluation.propagate
+
+        def counted(pg, labels, n_classes, *args):
+            calls.append((np.array(labels), list(n_classes)))
+            return original(pg, labels, n_classes, *args)
+
+        monkeypatch.setattr(evaluation, "propagate", counted)
+        report = cross_validate(vectors, p, control, folds=3, seed=6)
+        assert len(calls) == 3
+        for labels, n_classes in calls:
+            assert labels.shape == (2, len(vectors)) and n_classes == [3, 2]
+            assert ((labels[0] >= 0) == (labels[1] >= 0)).all()
+        assert report.qstar_folds.shape == (3, 3)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"folds": 0}, "folds must be >= 1, got 0"),
+        ({"labeled_fraction": 1.5}, "labeled_fraction .* got 1.5"),
+        ({"labeled_fraction": -0.2}, "labeled_fraction .* got -0.2"),
+        ({"labeled_fraction": 1}, "labeled_fraction .* got 1"),
+    ])
+    def test_invalid_split_settings_rejected(self, kwargs, match):
+        vectors, p = self.embedding_with_groups()
+        with pytest.raises(ValueError, match=match):
+            cross_validate(vectors, p, **kwargs)

@@ -73,6 +73,22 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="dataset source"):
             sbm_config(edges_path="x.edges", attrs_path="x.attrs")
 
+    @pytest.mark.parametrize("overrides, match", [
+        ({"folds": 0}, "folds must be >= 1, got 0"),
+        ({"folds": -3}, "folds must be >= 1, got -3"),
+        ({"labeled_fraction": 1.5}, "labeled_fraction .* got 1.5"),
+        ({"labeled_fraction": -0.2}, "labeled_fraction .* got -0.2"),
+        ({"labeled_fraction": 0.0}, "labeled_fraction .* got 0.0"),
+        ({"labeled_fraction": 1.0}, "labeled_fraction .* got 1.0"),
+    ])
+    def test_evaluation_split_rejected_before_training(self, monkeypatch, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            sbm_config(**overrides)
+        config = sbm_config().replace(**overrides)
+        monkeypatch.setattr(pl.embedding, "train", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(ValueError, match=match):
+            execute(config)
+
     def test_presets(self):
         low = sbm_config().with_preset("low_awareness")
         assert (low.alpha, low.beta) == (0.99, 15.0)

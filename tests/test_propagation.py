@@ -306,3 +306,90 @@ class TestPropagateMatchesFullSweep:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert got_warnings == want_warnings
+
+
+def other_attribute(labels, classes, seed):
+    """Labels of a second attribute, drawn from ``classes``, on the same seeds."""
+    labels = np.asarray(labels)
+    other = np.full_like(labels, -1)
+    seeded = labels >= 0
+    other[seeded] = np.random.default_rng(seed).choice(classes, seeded.sum())
+    return other
+
+
+def sweeps_to_converge(pg, labels, n_classes):
+    """Jacobi sweeps the 1-D call takes before its max change falls below tol."""
+    sweeps = 1
+    while any("converge" in w for w in propagate(pg, labels, n_classes, max_iters=sweeps)[1]):
+        sweeps += 1
+    return sweeps
+
+
+class TestBatchedPropagate:
+    def assert_each_row_matches(self, pg, rows, n_classes, kwargs):
+        got = propagate(pg, np.stack(rows), n_classes, **kwargs)
+        assert len(got) == len(rows)
+        for row, count, (probs, warnings) in zip(rows, n_classes, got):
+            want, want_warnings = propagate(pg, row, count, **kwargs)
+            assert probs.dtype == want.dtype and probs.shape == want.shape
+            assert probs.tobytes() == want.tobytes()
+            assert warnings == want_warnings
+        return got
+
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_pairs_bitwise_equal_to_1d(self, case):
+        pg, labels, n_classes, kwargs = PARITY_CASES[case]
+        other = other_attribute(labels, [0, 1, 2], seed=len(case))
+        self.assert_each_row_matches(pg, [labels, other], [n_classes, 3], kwargs)
+        self.assert_each_row_matches(pg, [other, labels], [3, n_classes], kwargs)
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_either_attribute_converges_first(self, first):
+        pg, labels, n_classes, _ = random_case(0, 2)
+        other = other_attribute(labels, [0, 1, 2, 3], seed=1)
+        rows, counts = [labels, other], [n_classes, 4]
+        sweeps = [sweeps_to_converge(pg, row, c) for row, c in zip(rows, counts)]
+        order = np.argsort(sweeps)
+        assert sweeps[order[0]] < sweeps[order[1]]
+        if order[0] != first:
+            rows, counts = rows[::-1], counts[::-1]
+        self.assert_each_row_matches(pg, rows, counts, {})
+
+    def test_max_iters_one(self):
+        pg, labels, n_classes, kwargs = PARITY_CASES["max-iters-1-random"]
+        other = other_attribute(labels, [0, 1], seed=4)
+        got = self.assert_each_row_matches(pg, [labels, other], [n_classes, 2], kwargs)
+        for _, warnings in got:
+            assert any("did not converge in 1 iterations" in w for w in warnings)
+
+    def test_stranded_nodes(self):
+        pg, labels, n_classes, kwargs = PARITY_CASES["component-without-seed"]
+        other = other_attribute(labels, [0, 1, 2], seed=2)
+        got = self.assert_each_row_matches(pg, [labels, other], [n_classes, 3], kwargs)
+        for (probs, warnings), count in zip(got, [n_classes, 3]):
+            assert any("unreachable" in w for w in warnings)
+            np.testing.assert_array_equal(probs[[8, 9]], 1.0 / count)
+
+    def test_class_without_seed(self):
+        pg, labels, n_classes, kwargs = random_case(2, 3)
+        other = other_attribute(labels, [0, 2], seed=3)
+        (_, warnings), (_, other_warnings) = self.assert_each_row_matches(
+            pg, [labels, other], [n_classes, 4], kwargs
+        )
+        assert not any("no labeled seed" in w for w in warnings)
+        assert other_warnings[:2] == [
+            "class 1 has no labeled seed and cannot be predicted",
+            "class 3 has no labeled seed and cannot be predicted",
+        ]
+
+    def test_rows_with_different_unlabeled_nodes_rejected(self):
+        pg, labels, n_classes, _ = random_case(0, 2)
+        other = other_attribute(labels, [0, 1], seed=0)
+        other[np.flatnonzero(labels < 0)[0]] = 1
+        with pytest.raises(ValueError, match="same nodes unlabeled"):
+            propagate(pg, np.stack([labels, other]), [n_classes, 2])
+
+    def test_one_class_count_per_row(self):
+        pg, labels, n_classes, _ = random_case(0, 2)
+        with pytest.raises(ValueError, match="class counts"):
+            propagate(pg, np.stack([labels, labels]), [n_classes])

@@ -34,5 +34,6 @@ def test_measure_peak_rss_reports_memory_and_stages():
     assert 0 < out["nodes"] <= 120 and out["edges"] > 0
     assert out["ru_maxrss_mb"] >= out["ru_maxrss_import_mb"] > 0
     assert set(out["stage_s"]) == {
-        "dataset", "closeness", "reweight", "walks", "train", "knn_graph", "evaluate",
+        "dataset", "closeness", "reweight", "walks", "train", "knn_graph", "propagate",
+        "evaluate",
     }

@@ -104,6 +104,24 @@ class TestExpand:
         assert len(plans) == 1
         assert (plans[0].alpha, plans[0].beta) == (0.99, 15.0)
 
+    def test_preset_on_the_grid_runs_once(self, tmp_path):
+        spec = SweepSpec(alphas=[0.5, 0.99], betas=[15], presets=["low_awareness"],
+                         include_baseline=False)
+        plans = spec.expand(base_config())
+        assert [(c.alpha, c.beta) for c in plans] == [(0.5, 15.0), (0.99, 15.0)]
+        assert len({c.config_hash() for c in plans}) == 2
+        runner = RecordingRunner()
+        csv_path, _, executed = run_sweep(spec, base_config(), tmp_path, runner=runner)
+        assert executed == len(runner.calls) == 2
+        assert len(read_sweep_table(csv_path)) == 2
+        low = summarize(csv_path)["overall"]["presets"]["low_awareness"]
+        assert low["awareness"]["count"] == 1
+
+    def test_cap_counts_distinct_runs(self):
+        spec = SweepSpec(alphas=[0.5, 0.99], betas=[15], presets=["low_awareness"],
+                         include_baseline=False, cap=2)
+        assert len(spec.expand(base_config())) == 2
+
     def test_unknown_preset_names_the_choices(self):
         spec = SweepSpec(presets=["medium_awareness"])
         with pytest.raises(ValueError, match=r"'medium_awareness'.*high_awareness.*low_awareness"):
