@@ -159,9 +159,9 @@ def cmd_embed(args):
     sentences = walks.load_corpus_tokens(args.corpus)
     vocab = sorted({tok for s in sentences for tok in s}, key=_id_key)
     index = {tok: i for i, tok in enumerate(vocab)}
-    dense = [[index[tok] for tok in s] for s in sentences]
+    paths = walks.pad_walks([[index[tok] for tok in s] for s in sentences])
     matrix = embedding.train(
-        dense, len(vocab), dim=args.dim, window=args.window,
+        paths, len(vocab), dim=args.dim, window=args.window,
         negatives=args.negatives, epochs=args.epochs,
         learning_rate=args.learning_rate, seed=args.seed,
     )

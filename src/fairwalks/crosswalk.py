@@ -73,6 +73,12 @@ def estimate_closeness(
     return BoundaryCloseness(values, walks_per_node, walk_length, seed)
 
 
+def check_beta(beta):
+    """Raise unless beta is finite and >= 0: a NaN passes ``< 0``."""
+    if not (np.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
+
+
 def reweight(
     graph: AttributedGraph,
     partition: GroupPartition,
@@ -93,8 +99,7 @@ def reweight(
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    check_beta(beta)
     n, c = graph.node_count, partition.num_groups
     group = partition.group_of
     rows, nbrs = graph.rows, graph.indices

@@ -5,19 +5,20 @@ positive logit is pushed up and k sampled negative logits are pushed
 down. Negatives are drawn from the unigram distribution raised to 0.75;
 draws equal to the pair's context token are masked out.
 
-Each epoch streams the pairs of the shuffled walks in fixed-size
+The corpus is one int64 array, a walk per row and ``walks.PAD`` past its
+end. Each epoch streams the pairs of the shuffled walks in fixed-size
 mini-batches. Every batch is gathered, differentiated and scattered
 back as one step, so a run is single-threaded and bit-reproducible for
 a fixed seed.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from fairwalks.sampling import AliasTable
 from fairwalks.seeds import rng_for
+from fairwalks.walks import PAD
 
 NEGATIVE_DISTRIBUTION_POWER = 0.75
 FINAL_LR_FRACTION = 0.01
@@ -69,14 +70,9 @@ def embedding_meta(dim, window, negatives, epochs, learning_rate, seed) -> dict:
     }
 
 
-def flatten_walks(walks) -> np.ndarray:
-    """Every token of every walk, in order, as one int64 array."""
-    return np.fromiter(itertools.chain.from_iterable(walks), dtype=np.int64)
-
-
-def build_frequency_table(walks, node_count: int) -> np.ndarray:
-    """Occurrence count of every node over the corpus."""
-    tokens = flatten_walks(walks)
+def build_frequency_table(paths, node_count: int) -> np.ndarray:
+    """Occurrence count of every node over the padded corpus ``paths``."""
+    tokens = paths[paths != PAD]
     if len(tokens) == 0:
         raise ValueError("corpus is empty")
     if tokens.min() < 0 or tokens.max() >= node_count:
@@ -121,20 +117,18 @@ def sgns_pair_loss(center, context, negatives):
 
 
 class PairStream:
-    """The (center, context) pairs of a corpus, batched in any walk order.
+    """The (center, context) pairs of a padded corpus, batched in any walk order.
 
-    The corpus is padded once into a walks x longest-walk array. A
-    position template lists, for the longest walk, every pair within the
+    A position template lists, for the longest walk, every pair within the
     window: offset by offset, first each token with the one ``offset``
     later, then the reverse direction. A walk's pairs are the template
     entries that fit inside it, in template order.
     """
 
-    def __init__(self, walks, window: int):
-        self.lengths = np.fromiter(map(len, walks), dtype=np.int64, count=len(walks))
+    def __init__(self, paths, window: int):
+        self.padded = paths
+        self.lengths = np.count_nonzero(paths != PAD, axis=1)
         self.width = int(self.lengths.max())
-        self.padded = np.zeros((len(walks), self.width), dtype=np.int64)
-        self.padded[np.arange(self.width) < self.lengths[:, None]] = flatten_walks(walks)
         centers, contexts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
         for offset in range(1, min(window, self.width - 1) + 1):
             left = np.arange(self.width - offset)
@@ -275,21 +269,22 @@ def train(
     seed: int = 0,
     batch_size: int = 1024,
 ) -> EmbeddingMatrix:
-    """Train node embeddings over a walk corpus.
+    """Train node embeddings over the padded walk corpus ``walks``.
 
-    Each epoch visits the walks in a seeded shuffle and streams their
-    pairs through batches of ``batch_size`` (the last batch of an epoch
-    may be shorter). The learning rate decays linearly from
-    ``learning_rate`` to 1% of it across all scheduled pairs. A fixed
-    seed gives bit-identical parameters. An epoch whose mean loss is not
-    finite or exceeds ten times an untrained pair's (k + 1) ln 2, or that
-    leaves a parameter non-finite, raises ``TrainingDiverged``.
+    ``walks`` is a ``WalkCorpus.paths`` array (``walks.pad_walks`` makes
+    one from lists) with at least one walk. Each epoch visits the walks
+    in a seeded shuffle and streams their pairs through batches of
+    ``batch_size`` (the last batch of an epoch may be shorter). The
+    learning rate decays linearly from ``learning_rate`` to 1% of it
+    across all scheduled pairs. A fixed seed gives bit-identical
+    parameters. An epoch whose mean loss is not finite or exceeds ten
+    times an untrained pair's (k + 1) ln 2, or that leaves a parameter
+    non-finite, raises ``TrainingDiverged``.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    walks = [w for w in walks if len(w) > 0]
-    if not walks:
-        raise ValueError("corpus is empty")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window!r}")
 
     counts = build_frequency_table(walks, node_count)
     table = AliasTable(negative_distribution(counts))

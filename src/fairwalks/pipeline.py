@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fairwalks import crosswalk, embedding, evaluation, graph as graph_mod, projection, walks
+from fairwalks import (
+    crosswalk, embedding, evaluation, graph as graph_mod, projection, propagation, walks,
+)
 from fairwalks.seeds import derive_seed
 
 PRESETS = {
@@ -106,12 +108,13 @@ class ExperimentConfig:
                 raise ValueError("crosswalk runs require alpha and beta")
             if not 0 < self.alpha < 1:
                 raise ValueError("alpha must lie strictly between 0 and 1")
-            if self.beta < 0:
-                raise ValueError("beta must be >= 0")
+            crosswalk.check_beta(self.beta)
         if self.control_attribute == self.sensitive_attribute:
             raise ValueError("sensitive and control attribute must differ")
-        if self.p <= 0 or self.q <= 0:
-            raise ValueError("p and q must be positive")
+        walks.check_pq(self.p, self.q)
+        if self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window!r}")
+        propagation.check_sigma(self.sigma)
         evaluation.check_split(self.folds, self.labeled_fraction)
         return self
 
@@ -337,7 +340,7 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
                 walk_length=config.walk_length, seed=walk_seed,
             ), source)
         return embedding.train(
-            corpus.walks, g.node_count, dim=config.dim, window=config.window,
+            corpus.paths, g.node_count, dim=config.dim, window=config.window,
             negatives=config.negatives, epochs=config.epochs,
             learning_rate=config.learning_rate, seed=embed_seed,
         ).vectors

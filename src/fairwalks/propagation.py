@@ -50,6 +50,12 @@ class PropagationGraph:
 KNN_BLOCK_CELLS = 1 << 22  # distance entries per row block of build_propagation_graph
 
 
+def check_sigma(sigma):
+    """Raise unless sigma is None (automatic) or finite and positive."""
+    if sigma is not None and not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
+
+
 def build_propagation_graph(vectors, k: int = 10, sigma=None) -> PropagationGraph:
     """Union-kNN graph with RBF edge weights.
 
@@ -69,6 +75,7 @@ def build_propagation_graph(vectors, k: int = 10, sigma=None) -> PropagationGrap
         raise ValueError("need at least 2 points")
     if k < 1:
         raise ValueError("k must be >= 1")
+    check_sigma(sigma)
     k = min(k, n - 1)
 
     sq_norm = np.einsum("ij,ij->i", vectors, vectors)
@@ -101,8 +108,6 @@ def build_propagation_graph(vectors, k: int = 10, sigma=None) -> PropagationGrap
         sigma = float(np.sqrt(kth).mean())
         if sigma == 0.0:
             sigma = 1.0  # all points identical
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
 
     # pairs are in row order, so an edge's first entry is from its lower row
     src, dst, dist = np.concatenate(src), np.concatenate(dst), np.concatenate(dist)

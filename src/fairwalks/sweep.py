@@ -111,22 +111,17 @@ def run_sweep(
     base: ExperimentConfig,
     out_dir,
     workers: int = 1,
-    dry_run: bool = False,
     runner=None,
 ):
     """Execute every expanded config, appending rows to results.csv.
 
-    Returns (csv path, plans, executed count). ``dry_run`` enumerates
-    without executing. A run is skipped when an ok row has its config hash;
+    Returns (csv path, plans, executed count). A run is skipped when an ok row has its config hash;
     rows of an older schema (no hash) are dropped and rerun. Runs are
     serial whatever ``workers`` is: the sweep's work holds the interpreter
     lock, and threads measured slower than one worker.
     """
     plans = spec.expand(base)
     csv_path = os.path.join(out_dir, "results.csv")
-    if dry_run:
-        return csv_path, plans, 0
-
     os.makedirs(out_dir, exist_ok=True)
     done = set()
     if os.path.exists(csv_path):

@@ -24,22 +24,58 @@ class WalkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.p <= 0 or self.q <= 0:
-            raise ValueError("p and q must be positive")
+        check_pq(self.p, self.q)
         if self.walks_per_node < 1 or self.walk_length < 1:
             raise ValueError("walks_per_node and walk_length must be >= 1")
 
 
+def check_pq(p, q):
+    """Raise unless p and q are finite and positive: a NaN passes ``<= 0``."""
+    for name, value in (("p", p), ("q", q)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+PAD = -1  # fills a corpus row past the end of its walk
+
+
 @dataclass
 class WalkCorpus:
-    """Node-ID sequences; the sentences fed to the skip-gram trainer."""
+    """The sentences fed to the skip-gram trainer.
 
-    walks: list
+    ``paths`` holds one walk per row as int64 node IDs, ``PAD`` past the
+    walk's end; only a walk from an isolated root ends early.
+    """
+
+    paths: np.ndarray
     config: WalkConfig
     source: str  # "baseline" or "crosswalk(alpha=..., beta=...)"
 
     def __len__(self):
-        return len(self.walks)
+        return len(self.paths)
+
+    @property
+    def walks(self) -> list:
+        """Each walk as a list of node IDs, padding trimmed."""
+        return list(_trimmed(self.paths))
+
+
+def _trimmed(paths):
+    """Yield the rows of ``paths`` one at a time as lists without ``PAD``."""
+    for row in paths:
+        walk = row.tolist()
+        if walk[-1] == PAD:
+            del walk[walk.index(PAD):]
+        yield walk
+
+
+def pad_walks(walks) -> np.ndarray:
+    """Ragged walks as a corpus array, ``PAD`` past each end; empty walks are dropped."""
+    walks = [walk for walk in walks if len(walk)]
+    paths = np.full((len(walks), max(map(len, walks), default=0)), PAD, dtype=np.int64)
+    for row, walk in zip(paths, walks):
+        row[: len(walk)] = walk
+    return paths
 
 
 @dataclass
@@ -133,6 +169,10 @@ def generate_walks(
 ) -> WalkCorpus:
     """Run ``walks_per_node`` rooted walks from every node.
 
+    The corpus ``paths`` is one (walks x (walk_length + 1)) int64 array
+    with the root in column 0. Rows are symmetric, so only a walk from an
+    isolated root stops early: its row is the root, then ``PAD``.
+
     Each walk's randomness is seeded from (seed, root, walk index), so the
     corpus content is reproducible and independent of scheduling; root
     order is reshuffled every round, which only affects corpus ordering.
@@ -152,16 +192,6 @@ def generate_walks(
     proportion to how often each directed edge is crossed, which is live
     walkers x (walk_length - 1) / 2m.
     """
-    path, isolated = _walk_paths(weights, config)  # frees the table and draws before tolist
-    walks = path.tolist()
-    for i in np.flatnonzero(isolated).tolist():
-        walks[i] = walks[i][:1]
-    return WalkCorpus(walks, config, source)
-
-
-def _walk_paths(weights: TransitionWeights, config: WalkConfig):
-    """(walks x (length + 1)) node array of ``generate_walks`` and the mask
-    of walks from isolated roots, whose rows past the root are unset."""
     n = weights.node_count
     if n == 0:
         raise ValueError("empty graph")
@@ -173,15 +203,13 @@ def _walk_paths(weights: TransitionWeights, config: WalkConfig):
     for i, root in enumerate(roots.tolist()):
         draws[i] = rng_for(config.seed, "walk", root, i // n).random(length)
     indptr, indices = weights.indptr, weights.indices
-    path = np.empty((len(roots), length + 1), dtype=np.int64)
-    path[:, 0] = roots
-    # rows are symmetric, so only a walk from an isolated root ever stops
-    isolated = np.diff(indptr)[roots] == 0
-    live = np.flatnonzero(~isolated)
+    paths = np.full((len(roots), length + 1), PAD, dtype=np.int64)
+    paths[:, 0] = roots
+    live = np.flatnonzero(np.diff(indptr)[roots] > 0)
 
     cum = cumsum_by_row(weights.probs, indptr)  # first-order running sums
     slots = draw_slots(cum, indptr, roots[live], draws[live, 0])
-    path[live, 1] = indices[slots]
+    paths[live, 1] = indices[slots]
     second_order = p != 1.0 or q != 1.0
     if second_order:
         keys = _edge_keys(weights)
@@ -197,18 +225,15 @@ def _walk_paths(weights: TransitionWeights, config: WalkConfig):
             slots = indptr[cur] + draw_slots(table, start, edge, u) - start[edge]
         else:
             slots = draw_slots(cum, indptr, cur, u)
-        path[live, step + 1] = indices[slots]
-    return path, isolated
+        paths[live, step + 1] = indices[slots]
+    return WalkCorpus(paths, config, source)
 
 
-def save_corpus(corpus: WalkCorpus, path, original_ids=None):
-    """One walk per line, space-separated node tokens."""
+def save_corpus(corpus: WalkCorpus, path, original_ids):
+    """One walk per line, its nodes' original IDs separated by spaces."""
     with open(path, "w") as f:
-        for walk in corpus.walks:
-            if original_ids is not None:
-                f.write(" ".join(original_ids[v] for v in walk) + "\n")
-            else:
-                f.write(" ".join(str(v) for v in walk) + "\n")
+        for walk in _trimmed(corpus.paths):
+            f.write(" ".join([original_ids[v] for v in walk]) + "\n")
 
 
 def load_corpus_tokens(path):

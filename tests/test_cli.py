@@ -58,6 +58,15 @@ class TestStageVerbs:
         assert 0 <= report["awareness"] <= 1
         assert len((d / "pca.csv").read_text().splitlines()) == 1 + g.node_count
 
+    def test_walk_with_nan_p_exits_1(self, dataset, capsys):
+        d = dataset
+        assert main([
+            "walk", "--edges", str(d / "g.edges"), "--attrs", str(d / "g.attrs"),
+            "--p", "nan", "--out", str(d / "nan_corpus.txt"),
+        ]) == 1
+        assert "p must be finite and positive, got nan" in capsys.readouterr().err
+        assert not (d / "nan_corpus.txt").exists()
+
     def test_baseline_walk_without_bias(self, dataset):
         d = dataset
         assert main([

@@ -214,6 +214,9 @@ class TestReweight:
             reweight(g, p, m, alpha=0.0, beta=1.0)
         with pytest.raises(ValueError):
             reweight(g, p, m, alpha=0.5, beta=-1.0)
+        for beta in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"beta must be finite and >= 0, got {beta}"):
+                reweight(g, p, m, alpha=0.5, beta=beta)
 
 
 @st.composite

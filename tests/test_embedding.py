@@ -22,13 +22,19 @@ from fairwalks.graph import generate_sbm
 from fairwalks.pipeline import build_dataset
 from fairwalks.sampling import AliasTable
 from fairwalks.seeds import rng_for
-from fairwalks.walks import TransitionWeights, WalkConfig, generate_walks
+from fairwalks.walks import (
+    PAD,
+    TransitionWeights,
+    WalkConfig,
+    generate_walks,
+    pad_walks,
+)
 from tests.test_acceptance import acceptance_config
 
 
 class TestFrequencyTable:
     def test_counts(self):
-        counts = build_frequency_table([[0, 1, 0]], node_count=2)
+        counts = build_frequency_table(pad_walks([[0, 1, 0]]), node_count=2)
         assert counts.tolist() == [2, 1]
 
     def test_uniform_counts_give_uniform_distribution(self):
@@ -123,29 +129,35 @@ def clique_pair_corpus(seed=0, clique=12, walks_per_node=6, walk_length=15):
 class TestTrain:
     def test_zero_epochs_returns_initialization(self):
         corpus, n, _ = clique_pair_corpus()
-        m1 = train(corpus.walks, n, dim=8, epochs=0, seed=7)
-        m2 = train(corpus.walks, n, dim=8, epochs=0, seed=7)
+        m1 = train(corpus.paths, n, dim=8, epochs=0, seed=7)
+        m2 = train(corpus.paths, n, dim=8, epochs=0, seed=7)
         assert np.array_equal(m1.vectors, m2.vectors)
         assert np.all(m1.context_vectors == 0)
         assert np.all(np.abs(m1.vectors) <= 0.5 / 8)
 
     def test_exact_mode_deterministic(self):
         corpus, n, _ = clique_pair_corpus()
-        m1 = train(corpus.walks, n, dim=8, epochs=2, seed=3)
-        m2 = train(corpus.walks, n, dim=8, epochs=2, seed=3)
+        m1 = train(corpus.paths, n, dim=8, epochs=2, seed=3)
+        m2 = train(corpus.paths, n, dim=8, epochs=2, seed=3)
         assert np.array_equal(m1.vectors, m2.vectors)
         assert np.array_equal(m1.context_vectors, m2.context_vectors)
 
     def test_loss_decreases_by_epoch_five(self):
         corpus, n, _ = clique_pair_corpus()
-        m = train(corpus.walks, n, dim=16, epochs=5, seed=1)
+        m = train(corpus.paths, n, dim=16, epochs=5, seed=1)
         losses = m.meta["epoch_mean_loss"]
         assert losses[4] < losses[0]
+
+    def test_window_below_one_rejected(self):
+        corpus, n, _ = clique_pair_corpus()
+        for window in (0, -2):
+            with pytest.raises(ValueError, match=f"window must be >= 1, got {window}"):
+                train(corpus.paths, n, dim=8, window=window)
 
     def test_repeated_pair_walk_monotone_loss(self):
         walks = [[0, 1]] * 50
         m = train(
-            walks, 2, dim=4, window=2, negatives=2, epochs=10,
+            pad_walks(walks), 2, dim=4, window=2, negatives=2, epochs=10,
             learning_rate=0.05, seed=2,
         )
         losses = m.meta["epoch_mean_loss"]
@@ -153,7 +165,7 @@ class TestTrain:
 
     def test_cliques_separate_in_cosine_similarity(self):
         corpus, n, clique = clique_pair_corpus(seed=5)
-        m = train(corpus.walks, n, dim=16, epochs=5, seed=5)
+        m = train(corpus.paths, n, dim=16, epochs=5, seed=5)
         vecs = m.vectors / np.linalg.norm(m.vectors, axis=1, keepdims=True)
         sims = vecs @ vecs.T
         mask_a = np.arange(n) < clique
@@ -167,7 +179,7 @@ class TestTrain:
         g, _ = generate_sbm([60, 60], 0.2, 0.01, seed=17)
         tw = TransitionWeights.from_graph(g)
         corpus = generate_walks(tw, WalkConfig(walks_per_node=8, walk_length=20, seed=17))
-        m = train(corpus.walks, g.node_count, dim=16, window=5, epochs=3, seed=17)
+        m = train(corpus.paths, g.node_count, dim=16, window=5, epochs=3, seed=17)
         blocks = np.array([int(b[5:]) for b in g.attributes["block"]])
         vecs = m.vectors / np.linalg.norm(m.vectors, axis=1, keepdims=True)
         sims = vecs @ vecs.T
@@ -203,7 +215,7 @@ class TestPairStream:
     def test_matches_per_walk_reference(self, window):
         walks = mixed_walks()
         order = np.random.default_rng(window).permutation(len(walks))
-        stream = PairStream(walks, window)
+        stream = PairStream(pad_walks(walks), window)
         batches = list(stream.batches(order, 37))
         expected = [reference_pairs(walks[i], window) for i in order]
         for got, want in zip(
@@ -213,15 +225,26 @@ class TestPairStream:
             np.testing.assert_array_equal(got, want)
         assert stream.pairs == sum(len(e[0]) for e in expected)
 
+    def test_extra_pad_columns_change_nothing(self):
+        paths = pad_walks(mixed_walks(seed=3))
+        wider = np.hstack([paths, np.full((len(paths), 4), PAD)])
+        order = np.random.default_rng(3).permutation(len(paths))
+        stream, wide = PairStream(paths, 5), PairStream(wider, 5)
+        assert wide.pairs == stream.pairs
+        for (c1, x1), (c2, x2) in zip(stream.batches(order, 29), wide.batches(order, 29),
+                                      strict=True):
+            np.testing.assert_array_equal(c1, c2)
+            np.testing.assert_array_equal(x1, x2)
+
     def test_length_one_walks_have_no_pairs(self):
-        stream = PairStream([[3], [1], [2]], window=5)
+        stream = PairStream(pad_walks([[3], [1], [2]]), window=5)
         assert stream.pairs == 0
         assert list(stream.batches(np.arange(3), 8)) == []
 
     @pytest.mark.parametrize("block_pairs", [1, 50, 1 << 20])
     def test_full_batches_but_the_last(self, monkeypatch, block_pairs):
         monkeypatch.setattr(embedding_mod, "BLOCK_PAIRS", block_pairs)
-        stream = PairStream(mixed_walks(seed=1), window=4)
+        stream = PairStream(pad_walks(mixed_walks(seed=1)), window=4)
         sizes = [len(c) for c, _ in stream.batches(np.arange(123), 64)]
         assert all(size == 64 for size in sizes[:-1])
         assert 0 < sizes[-1] <= 64
@@ -229,10 +252,10 @@ class TestPairStream:
 
     def test_block_size_leaves_vectors_bitwise_identical(self, monkeypatch):
         corpus, n, _ = clique_pair_corpus(seed=4)
-        reference = train(corpus.walks, n, dim=8, epochs=2, seed=4)
+        reference = train(corpus.paths, n, dim=8, epochs=2, seed=4)
         for block_pairs in (1, 333, 1 << 24):
             monkeypatch.setattr(embedding_mod, "BLOCK_PAIRS", block_pairs)
-            m = train(corpus.walks, n, dim=8, epochs=2, seed=4)
+            m = train(corpus.paths, n, dim=8, epochs=2, seed=4)
             assert np.array_equal(m.vectors, reference.vectors)
             assert np.array_equal(m.context_vectors, reference.context_vectors)
             assert m.meta["epoch_mean_loss"] == reference.meta["epoch_mean_loss"]
@@ -295,7 +318,7 @@ def reference_train(walks, node_count, dim, window, negatives, epochs, learning_
                     batch_size):
     """SGNS with separate input and context matrices: two gathers and two
     scatters per batch. Returns (vectors, context vectors, epoch losses)."""
-    walks = [w for w in walks if len(w) > 0]
+    walks = pad_walks(walks)
     table = AliasTable(negative_distribution(build_frequency_table(walks, node_count)))
     stream = PairStream(walks, window)
     w_in = (rng_for(seed, "init").random((node_count, dim)) - 0.5) / dim
@@ -349,8 +372,9 @@ class TestAgainstReferenceTrainer:
         ],
     )
     def test_bitwise_equal(self, walks, n, kwargs):
-        assert PairStream(walks, kwargs["window"]).pairs % max(8, min(kwargs["batch_size"], n))
-        m = train(walks, n, epochs=3, learning_rate=0.05, seed=4, **kwargs)
+        paths = pad_walks(walks)
+        assert PairStream(paths, kwargs["window"]).pairs % max(8, min(kwargs["batch_size"], n))
+        m = train(paths, n, epochs=3, learning_rate=0.05, seed=4, **kwargs)
         w_in, w_out, losses = reference_train(
             walks, n, epochs=3, learning_rate=0.05, seed=4, **kwargs
         )
@@ -360,7 +384,7 @@ class TestAgainstReferenceTrainer:
 
     def test_acceptance_walks_bitwise_equal(self):
         corpus, n = acceptance_walks(walks_per_node=1)
-        m = train(corpus.walks, n, dim=16, epochs=1, seed=1)
+        m = train(corpus.paths, n, dim=16, epochs=1, seed=1)
         w_in, w_out, losses = reference_train(
             corpus.walks, n, dim=16, window=5, negatives=5, epochs=1, learning_rate=0.025,
             seed=1, batch_size=1024,
@@ -374,11 +398,11 @@ class TestDivergence:
     def test_exploding_loss_raises(self):
         corpus, n = acceptance_walks(walks_per_node=2)
         with pytest.raises(TrainingDiverged, match=r"epoch 0 .*learning rate \(currently 0.5\)"):
-            train(corpus.walks, n, dim=32, epochs=2, learning_rate=0.5, seed=1)
+            train(corpus.paths, n, dim=32, epochs=2, learning_rate=0.5, seed=1)
 
     def test_recovering_loss_passes(self):
         corpus, n = acceptance_walks(walks_per_node=2)
-        m = train(corpus.walks, n, dim=32, epochs=2, learning_rate=0.2, seed=1)
+        m = train(corpus.paths, n, dim=32, epochs=2, learning_rate=0.2, seed=1)
         first, last = m.meta["epoch_mean_loss"]
         assert first > 6 * math.log(2) > last
 

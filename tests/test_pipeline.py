@@ -89,6 +89,22 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=match):
             execute(config)
 
+    @pytest.mark.parametrize("overrides, match", [
+        ({"p": float("nan")}, "p must be finite and positive, got nan"),
+        ({"q": float("inf")}, "q must be finite and positive, got inf"),
+        ({"q": 0.0}, "q must be finite and positive, got 0.0"),
+        ({"intervention": "crosswalk", "alpha": 0.5, "beta": float("nan")},
+         "beta must be finite and >= 0, got nan"),
+        ({"intervention": "crosswalk", "alpha": 0.5, "beta": -1.0},
+         "beta must be finite and >= 0, got -1.0"),
+        ({"sigma": float("nan")}, "sigma must be finite and positive, got nan"),
+        ({"sigma": 0.0}, "sigma must be finite and positive, got 0.0"),
+        ({"window": 0}, "window must be >= 1, got 0"),
+    ])
+    def test_silent_garbage_settings_rejected(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            sbm_config(**overrides)
+
     def test_presets(self):
         low = sbm_config().with_preset("low_awareness")
         assert (low.alpha, low.beta) == (0.99, 15.0)
@@ -218,6 +234,12 @@ class TestExecute:
             execute(sbm_config(intervention="crosswalk", alpha=0.5, beta=2.0))
         assert info.value.stage == stage
         assert info.value.cause is cause
+
+    def test_execute_and_train_never_read_the_walks_property(self, monkeypatch):
+        # no cache: every stage runs, training included
+        monkeypatch.setattr(walks.WalkCorpus, "walks", property(lambda self: pytest.fail("read")))
+        report = execute(sbm_config(intervention="crosswalk", alpha=0.5, beta=2.0)).report
+        assert np.isfinite(report.awareness)
 
     def test_execute_keeps_only_the_input_side(self, tmp_path):
         # cold and warm runs alike: no n x d block of zeros for the context side

@@ -200,6 +200,11 @@ class TestBuildPropagationGraph:
     def test_up_to_2048_points_are_one_block(self):
         assert propagation_mod.KNN_BLOCK_CELLS // 2048 == 2048
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_sigma_must_be_finite_and_positive(self, sigma):
+        with pytest.raises(ValueError, match=f"sigma must be finite and positive, got {sigma}"):
+            build_propagation_graph(np.arange(8.0).reshape(4, 2), k=1, sigma=sigma)
+
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             build_propagation_graph(np.zeros((1, 2)), k=1)

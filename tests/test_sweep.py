@@ -184,15 +184,6 @@ class TestRunSweep:
         run_sweep(spec, base_config(), tmp_path, runner=rerun)
         assert rerun.calls == ["crosswalk_a0.5_b1_p1_q1"]
 
-    def test_dry_run_executes_nothing(self, tmp_path):
-        runner = RecordingRunner()
-        _, plans, executed = run_sweep(
-            SweepSpec.reference_grid(), base_config(), tmp_path, dry_run=True, runner=runner
-        )
-        assert executed == 0
-        assert runner.calls == []
-        assert len(plans) == 900
-
     def test_parallel_workers_complete(self, tmp_path):
         spec = SweepSpec(alphas=[0.25, 0.75], betas=[1.0, 2.0])
         runner = RecordingRunner()

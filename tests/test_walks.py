@@ -7,6 +7,7 @@ from fairwalks import walks
 from fairwalks.graph import draw_slots, generate_sbm
 from fairwalks.seeds import rng_for
 from fairwalks.walks import (
+    PAD,
     TransitionWeights,
     WalkConfig,
     WalkCorpus,
@@ -14,6 +15,7 @@ from fairwalks.walks import (
     _fill_edges,
     generate_walks,
     load_corpus_tokens,
+    pad_walks,
     save_corpus,
     transition_distribution,
 )
@@ -242,9 +244,42 @@ class TestGenerateWalks:
         assert generate_walks(tw, config).walks == expected
 
 
+class TestPaddedCorpus:
+    def test_isolated_root_row_is_root_then_pad(self, tmp_path):
+        g = REFERENCE_GRAPHS["isolated_node"]()
+        corpus = generate_walks(TransitionWeights.from_graph(g), WalkConfig(walk_length=4, seed=3))
+        assert corpus.paths.shape == (10 * g.node_count, 5)
+        path = tmp_path / "corpus.txt"
+        save_corpus(corpus, path, original_ids=g.original_ids)
+        lines = path.read_text().splitlines()
+        for row, walk, line in zip(corpus.paths.tolist(), corpus.walks, lines, strict=True):
+            if row[0] in (4, 5):  # the isolated nodes
+                assert row == [row[0]] + [PAD] * 4
+                assert walk == [row[0]]
+                assert line == g.original_ids[row[0]]
+            else:
+                assert PAD not in row
+                assert walk == row
+                assert line.split() == [g.original_ids[v] for v in walk]
+
+    def test_pad_walks_drops_empty_walks(self):
+        paths = pad_walks([[3, 1], [], [2], [0, 1, 2]])
+        assert paths.dtype == np.int64
+        assert paths.tolist() == [[3, 1, PAD], [2, PAD, PAD], [0, 1, 2]]
+        assert pad_walks([]).shape == (0, 0)
+
+
+class TestWalkConfig:
+    @pytest.mark.parametrize("field", ["p", "q"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_p_and_q_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive, got {value}"):
+            WalkConfig(**{field: value})
+
+
 class TestCorpusIO:
     def test_round_trip_with_ids(self, tmp_path):
-        corpus = WalkCorpus([[0, 1, 0], [1, 0, 1]], WalkConfig(seed=0), "baseline")
+        corpus = WalkCorpus(pad_walks([[0, 1, 0], [1, 0, 1]]), WalkConfig(seed=0), "baseline")
         path = tmp_path / "corpus.txt"
         save_corpus(corpus, path, original_ids=["a", "b"])
         assert load_corpus_tokens(path) == [["a", "b", "a"], ["b", "a", "b"]]
