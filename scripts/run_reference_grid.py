@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 
+from fairwalks.graph import atomic_writer
 from fairwalks.pipeline import ExperimentConfig
 from fairwalks.sweep import SweepSpec, run_sweep, summarize
 
@@ -58,7 +59,7 @@ def main():
 
     summary = summarize(csv_path)
     summary_path = os.path.join(args.out_dir, "summary.json")
-    with open(summary_path, "w") as f:
+    with atomic_writer(summary_path) as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"summary at {summary_path}")

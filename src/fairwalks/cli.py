@@ -12,7 +12,7 @@ import sys
 
 from fairwalks import crosswalk, embedding, evaluation, projection, walks
 from fairwalks import graph as graph_mod
-from fairwalks.graph import GroupPartition, _id_key
+from fairwalks.graph import GroupPartition, _id_key, atomic_writer
 from fairwalks.pipeline import PRESETS, ExperimentConfig, run_experiment
 from fairwalks.sweep import SweepSpec, run_sweep, summarize
 
@@ -97,7 +97,7 @@ def cmd_summarize(args):
     summary = summarize(args.table, buckets=args.buckets)
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as f:
+        with atomic_writer(args.out) as f:
             f.write(text)
         print(f"summary written to {args.out}")
     else:
@@ -119,7 +119,7 @@ def cmd_gen_sbm(args):
     graph_mod.save_graph(g, args.out_edges, args.out_attrs)
     text = json.dumps(summary, indent=2, sort_keys=True)
     if args.summary:
-        with open(args.summary, "w") as f:
+        with atomic_writer(args.summary) as f:
             f.write(text + "\n")
     print(text)
     return 0
@@ -192,7 +192,7 @@ def cmd_eval(args):
         folds=args.folds, labeled_fraction=args.labeled_fraction,
         k=args.knn_k, sigma=args.sigma, seed=args.seed,
     )
-    with open(args.out, "w") as f:
+    with atomic_writer(args.out) as f:
         f.write(report.to_json())
     if args.pca_out:
         coords = projection.pca_2d(vectors)

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fairwalks.graph import AttributedGraph, GroupPartition, cumsum_by_row, draw_slots
+from fairwalks.graph import (
+    AttributedGraph, GroupPartition, atomic_writer, cumsum_by_row, draw_slots,
+)
 from fairwalks.seeds import rng_for
 from fairwalks.walks import TransitionWeights
 
@@ -123,7 +125,7 @@ def save_biased(weights: TransitionWeights, path):
     g = weights.graph
     ids = g.original_ids
     lines = zip(g.rows.tolist(), g.indices.tolist(), weights.probs.tolist())
-    with open(path, "w") as f:
+    with atomic_writer(path) as f:
         f.write(f"# alpha={weights.alpha!r} beta={weights.beta!r}\n")
         f.writelines(f"{ids[v]}\t{ids[u]}\t{p!r}\n" for v, u, p in lines)
 

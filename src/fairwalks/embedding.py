@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fairwalks.graph import atomic_writer
 from fairwalks.sampling import AliasTable
 from fairwalks.seeds import rng_for
 from fairwalks.walks import PAD
@@ -323,7 +324,7 @@ def save_embeddings(matrix: EmbeddingMatrix, path, tokens=None):
     n, dim = matrix.vectors.shape
     if tokens is None:
         tokens = [str(i) for i in range(n)]
-    with open(path, "w") as f:
+    with atomic_writer(path) as f:
         f.write(f"{n} {dim}\n")
         for tok, row in zip(tokens, matrix.vectors.tolist()):
             f.write(tok + " " + " ".join(map(repr, row)) + "\n")

@@ -12,6 +12,9 @@ File formats:
               one row per node
 """
 
+import contextlib
+import os
+import shutil
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -20,6 +23,26 @@ import numpy as np
 
 class GraphFormatError(ValueError):
     """Malformed input file; message carries the offending line number."""
+
+
+@contextlib.contextmanager
+def atomic_writer(path, mode="w"):
+    """A temp file beside ``path`` that replaces it only when the block
+    completes, so whatever interrupts it, ``path`` holds the old bytes or all
+    the new ones. A new file gets plain ``open``'s mode (0666 minus the umask),
+    a replaced file keeps its own, and a symlink's target gets the bytes."""
+    path = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(path), f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, mode) as f:
+            yield f
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 @dataclass
@@ -299,11 +322,11 @@ def load_graph(edge_path, attr_path) -> AttributedGraph:
 def save_graph(graph: AttributedGraph, edge_path, attr_path):
     """Write the graph back in the ingestion formats (lossless round trip)."""
     ids = graph.original_ids
-    with open(edge_path, "w") as f:
+    with atomic_writer(edge_path) as f:
         for (u, v), w in zip(graph.edge_index, graph.edge_weight):
             f.write(f"{ids[u]}\t{ids[v]}\t{float(w)!r}\n")
     names = list(graph.attributes)
-    with open(attr_path, "w") as f:
+    with atomic_writer(attr_path) as f:
         f.write("node\t" + "\t".join(names) + "\n")
         for i, nid in enumerate(ids):
             row = [graph.attributes[name][i] for name in names]

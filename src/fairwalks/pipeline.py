@@ -17,8 +17,6 @@ import hashlib
 import io
 import json
 import os
-import shutil
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +24,7 @@ import numpy as np
 from fairwalks import (
     crosswalk, embedding, evaluation, graph as graph_mod, projection, propagation, walks,
 )
+from fairwalks.graph import atomic_writer
 from fairwalks.seeds import derive_seed
 
 PRESETS = {
@@ -135,7 +134,7 @@ class ExperimentConfig:
             return cls.from_dict(json.load(f))
 
     def save(self, path):
-        with open(path, "w") as f:
+        with atomic_writer(path) as f:
             json.dump(self.to_dict(), f, indent=2, sort_keys=True)
             f.write("\n")
 
@@ -183,23 +182,6 @@ class ArtifactCache:
         # a handle, because np.save appends .npy to bare file names
         with atomic_writer(path, "wb") as f:
             np.save(f, array, allow_pickle=False)
-
-
-@contextlib.contextmanager
-def atomic_writer(path, mode="w"):
-    """A temp file beside ``path`` that replaces it only when the block
-    completes, so an interrupted write never reaches ``path``. A replaced
-    file keeps its permission bits."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, mode) as f:
-            yield f
-        if os.path.exists(path):
-            shutil.copymode(path, tmp)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def _hash_key(*parts) -> str:
@@ -436,40 +418,20 @@ def run_experiment(config: ExperimentConfig, out_dir, cache_dir=None):
     """Execute the pipeline and write the result artifacts.
 
     Writes report.json, report_row.csv, embeddings.txt, and pca.csv under
-    ``out_dir``. On failure, partially written artifacts are removed and a
-    StageError naming the failed stage propagates.
+    ``out_dir``, each through ``atomic_writer`` once every artifact has been
+    computed. On failure a StageError naming the failed stage propagates,
+    and each file is either as it was before or complete.
     """
     result = execute(config, cache_dir=cache_dir)
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    try:
-        report_path = os.path.join(out_dir, "report.json")
-        written.append(report_path)
-        with open(report_path, "w") as f:
-            f.write(result.report.to_json())
-
-        row_path = os.path.join(out_dir, "report_row.csv")
-        written.append(row_path)
-        with open(row_path, "w") as f:
-            f.write(csv_header_line())
-            f.write(report_csv_line(config, result.report))
-
-        emb_path = os.path.join(out_dir, "embeddings.txt")
-        written.append(emb_path)
-        embedding.save_embeddings(result.matrix, emb_path, tokens=result.graph.original_ids)
-
-        pca_path = os.path.join(out_dir, "pca.csv")
-        written.append(pca_path)
+    ids = result.graph.original_ids
+    with _stage("artifacts"):
         coords = projection.pca_2d(result.matrix.vectors)
-        groups = [
-            result.sensitive.group_labels[i] for i in result.sensitive.group_of
-        ]
-        projection.write_projection_csv(
-            pca_path, result.graph.original_ids, coords, groups
-        )
-    except Exception as exc:
-        for path in written:
-            if os.path.exists(path):
-                os.unlink(path)
-        raise StageError("artifacts", exc) from exc
+        groups = [result.sensitive.group_labels[i] for i in result.sensitive.group_of]
+        row = csv_header_line() + report_csv_line(config, result.report)
+        for name, text in (("report.json", result.report.to_json()), ("report_row.csv", row)):
+            with atomic_writer(os.path.join(out_dir, name)) as f:
+                f.write(text)
+        embedding.save_embeddings(result.matrix, os.path.join(out_dir, "embeddings.txt"), ids)
+        projection.write_projection_csv(os.path.join(out_dir, "pca.csv"), ids, coords, groups)
     return result.report

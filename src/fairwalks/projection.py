@@ -1,6 +1,10 @@
 """Two-component PCA, for plot-ready projections."""
 
+import csv
+
 import numpy as np
+
+from fairwalks.graph import atomic_writer
 
 
 def pca_2d(vectors) -> np.ndarray:
@@ -21,8 +25,9 @@ def pca_2d(vectors) -> np.ndarray:
 
 
 def write_projection_csv(path, tokens, coords, groups):
-    """CSV ``node_id,x,y,group`` for external plotting."""
-    with open(path, "w") as f:
-        f.write("node_id,x,y,group\n")
+    """CSV ``node_id,x,y,group`` for external plotting, fields quoted as needed."""
+    with atomic_writer(path) as f:
+        out = csv.writer(f, lineterminator="\n")
+        out.writerow(("node_id", "x", "y", "group"))
         for tok, (x, y), grp in zip(tokens, coords, groups):
-            f.write(f"{tok},{float(x)!r},{float(y)!r},{grp}\n")
+            out.writerow((tok, repr(float(x)), repr(float(y)), grp))

@@ -7,14 +7,16 @@ a completed row, so nothing but missing or failed runs is recomputed.
 """
 
 import csv
+import io
 import json
 import os
 from dataclasses import dataclass, field
 from itertools import product
 
+from fairwalks.graph import atomic_writer
 from fairwalks.pipeline import (  # the row format lives in pipeline and is re-exported
     LIST_SEP, PRESETS, SWEEP_COLUMNS, SWEEP_SCHEMA_VERSION, ExperimentConfig, StageError,
-    _row_line, atomic_writer, csv_header_line, execute, report_csv_line,
+    _row_line, csv_header_line, execute, report_csv_line,
 )
 
 
@@ -100,10 +102,12 @@ class SweepSpec:
 
 
 def read_sweep_table(path):
-    """Rows of the results CSV as dicts keyed by column name."""
+    """Rows of the results CSV as dicts keyed by column name, less a last
+    row that an interrupted append cut off before its newline."""
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        return list(reader)
+        text = f.read()
+    rows = list(csv.DictReader(io.StringIO(text)))
+    return rows[:-1] if rows and not text.endswith("\n") else rows
 
 
 def run_sweep(
@@ -115,28 +119,27 @@ def run_sweep(
 ):
     """Execute every expanded config, appending rows to results.csv.
 
-    Returns (csv path, plans, executed count). A run is skipped when an ok row has its config hash;
-    rows of an older schema (no hash) are dropped and rerun. Runs are
-    serial whatever ``workers`` is: the sweep's work holds the interpreter
-    lock, and threads measured slower than one worker.
+    Returns (csv path, plans, executed count). The header and the kept ok
+    rows are rewritten through ``atomic_writer``, then each run appends its
+    row. A run is skipped when an ok row has its config hash; error rows, a
+    partial last row and rows of an older schema (no hash) are dropped and
+    rerun. Runs are serial whatever ``workers`` is: the sweep's work holds
+    the interpreter lock, and threads measured slower than one worker.
     """
     plans = spec.expand(base)
     csv_path = os.path.join(out_dir, "results.csv")
     os.makedirs(out_dir, exist_ok=True)
-    done = set()
+    existing = []
     if os.path.exists(csv_path):
         # error and old-schema rows are dropped here so they get retried below
         existing = [row for row in read_sweep_table(csv_path) if row["status"] == "ok"
                     and row["schema_version"] == str(SWEEP_SCHEMA_VERSION)]
-        done = {row["config_hash"] for row in existing}
-        # an interrupted rewrite must leave the old table, not lose its rows
-        with atomic_writer(csv_path) as f:
-            f.write(csv_header_line())
-            for row in existing:
-                f.write(_row_line(row))
-    else:
-        with open(csv_path, "w") as f:
-            f.write(csv_header_line())
+    done = {row["config_hash"] for row in existing}
+    # an interrupted rewrite must leave the old table, not lose its rows
+    with atomic_writer(csv_path) as f:
+        f.write(csv_header_line())
+        for row in existing:
+            f.write(_row_line(row))
 
     cache_dir = os.path.join(out_dir, "cache")
     if runner is None:
@@ -232,6 +235,8 @@ def _aggregate(rows, buckets):
 
 def summarize(csv_path, buckets: int = 3) -> dict:
     """Aggregate a sweep table into per-dataset and overall summaries."""
+    if not buckets >= 1:
+        raise ValueError(f"buckets must be >= 1, got {buckets!r}")
     rows = [r for r in read_sweep_table(csv_path) if r["status"] == "ok"]
     if not rows:
         raise ValueError(f"{csv_path}: no successful rows to summarize")

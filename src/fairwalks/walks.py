@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fairwalks.graph import AttributedGraph, cumsum_by_row, draw_slots, fill_spans
+from fairwalks.graph import AttributedGraph, atomic_writer, cumsum_by_row, draw_slots, fill_spans
 from fairwalks.seeds import rng_for
 
 
@@ -231,7 +231,7 @@ def generate_walks(
 
 def save_corpus(corpus: WalkCorpus, path, original_ids):
     """One walk per line, its nodes' original IDs separated by spaces."""
-    with open(path, "w") as f:
+    with atomic_writer(path) as f:
         for walk in _trimmed(corpus.paths):
             f.write(" ".join([original_ids[v] for v in walk]) + "\n")
 

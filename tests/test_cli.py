@@ -169,3 +169,14 @@ class TestSweepVerb:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["rows"] == 2
         assert "mini" in summary["datasets"]
+
+    @pytest.mark.parametrize("buckets", ["0", "-1"])
+    def test_summarize_rejects_bucket_count_below_one(self, tmp_path, capsys, buckets):
+        table = tmp_path / "results.csv"
+        table.write_text("schema_version,status\n2,ok\n")
+        assert main([
+            "summarize", "--table", str(table), "--buckets", buckets,
+            "--out", str(tmp_path / "summary.json"),
+        ]) == 1
+        assert f"buckets must be >= 1, got {buckets}" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -15,7 +16,7 @@ from fairwalks.pipeline import (
     execute,
     run_experiment,
 )
-from fairwalks.projection import pca_2d
+from fairwalks.projection import pca_2d, write_projection_csv
 
 
 def sbm_config(**overrides):
@@ -360,6 +361,25 @@ class TestProjection:
         rng = np.random.default_rng(2)
         points = rng.normal(0, 1, (50, 6))
         np.testing.assert_array_equal(pca_2d(points), pca_2d(points))
+
+    def test_csv_fields_with_commas_and_quotes_round_trip(self, tmp_path):
+        tokens = ["a,b", 'say "hi"', "plain"]
+        groups = ["New York, NY", "line\nbreak", "g"]
+        coords = np.array([[0.1, -2.5], [1e-300, 3.0], [0.0, 1.0 / 3.0]])
+        path = tmp_path / "pca.csv"
+        write_projection_csv(path, tokens, coords, groups)
+        with open(path, newline="") as f:
+            header, *rows = list(csv.reader(f))
+        assert header == ["node_id", "x", "y", "group"]
+        assert all(len(row) == 4 for row in rows)
+        assert [row[0] for row in rows] == tokens
+        assert [row[3] for row in rows] == groups
+        assert np.array([[float(r[1]), float(r[2])] for r in rows]).tolist() == coords.tolist()
+
+    def test_csv_bytes_unquoted_for_plain_fields(self, tmp_path):
+        path = tmp_path / "pca.csv"
+        write_projection_csv(path, ["7", "x"], np.array([[0.5, -1.25], [2.0, 0.1]]), ["g0", "g1"])
+        assert path.read_text() == "node_id,x,y,group\n7,0.5,-1.25,g0\nx,2.0,0.1,g1\n"
 
 
 class TestArtifactCache:

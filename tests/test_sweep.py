@@ -242,6 +242,24 @@ class TestRunSweep:
         assert read_sweep_table(csv_path) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
 
+    @pytest.mark.parametrize("keep", [20, 60, -3])
+    def test_partial_last_row_is_rerun(self, tmp_path, keep):
+        spec = SweepSpec(alphas=[0.5], betas=[1.0, 2.0])
+        csv_path, _, _ = run_sweep(spec, base_config(), tmp_path, runner=RecordingRunner())
+        with open(csv_path) as f:
+            complete = f.read()
+        *head, last = complete.splitlines(keepends=True)
+        # an append cut off before its newline, early and late in the row
+        with open(csv_path, "w") as f:
+            f.write("".join(head) + last[:keep])
+        assert len(read_sweep_table(csv_path)) == 2
+        rerun = RecordingRunner()
+        _, _, executed = run_sweep(spec, base_config(), tmp_path, runner=rerun)
+        assert executed == 1
+        assert rerun.calls == [read_sweep_table(csv_path)[-1]["run_id"]]
+        with open(csv_path) as f:
+            assert f.read() == complete
+
 
 class TestCsvQuoting:
     def test_comma_label_round_trips(self, tmp_path):
