@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fairwalks.graph import (
-    AttributedGraph, GroupPartition, atomic_writer, cumsum_by_row, draw_slots,
-)
-from fairwalks.seeds import rng_for
-from fairwalks.walks import TransitionWeights
+from fairwalks.graph import AttributedGraph, GroupPartition, atomic_writer
+from fairwalks.seeds import derive_seed
+from fairwalks.walks import PAD, TransitionWeights, WalkConfig, generate_walks
 
 CLOSENESS_SMOOTHING = 1e-3
 ROW_SUM_TOLERANCE = 1e-9  # how far a loaded row's probabilities may sum from 1
@@ -49,29 +47,21 @@ def estimate_closeness(
     """Monte-Carlo boundary closeness over the original edge weights.
 
     From every node, ``walks_per_node`` first-order weighted walks of
-    ``walk_length`` steps are run; the estimate is the fraction of visited
-    positions (start excluded) whose group differs from the start's group.
-    Deterministic for a fixed seed, independent of evaluation order.
+    ``walk_length`` steps are run by ``generate_walks``, seeded with
+    ``derive_seed(seed, "closeness")``; the estimate is the fraction of
+    visited positions (start excluded) whose group differs from the
+    start's group. An isolated node scores 0.
     """
-    if walks_per_node < 1 or walk_length < 1:
-        raise ValueError("walks_per_node and walk_length must be >= 1")
     if graph.edge_count < 1:
         raise ValueError("graph has no edges")
+    config = WalkConfig(walks_per_node=walks_per_node, walk_length=walk_length,
+                        seed=derive_seed(seed, "closeness"))
+    paths = generate_walks(TransitionWeights.from_graph(graph), config).paths
     group = partition.group_of
-    roots = np.flatnonzero(np.diff(graph.indptr))
-    draws = np.concatenate([
-        rng_for(seed, "closeness", v).random((walks_per_node, walk_length))
-        for v in roots.tolist()
-    ])
-    cur = np.repeat(roots, walks_per_node)
-    home = group[cur]
-    foreign = np.zeros(len(cur), dtype=np.int64)
-    cum = cumsum_by_row(graph.weights, graph.indptr)
-    for step in range(walk_length):
-        cur = graph.indices[draw_slots(cum, graph.indptr, cur, draws[:, step])]
-        foreign += group[cur] != home
-    values = np.zeros(graph.node_count, dtype=np.float64)
-    values[roots] = foreign.reshape(-1, walks_per_node).sum(axis=1) / (walks_per_node * walk_length)
+    steps = paths[:, 1:]
+    foreign = ((group[steps] != group[paths[:, :1]]) & (steps != PAD)).sum(axis=1)
+    values = np.bincount(paths[:, 0], weights=foreign, minlength=graph.node_count)
+    values /= walks_per_node * walk_length
     return BoundaryCloseness(values, walks_per_node, walk_length, seed)
 
 

@@ -259,6 +259,16 @@ class _Trainer:
         return loss
 
 
+def check_training(dim, window, negatives, epochs):
+    """Raise ValueError unless dim >= 2, window >= 1, negatives >= 0 and
+    epochs >= 0 (no epochs returns the initialization)."""
+    for name, value, least in (
+        ("dim", dim, 2), ("window", window, 1), ("negatives", negatives, 0), ("epochs", epochs, 0),
+    ):
+        if not value >= least:
+            raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
 def train(
     walks,
     node_count: int,
@@ -282,10 +292,7 @@ def train(
     times an untrained pair's (k + 1) ln 2, or that leaves a parameter
     non-finite, raises ``TrainingDiverged``.
     """
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window!r}")
+    check_training(dim, window, negatives, epochs)
 
     counts = build_frequency_table(walks, node_count)
     table = AliasTable(negative_distribution(counts))

@@ -110,10 +110,15 @@ class ExperimentConfig:
             crosswalk.check_beta(self.beta)
         if self.control_attribute == self.sensitive_attribute:
             raise ValueError("sensitive and control attribute must differ")
-        walks.check_pq(self.p, self.q)
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window!r}")
-        propagation.check_sigma(self.sigma)
+        walks.WalkConfig(self.p, self.q, self.walks_per_node, self.walk_length)
+        try:
+            walks.WalkConfig(walks_per_node=self.closeness_walks, walk_length=self.closeness_length)
+        except ValueError as exc:
+            raise ValueError(f"closeness budget: {exc}") from None
+        if not self.epochs >= 1:  # train would return its initialization, cached as trained
+            raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
+        embedding.check_training(self.dim, self.window, self.negatives, self.epochs)
+        propagation.check_knn(self.knn_k, self.sigma)
         evaluation.check_split(self.folds, self.labeled_fraction)
         return self
 
@@ -287,7 +292,7 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
     embed_seed = derive_seed(config.seed, "embed")
     if config.intervention == "crosswalk":
         ckey = _hash_key(
-            "closeness", gkey, config.sensitive_attribute,
+            "closeness.v2", gkey, config.sensitive_attribute,
             config.closeness_walks, config.closeness_length, closeness_seed,
         )
         source = f"crosswalk(alpha={config.alpha:g}, beta={config.beta:g})"
@@ -296,7 +301,7 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
         source = "baseline"
         wkey_bias = "baseline"
     wkey = _hash_key(
-        "corpus", gkey, wkey_bias, config.p, config.q,
+        "corpus.v2", gkey, wkey_bias, config.p, config.q,
         config.walks_per_node, config.walk_length, walk_seed,
     )
     ekey = _hash_key(
@@ -346,7 +351,7 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
 
 
 # one CSV row format for report_row.csv and for sweep tables (results.csv)
-SWEEP_SCHEMA_VERSION = 2
+SWEEP_SCHEMA_VERSION = 3
 
 SWEEP_COLUMNS = (  # row identity, the varied config, metrics, per-group lists
     "schema_version", "run_id", "config_hash", "dataset", "status", "error",

@@ -50,8 +50,10 @@ class PropagationGraph:
 KNN_BLOCK_CELLS = 1 << 22  # distance entries per row block of build_propagation_graph
 
 
-def check_sigma(sigma):
-    """Raise unless sigma is None (automatic) or finite and positive."""
+def check_knn(k, sigma):
+    """Raise unless k >= 1 and sigma is None (automatic) or finite and positive."""
+    if not k >= 1:
+        raise ValueError(f"k must be >= 1, got {k!r}")
     if sigma is not None and not (np.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
 
@@ -73,9 +75,7 @@ def build_propagation_graph(vectors, k: int = 10, sigma=None) -> PropagationGrap
     n = len(vectors)
     if n < 2:
         raise ValueError("need at least 2 points")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    check_sigma(sigma)
+    check_knn(k, sigma)
     k = min(k, n - 1)
 
     sq_norm = np.einsum("ij,ij->i", vectors, vectors)

@@ -1,8 +1,8 @@
 """Deterministic seed derivation.
 
 Every randomized stage derives its own seed from the master seed plus a
-stage tag, so that results are reproducible and independent of worker
-scheduling. The derivation is a stable hash, identical across platforms
+stage tag, so that results are reproducible and stages draw independent
+streams. The derivation is a stable hash, identical across platforms
 and Python processes.
 """
 

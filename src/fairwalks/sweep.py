@@ -122,8 +122,8 @@ def run_sweep(
     Returns (csv path, plans, executed count). The header and the kept ok
     rows are rewritten through ``atomic_writer``, then each run appends its
     row. A run is skipped when an ok row has its config hash; error rows, a
-    partial last row and rows of an older schema (no hash) are dropped and
-    rerun. Runs are serial whatever ``workers`` is: the sweep's work holds
+    partial last row and rows of an older schema are dropped and rerun.
+    Runs are serial whatever ``workers`` is: the sweep's work holds
     the interpreter lock, and threads measured slower than one worker.
     """
     plans = spec.expand(base)

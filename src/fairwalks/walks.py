@@ -24,16 +24,12 @@ class WalkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_pq(self.p, self.q)
-        if self.walks_per_node < 1 or self.walk_length < 1:
-            raise ValueError("walks_per_node and walk_length must be >= 1")
-
-
-def check_pq(p, q):
-    """Raise unless p and q are finite and positive: a NaN passes ``<= 0``."""
-    for name, value in (("p", p), ("q", q)):
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        for name, value in (("p", self.p), ("q", self.q)):
+            if not (np.isfinite(value) and value > 0):  # a NaN passes ``<= 0``
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not (self.walks_per_node >= 1 and self.walk_length >= 1):
+            raise ValueError("walks_per_node and walk_length must be >= 1, got "
+                             f"{self.walks_per_node!r} and {self.walk_length!r}")
 
 
 PAD = -1  # fills a corpus row past the end of its walk
@@ -173,9 +169,10 @@ def generate_walks(
     with the root in column 0. Rows are symmetric, so only a walk from an
     isolated root stops early: its row is the root, then ``PAD``.
 
-    Each walk's randomness is seeded from (seed, root, walk index), so the
-    corpus content is reproducible and independent of scheduling; root
-    order is reshuffled every round, which only affects corpus ordering.
+    One generator, ``rng_for(seed, "walks")``, draws each round's root
+    permutation (the rows hold round 0's walks in that order, then round
+    1's, and so on), then at each step one uniform per walk from a
+    non-isolated root, in row order; a fixed seed gives the same corpus.
     All walks advance together. First-order steps (the first, and every
     one when p = q = 1) bisect running sums taken once per call.
 
@@ -196,19 +193,15 @@ def generate_walks(
     if n == 0:
         raise ValueError("empty graph")
     length, p, q = config.walk_length, config.p, config.q
-    roots = np.concatenate(
-        [rng_for(config.seed, "order", k).permutation(n) for k in range(config.walks_per_node)]
-    )
-    draws = np.empty((len(roots), length))
-    for i, root in enumerate(roots.tolist()):
-        draws[i] = rng_for(config.seed, "walk", root, i // n).random(length)
+    rng = rng_for(config.seed, "walks")
+    roots = np.concatenate([rng.permutation(n) for _ in range(config.walks_per_node)])
     indptr, indices = weights.indptr, weights.indices
     paths = np.full((len(roots), length + 1), PAD, dtype=np.int64)
     paths[:, 0] = roots
     live = np.flatnonzero(np.diff(indptr)[roots] > 0)
 
     cum = cumsum_by_row(weights.probs, indptr)  # first-order running sums
-    slots = draw_slots(cum, indptr, roots[live], draws[live, 0])
+    slots = draw_slots(cum, indptr, roots[live], rng.random(len(live)))
     paths[live, 1] = indices[slots]
     second_order = p != 1.0 or q != 1.0
     if second_order:
@@ -217,7 +210,7 @@ def generate_walks(
         table = np.empty(start[-1])
         filled = np.zeros(len(indices), dtype=bool)
     for step in range(1, length):
-        edge, cur, u = slots, indices[slots], draws[live, step]
+        edge, cur, u = slots, indices[slots], rng.random(len(live))
         if second_order:
             new = np.unique(edge[~filled[edge]])
             _fill_edges(table, start, new, weights, keys, p, q)

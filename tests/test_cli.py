@@ -5,6 +5,7 @@ import pytest
 from fairwalks.cli import main
 from fairwalks.embedding import load_embeddings
 from fairwalks.graph import load_graph
+from fairwalks.pipeline import SWEEP_SCHEMA_VERSION
 
 
 @pytest.fixture
@@ -173,7 +174,7 @@ class TestSweepVerb:
     @pytest.mark.parametrize("buckets", ["0", "-1"])
     def test_summarize_rejects_bucket_count_below_one(self, tmp_path, capsys, buckets):
         table = tmp_path / "results.csv"
-        table.write_text("schema_version,status\n2,ok\n")
+        table.write_text(f"schema_version,status\n{SWEEP_SCHEMA_VERSION},ok\n")
         assert main([
             "summarize", "--table", str(table), "--buckets", buckets,
             "--out", str(tmp_path / "summary.json"),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairwalks import crosswalk
 from fairwalks.crosswalk import (
     CLOSENESS_SMOOTHING,
     BoundaryCloseness,
@@ -12,9 +13,10 @@ from fairwalks.crosswalk import (
     save_biased,
 )
 from fairwalks.graph import generate_sbm, partition_by
-from fairwalks.seeds import rng_for
-from fairwalks.walks import TransitionWeights
+from fairwalks.seeds import derive_seed
+from fairwalks.walks import TransitionWeights, WalkConfig, generate_walks
 from tests.conftest import make_graph
+from tests.test_walks import reference_walks
 
 ALPHA_GRID = (0.01, 0.25, 0.5, 0.75, 0.99)
 BETA_GRID = (1.0, 2.0, 3.0, 5.0, 8.0, 11.0, 15.0)
@@ -25,23 +27,15 @@ def closeness_of(values, r=1, d=1, seed=0):
 
 
 def reference_closeness(graph, partition, walks_per_node, walk_length, seed):
-    """One node, one walk and one step at a time."""
+    """One walk at a time from the reference walker, seeded like the estimator."""
+    config = WalkConfig(walks_per_node=walks_per_node, walk_length=walk_length,
+                        seed=derive_seed(seed, "closeness"))
     group = partition.group_of
-    values = np.zeros(graph.node_count)
-    for v in range(graph.node_count):
-        if graph.degree(v) == 0:
-            continue
-        draws = rng_for(seed, "closeness", v).random((walks_per_node, walk_length))
-        foreign = 0
-        for r in range(walks_per_node):
-            cur = v
-            for step in range(walk_length):
-                nbrs, cw = graph.neighbors(cur), np.cumsum(graph.neighbor_weights(cur))
-                idx = np.searchsorted(cw, draws[r, step] * cw[-1], side="right")
-                cur = int(nbrs[min(idx, len(nbrs) - 1)])
-                foreign += int(group[cur] != group[v])
-        values[v] = foreign / (walks_per_node * walk_length)
-    return values
+    foreign = np.zeros(graph.node_count)
+    for walk in reference_walks(TransitionWeights.from_graph(graph), config):
+        for v in walk[1:]:
+            foreign[walk[0]] += group[v] != group[walk[0]]
+    return foreign / (walks_per_node * walk_length)
 
 
 def reference_reweight(graph, partition, closeness, alpha, beta, smoothing):
@@ -124,11 +118,32 @@ class TestEstimateCloseness:
             expected = reference_closeness(g, p, 4, 6, seed)
             np.testing.assert_array_equal(m.values, expected)
 
+    def test_root_order_differs_from_walks_of_the_same_seed(self, monkeypatch):
+        # the CLI's bias and walk commands take one --seed
+        g, _ = generate_sbm([10, 10], 0.5, 0.2, seed=2)
+        seen = []
+
+        def spy(*args):
+            seen.append(generate_walks(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(crosswalk, "generate_walks", spy)
+        estimate_closeness(g, partition_by(g, "block"), 3, 4, seed=9)
+        config = WalkConfig(walks_per_node=3, walk_length=4, seed=9)
+        corpus = generate_walks(TransitionWeights.from_graph(g), config)
+        assert seen[0].paths[:, 0].tolist() != corpus.paths[:, 0].tolist()
+
     def test_isolated_node_gets_zero(self):
         g = make_graph([(0, 1)], attrs={"loc": ["X", "Y", "X"]}, n=3)
         p = partition_by(g, "loc")
         m = estimate_closeness(g, p, 3, 2, seed=0)
         assert m.values[2] == 0.0
+
+    def test_padding_of_an_isolated_root_is_not_counted(self):
+        # PAD (-1) would index the last node, whose group differs from the root's
+        g = make_graph([(1, 2)], attrs={"loc": ["X", "X", "Y"]}, n=3)
+        m = estimate_closeness(g, partition_by(g, "loc"), 3, 2, seed=0)
+        assert m.values.tolist() == [0.0, 0.5, 0.5]
 
 
 class TestReweight:

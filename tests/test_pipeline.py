@@ -17,6 +17,7 @@ from fairwalks.pipeline import (
     run_experiment,
 )
 from fairwalks.projection import pca_2d, write_projection_csv
+from fairwalks.seeds import derive_seed
 
 
 def sbm_config(**overrides):
@@ -87,6 +88,27 @@ class TestExperimentConfig:
             sbm_config(**overrides)
         config = sbm_config().replace(**overrides)
         monkeypatch.setattr(pl.embedding, "train", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(ValueError, match=match):
+            execute(config)
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"walks_per_node": 0}, r"walks_per_node and walk_length must be >= 1, got 0 and 12"),
+        ({"walk_length": -1}, r"walks_per_node and walk_length must be >= 1, got 4 and -1"),
+        ({"closeness_walks": 0}, r"closeness budget: .* got 0 and 5"),
+        ({"closeness_length": 0}, r"closeness budget: .* got 10 and 0"),
+        ({"dim": 1}, "dim must be >= 2, got 1"),
+        ({"knn_k": 0}, "k must be >= 1, got 0"),
+        ({"epochs": 0}, "epochs must be >= 1, got 0"),
+        ({"epochs": -1}, "epochs must be >= 1, got -1"),
+        ({"negatives": -1}, "negatives must be >= 0, got -1"),
+    ])
+    def test_walk_and_training_budgets_rejected_before_any_stage(
+        self, monkeypatch, overrides, match
+    ):
+        with pytest.raises(ValueError, match=match):
+            sbm_config(**overrides)
+        config = sbm_config().replace(**overrides)
+        monkeypatch.setattr(pl, "build_dataset", lambda *a: pytest.fail("ran a stage"))
         with pytest.raises(ValueError, match=match):
             execute(config)
 
@@ -308,6 +330,37 @@ class TestExecute:
         # a new alpha needs new weights, but the closeness comes from the cache
         execute(config.replace(alpha=0.25), cache_dir=cache)
         assert calls == {"estimate_closeness": 1, "reweight": 2}
+
+
+    @pytest.mark.parametrize("intervention", ["baseline", "crosswalk"])
+    def test_entries_of_the_per_walk_seeding_scheme_are_not_served(
+        self, tmp_path, monkeypatch, intervention
+    ):
+        # the keys as computed while closeness and walks seeded one generator per walk
+        config = sbm_config()
+        if intervention == "crosswalk":
+            config = config.replace(intervention="crosswalk", alpha=0.5, beta=2.0)
+        g, _ = build_dataset(config)
+        c, gkey, seed = config, pl._graph_key(g), lambda tag: derive_seed(config.seed, tag)
+        ckey = pl._hash_key("closeness", gkey, c.sensitive_attribute, c.closeness_walks,
+                            c.closeness_length, seed("closeness"))
+        bias = (pl._hash_key(ckey, c.alpha, c.beta, crosswalk.CLOSENESS_SMOOTHING)
+                if intervention == "crosswalk" else "baseline")
+        wkey = pl._hash_key("corpus", gkey, bias, c.p, c.q, c.walks_per_node, c.walk_length,
+                            seed("walks"))
+        ekey = pl._hash_key("embed", wkey, c.dim, c.window, c.negatives, c.epochs,
+                            c.learning_rate, seed("embed"))
+        cache = ArtifactCache(tmp_path)
+        sentinel = np.full((g.node_count, config.dim), 0.25)
+        cache.store_array(ekey, "emb.npy", sentinel)
+        cache.store_array(ckey, "closeness.npy", np.zeros(g.node_count))
+        estimated = []
+        original = crosswalk.estimate_closeness
+        monkeypatch.setattr(crosswalk, "estimate_closeness",
+                            lambda *a: estimated.append(1) or original(*a))
+        vectors = execute(config, cache_dir=tmp_path).matrix.vectors
+        assert not np.array_equal(vectors, sentinel)
+        assert len(estimated) == (intervention == "crosswalk")
 
 
 class TestRunExperiment:

@@ -8,6 +8,7 @@ from fairwalks.evaluation import EvaluationReport
 from fairwalks.pipeline import ExperimentConfig
 from fairwalks.sweep import (
     SWEEP_COLUMNS,
+    SWEEP_SCHEMA_VERSION,
     SweepSpec,
     csv_header_line,
     read_sweep_table,
@@ -217,7 +218,8 @@ class TestRunSweep:
         rerun = RecordingRunner()
         _, _, executed = run_sweep(spec, base_config(), tmp_path, runner=rerun)
         assert executed == 2
-        assert [r["schema_version"] for r in read_sweep_table(csv_path)] == ["2", "2"]
+        versions = [r["schema_version"] for r in read_sweep_table(csv_path)]
+        assert versions == [str(SWEEP_SCHEMA_VERSION)] * 2
 
     def test_interrupted_resume_keeps_completed_rows(self, tmp_path, monkeypatch):
         import fairwalks.sweep as sweep_mod

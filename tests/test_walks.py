@@ -26,9 +26,8 @@ def weights_for(edges, n=None):
     return TransitionWeights.from_graph(make_graph(edges, n=n))
 
 
-def reference_walk(weights, root, length, p, q, rng):
-    """One walk at a time, one inverse-CDF draw per step over its row."""
-    draws = rng.random(length)
+def reference_walk(weights, root, length, p, q, draws):
+    """One walk, one inverse-CDF draw per step over its row, ``draws[step]`` at each step."""
     walk = [root]
     prev = None
     cur = root
@@ -49,12 +48,23 @@ def reference_walk(weights, root, length, p, q, rng):
 
 
 def reference_walks(weights, config):
-    walks = []
-    for k in range(config.walks_per_node):
-        for root in rng_for(config.seed, "order", k).permutation(weights.node_count).tolist():
-            rng = rng_for(config.seed, "walk", root, k)
-            walks.append(reference_walk(weights, root, config.walk_length, config.p, config.q, rng))
-    return walks
+    """The one-stream scheme, read back one scalar at a time: a generator
+    seeded ``(seed, "walks")`` draws every round's root permutation, then at
+    each step one uniform per walk from a non-isolated root, in row order.
+    Each walk then runs alone with its draws."""
+    rng = rng_for(config.seed, "walks")
+    roots = []
+    for _ in range(config.walks_per_node):
+        roots += rng.permutation(weights.node_count).tolist()
+    live = [i for i, root in enumerate(roots) if weights.graph.degree(root) > 0]
+    draws = {i: [] for i in live}
+    for _ in range(config.walk_length):
+        for i in live:
+            draws[i].append(rng.random())
+    return [
+        reference_walk(weights, root, config.walk_length, config.p, config.q, draws.get(i))
+        for i, root in enumerate(roots)
+    ]
 
 
 REFERENCE_GRAPHS = {
