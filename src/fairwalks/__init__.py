@@ -6,11 +6,7 @@ and label-propagation evaluation with group-fairness metrics (awareness,
 disparity, performance).
 """
 
-from fairwalks.crosswalk import (
-    BoundaryCloseness,
-    estimate_closeness,
-    reweight,
-)
+from fairwalks.crosswalk import estimate_closeness, reweight
 from fairwalks.embedding import EmbeddingMatrix, sgns_pair_loss, train
 from fairwalks.evaluation import (
     EvaluationReport,
@@ -46,7 +42,6 @@ from fairwalks.walks import TransitionWeights, WalkConfig, WalkCorpus, generate_
 
 __all__ = [
     "AttributedGraph",
-    "BoundaryCloseness",
     "ControlAttributeSpec",
     "EmbeddingMatrix",
     "EvaluationReport",

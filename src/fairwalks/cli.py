@@ -141,15 +141,13 @@ def cmd_walk(args):
     g = graph_mod.load_graph(args.edges, args.attrs)
     if args.biased:
         weights = crosswalk.load_biased(args.biased, g)
-        source = f"crosswalk({args.biased})"
     else:
         weights = walks.TransitionWeights.from_graph(g)
-        source = "baseline"
     config = walks.WalkConfig(
         p=args.p, q=args.q, walks_per_node=args.walks_per_node,
         walk_length=args.walk_length, seed=args.seed,
     )
-    corpus = walks.generate_walks(weights, config, source)
+    corpus = walks.generate_walks(weights, config)
     walks.save_corpus(corpus, args.out, original_ids=g.original_ids)
     print(f"{len(corpus)} walks written to {args.out}")
     return 0

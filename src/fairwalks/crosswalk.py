@@ -10,7 +10,6 @@ raising the closeness to the power ``beta``.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,34 +21,20 @@ CLOSENESS_SMOOTHING = 1e-3
 ROW_SUM_TOLERANCE = 1e-9  # how far a loaded row's probabilities may sum from 1
 
 
-@dataclass
-class BoundaryCloseness:
-    """Per-node estimate of how often short walks cross group boundaries."""
-
-    values: np.ndarray
-    walks_per_node: int
-    walk_length: int
-    seed: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if np.any(self.values < 0) or np.any(self.values > 1):
-            raise ValueError("closeness values must lie in [0, 1]")
-
-
 def estimate_closeness(
     graph: AttributedGraph,
     partition: GroupPartition,
     walks_per_node: int = 10,
     walk_length: int = 5,
     seed: int = 0,
-) -> BoundaryCloseness:
+) -> np.ndarray:
     """Monte-Carlo boundary closeness over the original edge weights.
 
-    From every node, ``walks_per_node`` first-order weighted walks of
-    ``walk_length`` steps are run by ``generate_walks``, seeded with
-    ``derive_seed(seed, "closeness")``; the estimate is the fraction of
-    visited positions (start excluded) whose group differs from the
+    Returns a float64 array, one value in [0, 1] per node, for
+    ``reweight``. From every node, ``walks_per_node`` first-order weighted
+    walks of ``walk_length`` steps are run by ``generate_walks``, seeded
+    with ``derive_seed(seed, "closeness")``; the estimate is the fraction
+    of visited positions (start excluded) whose group differs from the
     start's group. An isolated node scores 0.
     """
     if graph.edge_count < 1:
@@ -62,7 +47,7 @@ def estimate_closeness(
     foreign = ((group[steps] != group[paths[:, :1]]) & (steps != PAD)).sum(axis=1)
     values = np.bincount(paths[:, 0], weights=foreign, minlength=graph.node_count)
     values /= walks_per_node * walk_length
-    return BoundaryCloseness(values, walks_per_node, walk_length, seed)
+    return values
 
 
 def check_beta(beta):
@@ -74,13 +59,15 @@ def check_beta(beta):
 def reweight(
     graph: AttributedGraph,
     partition: GroupPartition,
-    closeness: BoundaryCloseness,
+    closeness: np.ndarray,
     alpha: float,
     beta: float,
     smoothing: float = CLOSENESS_SMOOTHING,
 ) -> TransitionWeights:
     """Build boundary-biased transition distributions.
 
+    ``closeness`` holds one value in [0, 1] per node, as
+    ``estimate_closeness`` returns it; anything else raises ValueError.
     For a node with same-group neighbors S and foreign groups c_1..c_R
     among its neighbors, mass (1 - alpha) is spread over S and alpha / R
     over each foreign group, proportional to w(v, u) * (m(u) + eps)^beta
@@ -93,9 +80,12 @@ def reweight(
         raise ValueError("alpha must lie strictly between 0 and 1")
     check_beta(beta)
     n, c = graph.node_count, partition.num_groups
+    closeness = np.asarray(closeness, dtype=np.float64)
+    if closeness.shape != (n,) or not np.all((closeness >= 0) & (closeness <= 1)):
+        raise ValueError(f"closeness must hold one value in [0, 1] per node ({n})")
     group = partition.group_of
     rows, nbrs = graph.rows, graph.indices
-    scores = graph.weights * np.power(closeness.values + smoothing, beta)[nbrs]
+    scores = graph.weights * np.power(closeness + smoothing, beta)[nbrs]
     share = rows * c + group[nbrs]
     size = np.bincount(share, minlength=n * c)
     total = np.bincount(share, weights=scores, minlength=n * c)[share]

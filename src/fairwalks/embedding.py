@@ -45,14 +45,6 @@ class EmbeddingMatrix:
     context_vectors: np.ndarray | None
     meta: dict
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    @property
-    def node_count(self) -> int:
-        return self.vectors.shape[0]
-
 
 def embedding_meta(dim, window, negatives, epochs, learning_rate, seed) -> dict:
     """The run description ``train`` records, minus the per-epoch losses.
@@ -261,9 +253,9 @@ class _Trainer:
 
 def check_training(dim, window, negatives, epochs):
     """Raise ValueError unless dim >= 2, window >= 1, negatives >= 0 and
-    epochs >= 0 (no epochs returns the initialization)."""
+    epochs >= 1 (no epochs would return the untrained initialization)."""
     for name, value, least in (
-        ("dim", dim, 2), ("window", window, 1), ("negatives", negatives, 0), ("epochs", epochs, 0),
+        ("dim", dim, 2), ("window", window, 1), ("negatives", negatives, 0), ("epochs", epochs, 1),
     ):
         if not value >= least:
             raise ValueError(f"{name} must be >= {least}, got {value!r}")
@@ -304,7 +296,7 @@ def train(
     # cap batches at the vocabulary size: a node then appears O(1) times per
     # batch and the accumulated stale-gradient step stays close to per-pair SGD
     batch_size = max(8, min(batch_size, node_count))
-    total_pairs = stream.pairs * max(epochs, 1)
+    total_pairs = stream.pairs * epochs
     trainer = _Trainer(params, table, negatives, learning_rate, total_pairs, batch_size)
     limit = 10 * (negatives + 1) * np.log(2)
 

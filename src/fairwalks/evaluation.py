@@ -28,7 +28,6 @@ REPORT_SCHEMA_VERSION = 1
 class GroupScores:
     """Per-group scores in [0, 1] for one predicted attribute."""
 
-    attribute: str
     values: np.ndarray
     flags: list = field(default_factory=list)
 
@@ -65,7 +64,7 @@ def per_group_f1(
     absent = table.sum(axis=0) + table.sum(axis=1) == 0
     flags = [f"group {label}: no positives, F1 set to 0"
              for label, none in zip(partition.group_labels, absent) if none]
-    return GroupScores(partition.attribute, class_f1(table), flags)
+    return GroupScores(class_f1(table), flags)
 
 
 def per_group_macro_f1(
@@ -73,7 +72,6 @@ def per_group_macro_f1(
     truth,
     sensitive: GroupPartition,
     eval_set,
-    attribute: str,
 ) -> GroupScores:
     """Macro-F1 of a prediction, restricted to each sensitive group.
 
@@ -96,7 +94,7 @@ def per_group_macro_f1(
             flags.append(f"group {sensitive.group_labels[i]}: empty eval set")
             continue
         scores[i] = np.mean(f1[i, present[i]])
-    return GroupScores(attribute, scores, flags)
+    return GroupScores(scores, flags)
 
 
 def awareness(scores) -> float:
@@ -263,13 +261,7 @@ def cross_validate(
 
         if control is not None:
             cprobs, cwarn = results[1]
-            qstar = per_group_macro_f1(
-                predict(cprobs),
-                control.group_of,
-                sensitive,
-                unlabeled,
-                control.attribute,
-            )
+            qstar = per_group_macro_f1(predict(cprobs), control.group_of, sensitive, unlabeled)
             qstar_folds[f] = qstar.values
             warnings.extend(f"fold {f} (control): {w}" for w in cwarn + qstar.flags)
 

@@ -3,11 +3,11 @@
 A flat JSON-serializable config drives: dataset selection (files or a
 synthetic block model), optional boundary-biased reweighting, walk
 generation, embedding training, and cross-validated evaluation of the
-sensitive and control attributes. Two stage outputs are cached under a
-hash chain over their upstream configuration: the boundary closeness and
-the embedding. A cached embedding needs nothing upstream of it, so a warm
-run reads that one file. Walk corpora are not cached: regenerating one
-costs a fraction of the training it feeds.
+sensitive and control attributes. One stage output is cached: the
+embedding, under a hash chain over its upstream configuration. A cached
+embedding needs nothing upstream of it, so a warm run reads that one
+file. Boundary closeness and walk corpora are not cached: recomputing
+them costs a fraction of the training they feed.
 """
 
 import contextlib
@@ -115,8 +115,6 @@ class ExperimentConfig:
             walks.WalkConfig(walks_per_node=self.closeness_walks, walk_length=self.closeness_length)
         except ValueError as exc:
             raise ValueError(f"closeness budget: {exc}") from None
-        if not self.epochs >= 1:  # train would return its initialization, cached as trained
-            raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
         embedding.check_training(self.dim, self.window, self.negatives, self.epochs)
         propagation.check_knn(self.knn_k, self.sigma)
         evaluation.check_split(self.folds, self.labeled_fraction)
@@ -208,7 +206,7 @@ def _graph_key(g: graph_mod.AttributedGraph) -> str:
     return h.hexdigest()[:24]
 
 
-def build_dataset(config: ExperimentConfig):
+def build_dataset(config: ExperimentConfig) -> graph_mod.AttributedGraph:
     """Stage 1: load or synthesize the attributed graph."""
     if config.sbm_block_sizes is not None:
         control = None
@@ -219,7 +217,7 @@ def build_dataset(config: ExperimentConfig):
                 intra_class_bonus=config.sbm_control_bonus,
                 name=config.control_attribute or "control",
             )
-        g, summary = graph_mod.generate_sbm(
+        g, _ = graph_mod.generate_sbm(
             config.sbm_block_sizes,
             config.sbm_p_intra,
             config.sbm_p_inter,
@@ -228,16 +226,13 @@ def build_dataset(config: ExperimentConfig):
         )
     else:
         g = graph_mod.load_graph(config.edges_path, config.attrs_path)
-        summary = g.summary()
     if config.bin_age_column:
-        g, dropped = graph_mod.bin_age_attribute(g, config.bin_age_column)
-        summary["age_rows_dropped"] = dropped
+        g, _ = graph_mod.bin_age_attribute(g, config.bin_age_column)
     if config.select_attribute:
         g = graph_mod.select_subgraph(
             g, config.select_attribute, set(config.select_values or [])
         )
-        summary["selected"] = g.summary()
-    return g, summary
+    return g
 
 
 @dataclass
@@ -246,7 +241,6 @@ class PipelineResult:
     graph: graph_mod.AttributedGraph
     sensitive: graph_mod.GroupPartition
     matrix: embedding.EmbeddingMatrix
-    dataset_summary: dict
 
 
 @contextlib.contextmanager
@@ -261,26 +255,18 @@ def _stage(name):
         raise StageError(name, exc) from exc
 
 
-def _cached(cache, key, suffix, compute):
-    """The array cached under ``key``, or on a miss ``compute()``, stored."""
-    array = cache.load_array(key, suffix)
-    if array is None:
-        array = compute()
-        cache.store_array(key, suffix, array)
-    return array
-
-
 def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
     """Run all pipeline stages in memory; artifacts are written by callers.
 
-    Every cache key is computed first, then the chain resolves from the
-    embedding backwards: a cached embedding needs no bias, walks or training.
+    The embedding is the one cached stage output, keyed by a hash chain
+    over everything upstream of it: a cached embedding needs no closeness,
+    bias, walks or training.
     """
     config.validate()
     cache = ArtifactCache(cache_dir)
 
     with _stage("dataset"):
-        g, summary = build_dataset(config)
+        g = build_dataset(config)
     with _stage("partition"):
         sensitive = graph_mod.partition_by(g, config.sensitive_attribute)
         control = (graph_mod.partition_by(g, config.control_attribute)
@@ -291,14 +277,16 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
     walk_seed = derive_seed(config.seed, "walks")
     embed_seed = derive_seed(config.seed, "embed")
     if config.intervention == "crosswalk":
+        # closeness inputs; the formula, tag included, stays fixed so that
+        # cached embeddings keep their keys
         ckey = _hash_key(
             "closeness.v2", gkey, config.sensitive_attribute,
             config.closeness_walks, config.closeness_length, closeness_seed,
         )
-        source = f"crosswalk(alpha={config.alpha:g}, beta={config.beta:g})"
+        walk_source = f"crosswalk(alpha={config.alpha:g}, beta={config.beta:g})"
         wkey_bias = _hash_key(ckey, config.alpha, config.beta, crosswalk.CLOSENESS_SMOOTHING)
     else:
-        source = "baseline"
+        walk_source = "baseline"
         wkey_bias = "baseline"
     wkey = _hash_key(
         "corpus.v2", gkey, wkey_bias, config.p, config.q,
@@ -309,31 +297,29 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
         config.epochs, config.learning_rate, embed_seed,
     )
 
-    def transition_weights():
-        if config.intervention == "baseline":
-            return walks.TransitionWeights.from_graph(g)
-        estimator = (config.closeness_walks, config.closeness_length, closeness_seed)
-        values = _cached(cache, ckey, "closeness.npy",
-                         lambda: crosswalk.estimate_closeness(g, sensitive, *estimator).values)
-        closeness = crosswalk.BoundaryCloseness(values, *estimator)
-        return crosswalk.reweight(g, sensitive, closeness, config.alpha, config.beta)
-
-    def embed():
-        with _stage("bias"):
-            weights = transition_weights()
-        with _stage("walks"):
-            corpus = walks.generate_walks(weights, walks.WalkConfig(
-                p=config.p, q=config.q, walks_per_node=config.walks_per_node,
-                walk_length=config.walk_length, seed=walk_seed,
-            ), source)
-        return embedding.train(
-            corpus.paths, g.node_count, dim=config.dim, window=config.window,
-            negatives=config.negatives, epochs=config.epochs,
-            learning_rate=config.learning_rate, seed=embed_seed,
-        ).vectors
-
     with _stage("embed"):
-        vectors = _cached(cache, ekey, "emb.npy", embed)
+        vectors = cache.load_array(ekey, "emb.npy")
+        if vectors is None:
+            with _stage("bias"):
+                if config.intervention == "baseline":
+                    weights = walks.TransitionWeights.from_graph(g)
+                else:
+                    closeness = crosswalk.estimate_closeness(
+                        g, sensitive, config.closeness_walks, config.closeness_length,
+                        closeness_seed,
+                    )
+                    weights = crosswalk.reweight(g, sensitive, closeness, config.alpha, config.beta)
+            with _stage("walks"):
+                corpus = walks.generate_walks(weights, walks.WalkConfig(
+                    p=config.p, q=config.q, walks_per_node=config.walks_per_node,
+                    walk_length=config.walk_length, seed=walk_seed,
+                ))
+            vectors = embedding.train(
+                corpus.paths, g.node_count, dim=config.dim, window=config.window,
+                negatives=config.negatives, epochs=config.epochs,
+                learning_rate=config.learning_rate, seed=embed_seed,
+            ).vectors
+            cache.store_array(ekey, "emb.npy", vectors)
     meta = embedding.embedding_meta(
         config.dim, config.window, config.negatives, config.epochs,
         config.learning_rate, embed_seed,
@@ -343,11 +329,11 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
             vectors, sensitive, control,
             folds=config.folds, labeled_fraction=config.labeled_fraction,
             k=config.knn_k, sigma=config.sigma, seed=derive_seed(config.seed, "eval"),
-            config_echo={"experiment": config.to_dict(), "walk_source": source,
+            config_echo={"experiment": config.to_dict(), "walk_source": walk_source,
                          "embedding_meta": meta},
         )
     matrix = embedding.EmbeddingMatrix(vectors, None, meta)
-    return PipelineResult(report, g, sensitive, matrix, summary)
+    return PipelineResult(report, g, sensitive, matrix)
 
 
 # one CSV row format for report_row.csv and for sweep tables (results.csv)

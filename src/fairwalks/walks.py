@@ -40,12 +40,11 @@ class WalkCorpus:
     """The sentences fed to the skip-gram trainer.
 
     ``paths`` holds one walk per row as int64 node IDs, ``PAD`` past the
-    walk's end; only a walk from an isolated root ends early.
+    walk's end; only a walk from an isolated root ends early. ``walks``
+    gives the same walks as lists.
     """
 
     paths: np.ndarray
-    config: WalkConfig
-    source: str  # "baseline" or "crosswalk(alpha=..., beta=...)"
 
     def __len__(self):
         return len(self.paths)
@@ -160,10 +159,9 @@ def _fill_edges(table, start, new, weights, keys, p, q):
         lo = hi
 
 
-def generate_walks(
-    weights: TransitionWeights, config: WalkConfig, source: str = "baseline"
-) -> WalkCorpus:
-    """Run ``walks_per_node`` rooted walks from every node.
+def generate_walks(weights: TransitionWeights, config: WalkConfig) -> WalkCorpus:
+    """Run ``walks_per_node`` rooted walks from every node over ``weights``,
+    baseline or boundary-biased.
 
     The corpus ``paths`` is one (walks x (walk_length + 1)) int64 array
     with the root in column 0. Rows are symmetric, so only a walk from an
@@ -219,7 +217,7 @@ def generate_walks(
         else:
             slots = draw_slots(cum, indptr, cur, u)
         paths[live, step + 1] = indices[slots]
-    return WalkCorpus(paths, config, source)
+    return WalkCorpus(paths)
 
 
 def save_corpus(corpus: WalkCorpus, path, original_ids):

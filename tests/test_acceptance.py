@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairwalks.crosswalk import BoundaryCloseness, reweight
+from fairwalks.crosswalk import reweight
 from fairwalks.embedding import sgns_pair_loss
 from fairwalks.evaluation import awareness, disparity, per_group_f1, performance
 from fairwalks.graph import (
@@ -89,7 +89,7 @@ class TestCriterion1Oracles:
             labels[0], labels[1] = "X", "Y"  # at least two groups
             g = make_graph(edges, attrs={"loc": labels.tolist()}, n=n)
             partition = partition_by(g, "loc")
-            m = BoundaryCloseness(rng.random(n), 1, 1, 0)
+            m = rng.random(n)
             alpha = ALPHA_GRID[g_idx % len(ALPHA_GRID)]
             for beta in BETA_GRID:
                 biased = reweight(g, partition, m, alpha=alpha, beta=beta)

@@ -31,7 +31,7 @@ OLD = b"old bytes, not to be touched\n"
 def inputs(tmp_path_factory):
     g, _ = graph.generate_sbm([15, 15], 0.5, 0.1, seed=4)
     weights = walks.TransitionWeights.from_graph(g)
-    corpus = walks.generate_walks(weights, walks.WalkConfig(walks_per_node=2, walk_length=5), "")
+    corpus = walks.generate_walks(weights, walks.WalkConfig(walks_per_node=2, walk_length=5))
     vectors = np.random.default_rng(0).normal(size=(g.node_count, 4))
     cache = tmp_path_factory.mktemp("cache")
     execute(sbm_config(), cache_dir=cache)  # warm: run_experiment then stores no entry

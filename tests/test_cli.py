@@ -68,6 +68,20 @@ class TestStageVerbs:
         assert "p must be finite and positive, got nan" in capsys.readouterr().err
         assert not (d / "nan_corpus.txt").exists()
 
+    def test_embed_with_zero_epochs_exits_1(self, dataset, capsys):
+        d = dataset
+        assert main([
+            "walk", "--edges", str(d / "g.edges"), "--attrs", str(d / "g.attrs"),
+            "--walks-per-node", "1", "--walk-length", "4", "--out", str(d / "corpus.txt"),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "embed", "--corpus", str(d / "corpus.txt"), "--dim", "4",
+            "--epochs", "0", "--out", str(d / "emb.txt"),
+        ]) == 1
+        assert "error: epochs must be >= 1, got 0" in capsys.readouterr().err
+        assert not (d / "emb.txt").exists()
+
     def test_baseline_walk_without_bias(self, dataset):
         d = dataset
         assert main([

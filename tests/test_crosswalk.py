@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from fairwalks import crosswalk
 from fairwalks.crosswalk import (
     CLOSENESS_SMOOTHING,
-    BoundaryCloseness,
     estimate_closeness,
     load_biased,
     reweight,
@@ -22,8 +21,8 @@ ALPHA_GRID = (0.01, 0.25, 0.5, 0.75, 0.99)
 BETA_GRID = (1.0, 2.0, 3.0, 5.0, 8.0, 11.0, 15.0)
 
 
-def closeness_of(values, r=1, d=1, seed=0):
-    return BoundaryCloseness(np.asarray(values, dtype=float), r, d, seed)
+def closeness_of(values):
+    return np.asarray(values, dtype=float)
 
 
 def reference_closeness(graph, partition, walks_per_node, walk_length, seed):
@@ -40,7 +39,7 @@ def reference_closeness(graph, partition, walks_per_node, walk_length, seed):
 
 def reference_reweight(graph, partition, closeness, alpha, beta, smoothing):
     """One node, and one (node, neighbor group) share, at a time."""
-    boost = np.power(closeness.values + smoothing, beta)
+    boost = np.power(closeness + smoothing, beta)
     group = partition.group_of
     probs = np.zeros(len(graph.indices), dtype=np.float64)
     for v in range(graph.node_count):
@@ -81,13 +80,13 @@ class TestEstimateCloseness:
         )
         p = partition_by(g, "loc")
         m = estimate_closeness(g, p, walks_per_node=5, walk_length=4, seed=1)
-        assert np.all(m.values[:3] == 0.0)
+        assert np.all(m[:3] == 0.0)
 
     def test_cross_edge_always_crosses(self, graph_factory):
         g = graph_factory([(0, 1)], attrs={"loc": ["X", "Y"]})
         p = partition_by(g, "loc")
         m = estimate_closeness(g, p, walks_per_node=7, walk_length=1, seed=3)
-        assert m.values.tolist() == [1.0, 1.0]
+        assert m.tolist() == [1.0, 1.0]
 
     def test_star_center_one_third(self, graph_factory):
         # center 0 (X) with leaves: two X, one Y; one uniform step crosses 1/3
@@ -96,14 +95,14 @@ class TestEstimateCloseness:
         )
         p = partition_by(g, "loc")
         m = estimate_closeness(g, p, walks_per_node=10000, walk_length=1, seed=5)
-        assert abs(m.values[0] - 1 / 3) <= 0.05
+        assert abs(m[0] - 1 / 3) <= 0.05
 
     def test_deterministic_for_seed(self, graph_factory):
         g, _ = generate_sbm([10, 10], 0.5, 0.2, seed=2)
         p = partition_by(g, "block")
         m1 = estimate_closeness(g, p, 5, 4, seed=9)
         m2 = estimate_closeness(g, p, 5, 4, seed=9)
-        assert np.array_equal(m1.values, m2.values)
+        assert np.array_equal(m1, m2)
 
     @pytest.mark.parametrize("seed", [0, 4])
     def test_matches_per_node_reference(self, seed):
@@ -116,7 +115,7 @@ class TestEstimateCloseness:
             p = partition_by(g, "block")
             m = estimate_closeness(g, p, walks_per_node=4, walk_length=6, seed=seed)
             expected = reference_closeness(g, p, 4, 6, seed)
-            np.testing.assert_array_equal(m.values, expected)
+            np.testing.assert_array_equal(m, expected)
 
     def test_root_order_differs_from_walks_of_the_same_seed(self, monkeypatch):
         # the CLI's bias and walk commands take one --seed
@@ -137,13 +136,13 @@ class TestEstimateCloseness:
         g = make_graph([(0, 1)], attrs={"loc": ["X", "Y", "X"]}, n=3)
         p = partition_by(g, "loc")
         m = estimate_closeness(g, p, 3, 2, seed=0)
-        assert m.values[2] == 0.0
+        assert m[2] == 0.0
 
     def test_padding_of_an_isolated_root_is_not_counted(self):
         # PAD (-1) would index the last node, whose group differs from the root's
         g = make_graph([(1, 2)], attrs={"loc": ["X", "X", "Y"]}, n=3)
         m = estimate_closeness(g, partition_by(g, "loc"), 3, 2, seed=0)
-        assert m.values.tolist() == [0.0, 0.5, 0.5]
+        assert m.tolist() == [0.0, 0.5, 0.5]
 
 
 class TestReweight:
@@ -232,6 +231,14 @@ class TestReweight:
         for beta in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"beta must be finite and >= 0, got {beta}"):
                 reweight(g, p, m, alpha=0.5, beta=beta)
+
+    @pytest.mark.parametrize("values", [
+        [float("nan"), 1.0], [-0.1, 1.0], [1.1, 1.0], [1.0, 1.0, 1.0], [1.0],
+    ], ids=["nan", "negative", "above_one", "too_long", "too_short"])
+    def test_closeness_outside_one_value_in_unit_interval_per_node(self, graph_factory, values):
+        g = graph_factory([(0, 1)], attrs={"loc": ["X", "Y"]})
+        with pytest.raises(ValueError, match="closeness must hold one value in"):
+            reweight(g, partition_by(g, "loc"), closeness_of(values), alpha=0.5, beta=1.0)
 
 
 @st.composite

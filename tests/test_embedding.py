@@ -127,13 +127,12 @@ def clique_pair_corpus(seed=0, clique=12, walks_per_node=6, walk_length=15):
 
 
 class TestTrain:
-    def test_zero_epochs_returns_initialization(self):
+    def test_epochs_below_one_rejected(self):
+        # no epochs would return the untrained initialization
         corpus, n, _ = clique_pair_corpus()
-        m1 = train(corpus.paths, n, dim=8, epochs=0, seed=7)
-        m2 = train(corpus.paths, n, dim=8, epochs=0, seed=7)
-        assert np.array_equal(m1.vectors, m2.vectors)
-        assert np.all(m1.context_vectors == 0)
-        assert np.all(np.abs(m1.vectors) <= 0.5 / 8)
+        for epochs in (0, -1):
+            with pytest.raises(ValueError, match=f"epochs must be >= 1, got {epochs}"):
+                train(corpus.paths, n, dim=8, epochs=epochs)
 
     def test_exact_mode_deterministic(self):
         corpus, n, _ = clique_pair_corpus()
@@ -355,7 +354,7 @@ def reference_train(walks, node_count, dim, window, negatives, epochs, learning_
 
 
 def acceptance_walks(walks_per_node):
-    g, _ = build_dataset(acceptance_config(1))
+    g = build_dataset(acceptance_config(1))
     cfg = WalkConfig(walks_per_node=walks_per_node, walk_length=30, seed=1)
     return generate_walks(TransitionWeights.from_graph(g), cfg), g.node_count
 

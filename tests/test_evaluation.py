@@ -60,7 +60,7 @@ class TestPerGroupF1:
         sens = partition([0, 0, 0, 0, 1, 1, 1, 1], attribute="sens")
         truth = np.array([0, 0, 1, 1, 0, 1, 0, 1])
         pred = np.array([0, 1, 1, 0, 0, 1, 0, 1])
-        scores = per_group_macro_f1(pred, truth, sens, np.arange(8), "ctl")
+        scores = per_group_macro_f1(pred, truth, sens, np.arange(8))
         # group 0: class0 F1 = 0.5, class1 F1 = 0.5 -> 0.5 ; group 1 perfect -> 1.0
         assert scores.values[0] == pytest.approx(0.5)
         assert scores.values[1] == pytest.approx(1.0)
@@ -123,7 +123,7 @@ class TestConfusionTable:
 
         classes = int(rng.integers(1, 6))
         truth, pred = rng.integers(0, classes, n), rng.integers(0, classes, n)
-        macro = per_group_macro_f1(pred, truth, sens, eval_set, "ctl")
+        macro = per_group_macro_f1(pred, truth, sens, eval_set)
         want, want_flags = reference_per_group_macro_f1(pred, truth, sens, eval_set)
         assert macro.values.tobytes() == want.tobytes()
         assert macro.flags == want_flags

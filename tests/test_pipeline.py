@@ -145,9 +145,8 @@ class TestExperimentConfig:
 
 class TestBuildDataset:
     def test_sbm_source(self):
-        g, summary = build_dataset(sbm_config())
+        g = build_dataset(sbm_config())
         assert g.node_count <= 50
-        assert summary["nodes"] == g.node_count
 
     def test_file_source_with_age_binning(self, tmp_path):
         edges = tmp_path / "g.edges"
@@ -160,10 +159,9 @@ class TestBuildDataset:
             edges_path=str(edges), attrs_path=str(attrs),
             sensitive_attribute="age", bin_age_column="age",
         )
-        g, summary = build_dataset(config)
+        g = build_dataset(config)
         assert g.node_count == 3  # d dropped for age 12
         assert sorted(set(g.attributes["age"])) == ["16-18", "19-21", "22+"]
-        assert summary["age_rows_dropped"] == 1
 
     def test_subgraph_selection(self, tmp_path):
         edges = tmp_path / "g.edges"
@@ -177,7 +175,7 @@ class TestBuildDataset:
             sensitive_attribute="loc",
             select_attribute="loc", select_values=["P"],
         )
-        g, _ = build_dataset(config)
+        g = build_dataset(config)
         assert g.original_ids == ["a", "b", "c"]
 
 
@@ -327,9 +325,10 @@ class TestExecute:
         warm = execute(config, cache_dir=cache).report
         assert calls == {"estimate_closeness": 1, "reweight": 1}
         assert warm.to_json() == cold.to_json()
-        # a new alpha needs new weights, but the closeness comes from the cache
+        # a new alpha needs new weights; closeness is estimated again, never cached
         execute(config.replace(alpha=0.25), cache_dir=cache)
-        assert calls == {"estimate_closeness": 1, "reweight": 2}
+        assert calls == {"estimate_closeness": 2, "reweight": 2}
+        assert not list((tmp_path / "cache").glob("*.closeness.npy"))
 
 
     @pytest.mark.parametrize("intervention", ["baseline", "crosswalk"])
@@ -340,7 +339,7 @@ class TestExecute:
         config = sbm_config()
         if intervention == "crosswalk":
             config = config.replace(intervention="crosswalk", alpha=0.5, beta=2.0)
-        g, _ = build_dataset(config)
+        g = build_dataset(config)
         c, gkey, seed = config, pl._graph_key(g), lambda tag: derive_seed(config.seed, tag)
         ckey = pl._hash_key("closeness", gkey, c.sensitive_attribute, c.closeness_walks,
                             c.closeness_length, seed("closeness"))
@@ -353,7 +352,6 @@ class TestExecute:
         cache = ArtifactCache(tmp_path)
         sentinel = np.full((g.node_count, config.dim), 0.25)
         cache.store_array(ekey, "emb.npy", sentinel)
-        cache.store_array(ckey, "closeness.npy", np.zeros(g.node_count))
         estimated = []
         original = crosswalk.estimate_closeness
         monkeypatch.setattr(crosswalk, "estimate_closeness",
@@ -374,7 +372,7 @@ class TestRunExperiment:
         rows = (out / "pca.csv").read_text().splitlines()
         assert rows[0] == "node_id,x,y,group"
         # header plus one row per node
-        g, _ = build_dataset(sbm_config())
+        g = build_dataset(sbm_config())
         assert len(rows) == 1 + g.node_count
 
     def test_identical_config_identical_bytes(self, tmp_path):

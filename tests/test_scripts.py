@@ -19,7 +19,8 @@ def run_script(script, *args):
 
 
 @pytest.mark.parametrize(
-    "script", ["compare_presets.py", "run_reference_grid.py", "measure_peak_rss.py"]
+    "script",
+    ["compare_presets.py", "run_reference_grid.py", "measure_peak_rss.py", "hash_outputs.py"],
 )
 def test_script_imports_and_shows_help(script):
     result = run_script(script, "--help")

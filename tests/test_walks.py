@@ -289,7 +289,7 @@ class TestWalkConfig:
 
 class TestCorpusIO:
     def test_round_trip_with_ids(self, tmp_path):
-        corpus = WalkCorpus(pad_walks([[0, 1, 0], [1, 0, 1]]), WalkConfig(seed=0), "baseline")
+        corpus = WalkCorpus(pad_walks([[0, 1, 0], [1, 0, 1]]))
         path = tmp_path / "corpus.txt"
         save_corpus(corpus, path, original_ids=["a", "b"])
         assert load_corpus_tokens(path) == [["a", "b", "a"], ["b", "a", "b"]]
