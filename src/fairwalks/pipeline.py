@@ -115,7 +115,9 @@ class ExperimentConfig:
             walks.WalkConfig(walks_per_node=self.closeness_walks, walk_length=self.closeness_length)
         except ValueError as exc:
             raise ValueError(f"closeness budget: {exc}") from None
-        embedding.check_training(self.dim, self.window, self.negatives, self.epochs)
+        embedding.check_training(
+            self.dim, self.window, self.negatives, self.epochs, self.learning_rate
+        )
         propagation.check_knn(self.knn_k, self.sigma)
         evaluation.check_split(self.folds, self.labeled_fraction)
         return self
@@ -293,7 +295,7 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
         config.walks_per_node, config.walk_length, walk_seed,
     )
     ekey = _hash_key(
-        "embed", wkey, config.dim, config.window, config.negatives,
+        "embed.v2", wkey, config.dim, config.window, config.negatives,
         config.epochs, config.learning_rate, embed_seed,
     )
 
@@ -337,7 +339,7 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
 
 
 # one CSV row format for report_row.csv and for sweep tables (results.csv)
-SWEEP_SCHEMA_VERSION = 3
+SWEEP_SCHEMA_VERSION = 4
 
 SWEEP_COLUMNS = (  # row identity, the varied config, metrics, per-group lists
     "schema_version", "run_id", "config_hash", "dataset", "status", "error",

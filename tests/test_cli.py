@@ -82,6 +82,20 @@ class TestStageVerbs:
         assert "error: epochs must be >= 1, got 0" in capsys.readouterr().err
         assert not (d / "emb.txt").exists()
 
+    def test_embed_with_zero_learning_rate_exits_1(self, dataset, capsys):
+        d = dataset
+        assert main([
+            "walk", "--edges", str(d / "g.edges"), "--attrs", str(d / "g.attrs"),
+            "--walks-per-node", "1", "--walk-length", "4", "--out", str(d / "lr_corpus.txt"),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "embed", "--corpus", str(d / "lr_corpus.txt"), "--dim", "4",
+            "--learning-rate", "0", "--out", str(d / "lr_emb.txt"),
+        ]) == 1
+        assert "error: learning_rate must be finite and > 0, got 0.0" in capsys.readouterr().err
+        assert not (d / "lr_emb.txt").exists()
+
     def test_baseline_walk_without_bias(self, dataset):
         d = dataset
         assert main([

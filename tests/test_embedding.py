@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 import fairwalks.embedding as embedding_mod
 from fairwalks.embedding import (
     FINAL_LR_FRACTION,
+    NEGATIVE_CHUNK,
     EmbeddingMatrix,
     PairStream,
     TrainingDiverged,
@@ -133,6 +138,43 @@ class TestTrain:
         for epochs in (0, -1):
             with pytest.raises(ValueError, match=f"epochs must be >= 1, got {epochs}"):
                 train(corpus.paths, n, dim=8, epochs=epochs)
+
+    @pytest.mark.parametrize("lr", [0.0, -0.01, float("nan"), float("inf")])
+    def test_learning_rate_not_finite_and_positive_rejected(self, monkeypatch, lr):
+        # a zero rate would return the untrained initialization; nan and inf
+        # would run a whole epoch before diverging
+        corpus, n, _ = clique_pair_corpus()
+        monkeypatch.setattr(embedding_mod, "PairStream", lambda *a: pytest.fail("trained"))
+        with pytest.raises(ValueError, match=f"learning_rate must be finite and > 0, got {lr}"):
+            train(corpus.paths, n, dim=8, learning_rate=lr)
+
+    def test_zero_negatives_trains(self):
+        corpus, n, _ = clique_pair_corpus(seed=2)
+        m = train(corpus.paths, n, dim=8, negatives=0, epochs=3, seed=2)
+        first, *_, last = m.meta["epoch_mean_loss"]
+        assert np.isfinite(m.vectors).all() and np.isfinite(m.context_vectors).all()
+        assert last < first < math.log(2)
+        assert m.meta["negatives"] == 0
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        script = (
+            "import hashlib, sys\n"
+            "from tests.test_embedding import acceptance_walks\n"
+            "from fairwalks.embedding import train\n"
+            "corpus, n = acceptance_walks(walks_per_node=1)\n"
+            "m = train(corpus.paths, n, dim=32, epochs=1, seed=1)\n"
+            "bits = m.vectors.tobytes() + m.context_vectors.tobytes()\n"
+            "sys.stdout.write(hashlib.sha256(bits).hexdigest())\n"
+        )
+        root = pathlib.Path(__file__).resolve().parents[1]
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+            out = subprocess.run([sys.executable, "-c", script], env=env, cwd=root,
+                                 capture_output=True, text=True, check=True)
+            digests.add(out.stdout)
+        assert len(digests) == 1
 
     def test_exact_mode_deterministic(self):
         corpus, n, _ = clique_pair_corpus()
@@ -273,6 +315,22 @@ class TestScatterRows:
         np.testing.assert_allclose(params, expected, rtol=0, atol=1e-12)
 
 
+def chunked_pair_step(w_in, w_out, centers, contexts, neg, lr):
+    """Per-pair SGNS step from ``sgns_pair_loss``: pair i meets the negatives of
+    chunk ``i // NEGATIVE_CHUNK`` except those equal to its context. Returns
+    (loss, w_in, w_out) after the summed update."""
+    want_in, want_out, want_loss = w_in.copy(), w_out.copy(), 0.0
+    for i, (c, x) in enumerate(zip(centers, contexts)):
+        negs = neg[i // NEGATIVE_CHUNK]
+        negs = negs[negs != x]
+        pair_loss, gc, gx, gn = sgns_pair_loss(w_in[c], w_out[x], w_out[negs])
+        want_loss += pair_loss
+        want_in[c] -= lr * gc
+        want_out[x] -= lr * gx
+        np.add.at(want_out, negs, -lr * gn)
+    return want_loss, want_in, want_out
+
+
 class TestBatchStep:
     def test_equals_summed_pair_gradients(self):
         rng = np.random.default_rng(3)
@@ -285,20 +343,51 @@ class TestBatchStep:
         contexts = rng.integers(0, n, b)
         loss = trainer.process(centers, contexts, np.random.default_rng(7))
 
-        # same draws; negatives equal to the context are masked out
-        neg = table.draw(np.random.default_rng(7), size=(b, k))
-        assert (neg == contexts[:, None]).any()
-        want_in, want_out, want_loss = w_in.copy(), w_out.copy(), 0.0
-        for c, x, negs in zip(centers, contexts, neg):
-            negs = negs[negs != x]
-            pair_loss, gc, gx, gn = sgns_pair_loss(w_in[c], w_out[x], w_out[negs])
-            want_loss += pair_loss
-            want_in[c] -= lr * gc
-            want_out[x] -= lr * gx
-            np.add.at(want_out, negs, -lr * gn)
+        # same draws, one row of k per chunk; negatives equal to the context are masked out
+        neg = table.draw(np.random.default_rng(7), size=(-(-b // NEGATIVE_CHUNK), k))
+        assert (neg[np.arange(b) // NEGATIVE_CHUNK] == contexts[:, None]).any()
+        want_loss, want_in, want_out = chunked_pair_step(w_in, w_out, centers, contexts, neg, lr)
         assert loss == pytest.approx(want_loss, rel=1e-12)
         np.testing.assert_allclose(trainer.w_in, want_in, rtol=0, atol=1e-12)
         np.testing.assert_allclose(trainer.w_out, want_out, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("b", [1, 7, 10, 23, 30])
+    def test_short_batch_after_full_one_matches_pair_oracle(self, b):
+        # a full batch first leaves every buffer dirty; the short batch's
+        # padding pairs past b must then add no loss and no gradient
+        rng = np.random.default_rng(b)
+        n, d, k, cap, lr = 9, 4, 3, 30, 0.1
+        table = AliasTable(np.full(n, 1.0 / n))
+        trainer = _Trainer(rng.normal(0, 0.5, (2 * n, d)), table, k, lr, 10**9, cap)
+        trainer.process(rng.integers(0, n, cap), rng.integers(0, n, cap), rng)
+        trainer.pairs_done = 0  # the second step runs at lr, as the oracle's does
+        w_in, w_out = trainer.w_in.copy(), trainer.w_out.copy()
+        centers, contexts = rng.integers(0, n, b), rng.integers(0, n, b)
+        loss = trainer.process(centers, contexts, np.random.default_rng(11))
+
+        neg = table.draw(np.random.default_rng(11), size=(-(-b // NEGATIVE_CHUNK), k))
+        want_loss, want_in, want_out = chunked_pair_step(w_in, w_out, centers, contexts, neg, lr)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        np.testing.assert_allclose(trainer.w_in, want_in, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trainer.w_out, want_out, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("b, k", [(16, 3), (7, 5), (30, 4), (23, 0)])
+    def test_gathers_two_rows_per_pair_and_k_per_chunk(self, monkeypatch, b, k):
+        n = 12
+        trainer = _Trainer(np.zeros((2 * n, 4)), AliasTable(np.full(n, 1.0 / n)), k, 0.1,
+                           10**9, 30)
+        gathered = []
+        original = np.take
+
+        def counted(a, indices, *args, **kwargs):
+            if a is trainer.params:
+                gathered.append(len(indices))
+            return original(a, indices, *args, **kwargs)
+
+        monkeypatch.setattr(embedding_mod.np, "take", counted)
+        rng = np.random.default_rng(0)
+        trainer.process(rng.integers(0, n, b), rng.integers(0, n, b), rng)
+        assert gathered == [2 * b + math.ceil(b / NEGATIVE_CHUNK) * k]
 
 
 def reference_scatter(params, rows, grads, scale):
@@ -316,7 +405,8 @@ def reference_scatter(params, rows, grads, scale):
 def reference_train(walks, node_count, dim, window, negatives, epochs, learning_rate, seed,
                     batch_size):
     """SGNS with separate input and context matrices: two gathers and two
-    scatters per batch. Returns (vectors, context vectors, epoch losses)."""
+    scatters per batch, each chunk of ``NEGATIVE_CHUNK`` pairs sharing its
+    negatives. Returns (vectors, context vectors, epoch losses)."""
     walks = pad_walks(walks)
     table = AliasTable(negative_distribution(build_frequency_table(walks, node_count)))
     stream = PairStream(walks, window)
@@ -324,8 +414,7 @@ def reference_train(walks, node_count, dim, window, negatives, epochs, learning_
     w_out = np.zeros((node_count, dim))
     batch_size = max(8, min(batch_size, node_count))
     total_pairs = max(stream.pairs * max(epochs, 1), 1)
-    sign = np.ones(negatives + 1)
-    sign[0] = -1.0
+    c = NEGATIVE_CHUNK
     done, losses = 0, []
     for epoch in range(epochs):
         order = rng_for(seed, "epoch", epoch).permutation(len(walks))
@@ -333,21 +422,30 @@ def reference_train(walks, node_count, dim, window, negatives, epochs, learning_
         loss_sum = 0.0
         for centers, contexts in stream.batches(order, batch_size):
             b = len(centers)
+            m = -(-b // c)
             frac = min(done / total_pairs, 1.0)
             lr = learning_rate * (1.0 - frac * (1.0 - FINAL_LR_FRACTION))
-            neg = table.draw(rng, size=(b, negatives))
-            rows = np.column_stack([contexts, neg])
-            live = np.ones((b, negatives + 1))
-            live[:, 1:] = neg != contexts[:, None]
-            c_vec, o_vec = w_in[centers], w_out[rows]
-            z = np.einsum("bjd,bd->bj", o_vec, c_vec) * sign
-            softplus = np.logaddexp(0.0, z)
-            loss_sum += float(np.vdot(softplus, live))
-            coef = np.exp(z - softplus) * live * sign
-            grad_in = np.einsum("bj,bjd->bd", coef, o_vec)
-            grad_out = coef[:, :, None] * c_vec[:, None, :]
+            neg = table.draw(rng, size=(m, negatives))
+            chunk = np.arange(b) // c
+            live = np.zeros((m * c, negatives))
+            live[:b] = neg[chunk] != contexts[:, None]
+            live = live.reshape(m, c, negatives)
+            c_vec, x_vec, n_vec = w_in[centers], w_out[contexts], w_out[neg]
+            padded = np.zeros((m * c, dim))
+            padded[:b] = c_vec
+            padded = padded.reshape(m, c, dim)
+            z_pos = -np.einsum("bd,bd->b", c_vec, x_vec)
+            z_neg = np.matmul(padded, n_vec.transpose(0, 2, 1))
+            sp_pos, sp_neg = np.logaddexp(0.0, z_pos), np.logaddexp(0.0, z_neg)
+            loss_sum += float(sp_pos.sum() + np.vdot(sp_neg, live))
+            coef_pos = -np.exp(z_pos - sp_pos)
+            coef_neg = np.exp(z_neg - sp_neg) * live
+            grad_in = x_vec * coef_pos[:, None]
+            grad_in += np.matmul(coef_neg, n_vec).reshape(m * c, dim)[:b]
+            grad_neg = np.matmul(coef_neg.transpose(0, 2, 1), padded).reshape(-1, dim)
             reference_scatter(w_in, centers, grad_in, lr)
-            reference_scatter(w_out, rows.ravel(), grad_out.reshape(-1, dim), lr)
+            reference_scatter(w_out, np.concatenate([contexts, neg.ravel()]),
+                              np.vstack([c_vec * coef_pos[:, None], grad_neg]), lr)
             done += b
         losses.append(loss_sum / max(stream.pairs, 1))
     return w_in, w_out, losses
@@ -366,8 +464,10 @@ class TestAgainstReferenceTrainer:
             # walks of 1..13 tokens against window 5, last batch of 37 short
             (mixed_walks(seed=0), 30, dict(dim=8, window=5, negatives=5, batch_size=37)),
             (mixed_walks(seed=2), 30, dict(dim=6, window=20, negatives=1, batch_size=11)),
-            # three tokens: most batches draw negatives equal to their context
+            # three tokens: most batches draw negatives equal to their context;
+            # a batch of 8 is one part-filled chunk
             ([[0, 1, 2, 1], [2, 0], [1]] * 9, 3, dict(dim=4, window=2, negatives=4, batch_size=8)),
+            (mixed_walks(seed=4), 30, dict(dim=5, window=3, negatives=0, batch_size=25)),
         ],
     )
     def test_bitwise_equal(self, walks, n, kwargs):
@@ -400,8 +500,10 @@ class TestDivergence:
             train(corpus.paths, n, dim=32, epochs=2, learning_rate=0.5, seed=1)
 
     def test_recovering_loss_passes(self):
+        # negatives shared by a chunk take c pairs' summed step at once, so
+        # the rate that overshoots and recovers is lower than per-pair draws'
         corpus, n = acceptance_walks(walks_per_node=2)
-        m = train(corpus.paths, n, dim=32, epochs=2, learning_rate=0.2, seed=1)
+        m = train(corpus.paths, n, dim=32, epochs=2, learning_rate=0.145, seed=1)
         first, last = m.meta["epoch_mean_loss"]
         assert first > 6 * math.log(2) > last
 

@@ -101,6 +101,10 @@ class TestExperimentConfig:
         ({"epochs": 0}, "epochs must be >= 1, got 0"),
         ({"epochs": -1}, "epochs must be >= 1, got -1"),
         ({"negatives": -1}, "negatives must be >= 0, got -1"),
+        ({"learning_rate": 0.0}, "learning_rate must be finite and > 0, got 0.0"),
+        ({"learning_rate": -0.01}, "learning_rate must be finite and > 0, got -0.01"),
+        ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0, got nan"),
+        ({"learning_rate": float("inf")}, "learning_rate must be finite and > 0, got inf"),
     ])
     def test_walk_and_training_budgets_rejected_before_any_stage(
         self, monkeypatch, overrides, match
@@ -359,6 +363,21 @@ class TestExecute:
         vectors = execute(config, cache_dir=tmp_path).matrix.vectors
         assert not np.array_equal(vectors, sentinel)
         assert len(estimated) == (intervention == "crosswalk")
+
+    def test_entries_of_the_per_pair_negatives_scheme_are_not_served(self, tmp_path):
+        # the key as computed while every pair drew its own k negatives
+        config = sbm_config()
+        g = build_dataset(config)
+        c, gkey, seed = config, pl._graph_key(g), lambda tag: derive_seed(config.seed, tag)
+        wkey = pl._hash_key("corpus.v2", gkey, "baseline", c.p, c.q, c.walks_per_node,
+                            c.walk_length, seed("walks"))
+        ekey = pl._hash_key("embed", wkey, c.dim, c.window, c.negatives, c.epochs,
+                            c.learning_rate, seed("embed"))
+        sentinel = np.full((g.node_count, config.dim), 0.25)
+        ArtifactCache(tmp_path).store_array(ekey, "emb.npy", sentinel)
+        vectors = execute(config, cache_dir=tmp_path).matrix.vectors
+        assert not np.array_equal(vectors, sentinel)
+        assert len(list(tmp_path.glob("*.emb.npy"))) == 2
 
 
 class TestRunExperiment:
