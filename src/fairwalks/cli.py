@@ -66,6 +66,8 @@ def _config_from_args(args) -> ExperimentConfig:
 def cmd_run(args):
     config = _config_from_args(args)
     report = run_experiment(config, args.out_dir, cache_dir=args.cache_dir)
+    for text in report.warnings:  # also in report.json, but must not pass unseen
+        print(f"warning: {text}", file=sys.stderr)
     print(f"run {config.run_id()}: awareness={report.awareness:.4f} "
           f"disparity={report.disparity:.6f} performance={report.performance:.4f}")
     print(f"artifacts written to {args.out_dir}")
@@ -196,6 +198,8 @@ def cmd_eval(args):
         coords = projection.pca_2d(vectors)
         groups = [sensitive.group_labels[i] for i in sensitive.group_of]
         projection.write_projection_csv(args.pca_out, tokens, coords, groups)
+    for text in report.warnings:
+        print(f"warning: {text}", file=sys.stderr)
     print(f"awareness={report.awareness:.4f} disparity={report.disparity:.6f} "
           f"performance={report.performance:.4f}")
     print(f"report written to {args.out}")

@@ -114,6 +114,14 @@ def sgns_pair_loss(center, context, negatives):
     return float(loss), grad_center, grad_context, grad_negatives
 
 
+def softplus(z, out, spare):
+    """log(1 + e^z) as max(z, 0) + log1p(e^-|z|), finite at both tails, into ``out``."""
+    np.copysign(z, -1.0, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    return np.add(out, np.maximum(z, 0.0, out=spare), out=out)
+
+
 class PairStream:
     """The (center, context) pairs of a padded corpus, batched in any walk order.
 
@@ -218,16 +226,13 @@ class _Trainer:
         self.slot = np.empty(len(params), dtype=np.int64)
         self.cells = np.arange(rows * d).reshape(rows, d)
         self.bins = np.empty((rows, d), dtype=np.int64)
-        # a positive logit per pair; k negative logits per pair of the m chunks,
-        # the last chunk padded to c pairs
-        self.pos = np.empty(b)
-        self.pos_softplus = np.empty(b)
         self.padded_centers = np.zeros((m, c, d))
         self.grad_in = np.empty((m, c, d))
         self.padded_contexts = np.empty(m * c, dtype=np.int64)
-        self.live = np.empty((m, c, k))
-        self.logits = np.empty((m, c, k))
-        self.softplus = np.empty((m, c, k))
+        # rows: logits, loss weights, softplus, scratch; each holds a positive
+        # logit's entry per pair, then k negative ones per pair of the m chunks,
+        # the last chunk padded to c pairs
+        self.per_logit = np.empty((4, b + m * c * k))
 
     def process(self, centers, contexts, rng):
         """One mini-batch of SGD updates; returns the summed pair loss."""
@@ -240,11 +245,14 @@ class _Trainer:
         rows[:b] = centers
         np.add(contexts, self.n, out=rows[b : 2 * b])
         np.add(neg.ravel(), self.n, out=rows[2 * b :])
-        # pair i meets the negatives of chunk i // c, unless one is its context;
-        # the padding pairs past b meet none
+        # z = -pos_dot, +neg_dot; loss = sum |weight| softplus(z); dloss/dz =
+        # weight sigmoid(z), weight -1 for a positive; pair i meets the negatives
+        # of chunk i // c, unless one is its context; padding pairs meet none
+        z, weight, sp, spare = self.per_logit[:, : b + m * c * k]
+        weight[:b] = -1.0
         ctx = self.padded_contexts[: m * c]
         ctx[:b] = contexts
-        live = self.live[:m]
+        live = weight[b:].reshape(m, c, k)
         np.not_equal(neg[:, None, :], ctx.reshape(m, c, 1), out=live)
         live.reshape(m * c, k)[b:] = 0.0
 
@@ -256,18 +264,15 @@ class _Trainer:
         padded_rows = padded.reshape(m * c, d)
         padded_rows[:b] = c_vec
         padded_rows[b:] = 0.0
-        # z = -pos_dot, +neg_dot; loss = sum softplus(z); dloss/dz = sigmoid(z)
-        z_pos = np.einsum("bd,bd->b", c_vec, x_vec, out=self.pos[:b])
-        np.negative(z_pos, out=z_pos)
-        z_neg = np.matmul(padded, n_vec.transpose(0, 2, 1), out=self.logits[:m])
-        sp_pos = np.logaddexp(0.0, z_pos, out=self.pos_softplus[:b])
-        sp_neg = np.logaddexp(0.0, z_neg, out=self.softplus[:m])
-        loss = float(sp_pos.sum() + np.vdot(sp_neg, live))
-        # dloss/dz = sigmoid(z) = exp(z - softplus(z)), as in sgns_pair_loss
-        coef_pos = np.exp(np.subtract(z_pos, sp_pos, out=z_pos), out=z_pos)
-        np.negative(coef_pos, out=coef_pos)
-        coef_neg = np.exp(np.subtract(z_neg, sp_neg, out=z_neg), out=z_neg)
-        coef_neg *= live
+        np.einsum("bd,bd->b", c_vec, x_vec, out=z[:b])
+        np.negative(z[:b], out=z[:b])
+        np.matmul(padded, n_vec.transpose(0, 2, 1), out=z[b:].reshape(m, c, k))
+        softplus(z, sp, spare)
+        loss = float(np.vdot(sp, np.abs(weight, out=spare)))
+        # sigmoid(z) = exp(z - softplus(z)), as in sgns_pair_loss
+        coef = np.exp(np.subtract(z, sp, out=z), out=z)
+        coef *= weight
+        coef_pos, coef_neg = coef[:b], coef[b:].reshape(m, c, k)
 
         # the spent vectors become the gradients of the rows they were read from
         grad_in = np.matmul(coef_neg, n_vec, out=self.grad_in[:m]).reshape(m * c, d)

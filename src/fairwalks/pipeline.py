@@ -295,7 +295,7 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
         config.walks_per_node, config.walk_length, walk_seed,
     )
     ekey = _hash_key(
-        "embed.v2", wkey, config.dim, config.window, config.negatives,
+        "embed.v3", wkey, config.dim, config.window, config.negatives,
         config.epochs, config.learning_rate, embed_seed,
     )
 
@@ -339,7 +339,7 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
 
 
 # one CSV row format for report_row.csv and for sweep tables (results.csv)
-SWEEP_SCHEMA_VERSION = 4
+SWEEP_SCHEMA_VERSION = 5
 
 SWEEP_COLUMNS = (  # row identity, the varied config, metrics, per-group lists
     "schema_version", "run_id", "config_hash", "dataset", "status", "error",

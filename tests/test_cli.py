@@ -1,10 +1,14 @@
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from fairwalks import cli
 from fairwalks.cli import main
-from fairwalks.embedding import load_embeddings
-from fairwalks.graph import load_graph
+from fairwalks.embedding import EmbeddingMatrix, load_embeddings, save_embeddings
+from fairwalks.evaluation import cross_validate
+from fairwalks.graph import GroupPartition, load_graph
 from fairwalks.pipeline import SWEEP_SCHEMA_VERSION
 
 
@@ -106,6 +110,54 @@ class TestStageVerbs:
         lines = (d / "base_corpus.txt").read_text().splitlines()
         g = load_graph(d / "g.edges", d / "g.attrs")
         assert len(lines) == 2 * g.node_count
+
+
+class TestWarnings:
+    def eval_inputs(self, tmp_path):
+        # control class "rare" has one node, so each fold that leaves it
+        # unlabeled cannot predict that class
+        rng = np.random.default_rng(5)
+        vectors = rng.normal(0, 1, (12, 3))
+        tokens = [f"n{i}" for i in range(12)]
+        save_embeddings(EmbeddingMatrix(vectors, None, {}), tmp_path / "emb.txt", tokens)
+        blocks = ["a"] * 6 + ["b"] * 6
+        ctl = ["rare"] + ["common", "other"] * 5 + ["common"]
+        (tmp_path / "g.attrs").write_text("node\tblock\tctl\n" + "".join(
+            f"{t}\t{b}\t{c}\n" for t, b, c in zip(tokens, blocks, ctl)))
+        return tokens, vectors, blocks, ctl
+
+    def test_eval_prints_report_warnings_to_stderr(self, tmp_path, capsys):
+        tokens, vectors, blocks, ctl = self.eval_inputs(tmp_path)
+        assert main([
+            "eval", "--embeddings", str(tmp_path / "emb.txt"), "--attrs",
+            str(tmp_path / "g.attrs"), "--sensitive", "block", "--control", "ctl",
+            "--folds", "4", "--knn-k", "3", "--seed", "2", "--out", str(tmp_path / "report.json"),
+        ]) == 0
+        out, err = capsys.readouterr()
+        # the bytes cmd_eval wrote before it printed warnings
+        want = cross_validate(
+            load_embeddings(tmp_path / "emb.txt")[1], GroupPartition.from_values("block", blocks),
+            GroupPartition.from_values("ctl", ctl), folds=4, labeled_fraction=0.5, k=3,
+            sigma=None, seed=2,
+        )
+        assert (tmp_path / "report.json").read_text() == want.to_json()
+        assert want.warnings and any("has no labeled seed" in w for w in want.warnings)
+        assert err.splitlines() == [f"warning: {w}" for w in want.warnings]
+        assert out.splitlines() == [
+            f"awareness={want.awareness:.4f} disparity={want.disparity:.6f} "
+            f"performance={want.performance:.4f}",
+            f"report written to {tmp_path / 'report.json'}",
+        ]
+
+    def test_run_prints_report_warnings_to_stderr(self, tmp_path, capsys, monkeypatch):
+        report = SimpleNamespace(awareness=0.5, disparity=0.1, performance=0.7,
+                                 warnings=["fold 0: propagation did not converge"])
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: report)
+        assert main(["run", "--out-dir", str(tmp_path / "out"), "--sbm-block-sizes", "4,4",
+                     "--sbm-p-intra", "0.5", "--sbm-p-inter", "0.1"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "warning: fold 0: propagation did not converge\n"
+        assert [line.split()[0] for line in out.splitlines()] == ["run", "artifacts"]
 
 
 class TestRunVerb:

@@ -21,6 +21,7 @@ from fairwalks.embedding import (
     save_embeddings,
     scatter_rows,
     sgns_pair_loss,
+    softplus,
     train,
 )
 from fairwalks.graph import generate_sbm
@@ -390,6 +391,44 @@ class TestBatchStep:
         assert gathered == [2 * b + math.ceil(b / NEGATIVE_CHUNK) * k]
 
 
+class TestSoftplus:
+    TAILS = [0.0, -0.0, 1e-300, -1e-300, 1e308, -1e308]
+
+    def kernel(self, z):
+        return softplus(z, np.empty_like(z), np.empty_like(z))
+
+    def test_within_two_ulp_of_logaddexp(self):
+        z = np.concatenate([np.linspace(-750.0, 750.0, 150_001), self.TAILS])
+        want = np.logaddexp(0.0, z)
+        assert np.all(np.abs(self.kernel(z) - want) <= 2 * np.spacing(np.abs(want)))
+
+    def test_finite_at_both_tails(self):
+        z = np.array([-1e308, -800.0, -40.0, 40.0, 800.0, 1e308])
+        sp = self.kernel(z)
+        assert np.isfinite(sp).all()
+        assert sp[0] == 0.0 and sp[-1] == 1e308
+
+    def test_sigmoid_in_unit_interval_and_exact_at_far_tails(self):
+        z = np.concatenate([np.linspace(-750.0, 750.0, 15_001), self.TAILS])
+        sigmoid = np.exp(z - self.kernel(z))
+        assert np.all((sigmoid >= 0.0) & (sigmoid <= 1.0))
+        assert sigmoid[-1] == 0.0 and sigmoid[-2] == 1.0
+
+    @pytest.mark.parametrize("b, k", [(16, 3), (8, 1), (4, 0)])
+    def test_untrained_batch_loss_is_k_plus_one_ln2_per_pair(self, b, k):
+        # zero parameters make every logit 0; negatives all draw node 0,
+        # which is never a context, so no negative is masked
+        assert self.kernel(np.zeros(1))[0] == math.log(2)
+        n = 5
+        table = AliasTable(np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+        trainer = _Trainer(np.zeros((2 * n, 4)), table, k, 0.1, 10**9, b)
+        rng = np.random.default_rng(0)
+        loss = trainer.process(rng.integers(0, n, b), rng.integers(1, n, b), rng)
+        # b (k + 1) equal terms summed in any order the BLAS dot kernel picks
+        bound = b * (k + 1) * sys.float_info.epsilon
+        assert math.isclose(loss / b, (k + 1) * math.log(2), rel_tol=bound, abs_tol=0.0)
+
+
 def reference_scatter(params, rows, grads, scale):
     """Sorted compact ids from ``np.unique``, then one ``np.bincount``."""
     dim = params.shape[1]
@@ -406,7 +445,8 @@ def reference_train(walks, node_count, dim, window, negatives, epochs, learning_
                     batch_size):
     """SGNS with separate input and context matrices: two gathers and two
     scatters per batch, each chunk of ``NEGATIVE_CHUNK`` pairs sharing its
-    negatives. Returns (vectors, context vectors, epoch losses)."""
+    negatives, softplus as max(z, 0) + log1p(e^-|z|). Returns (vectors,
+    context vectors, epoch losses)."""
     walks = pad_walks(walks)
     table = AliasTable(negative_distribution(build_frequency_table(walks, node_count)))
     stream = PairStream(walks, window)
@@ -429,17 +469,19 @@ def reference_train(walks, node_count, dim, window, negatives, epochs, learning_
             chunk = np.arange(b) // c
             live = np.zeros((m * c, negatives))
             live[:b] = neg[chunk] != contexts[:, None]
-            live = live.reshape(m, c, negatives)
             c_vec, x_vec, n_vec = w_in[centers], w_out[contexts], w_out[neg]
             padded = np.zeros((m * c, dim))
             padded[:b] = c_vec
             padded = padded.reshape(m, c, dim)
-            z_pos = -np.einsum("bd,bd->b", c_vec, x_vec)
-            z_neg = np.matmul(padded, n_vec.transpose(0, 2, 1))
-            sp_pos, sp_neg = np.logaddexp(0.0, z_pos), np.logaddexp(0.0, z_neg)
-            loss_sum += float(sp_pos.sum() + np.vdot(sp_neg, live))
-            coef_pos = -np.exp(z_pos - sp_pos)
-            coef_neg = np.exp(z_neg - sp_neg) * live
+            # the b negated positive logits, then the (m, c, k) negative ones;
+            # the weight is -1 per positive and the live mask per negative
+            z = np.concatenate([-np.einsum("bd,bd->b", c_vec, x_vec),
+                                np.matmul(padded, n_vec.transpose(0, 2, 1)).ravel()])
+            weight = np.concatenate([np.full(b, -1.0), live.ravel()])
+            sp = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+            loss_sum += float(np.vdot(sp, np.abs(weight)))
+            coef = np.exp(z - sp) * weight
+            coef_pos, coef_neg = coef[:b], coef[b:].reshape(m, c, negatives)
             grad_in = x_vec * coef_pos[:, None]
             grad_in += np.matmul(coef_neg, n_vec).reshape(m * c, dim)[:b]
             grad_neg = np.matmul(coef_neg.transpose(0, 2, 1), padded).reshape(-1, dim)

@@ -379,6 +379,21 @@ class TestExecute:
         assert not np.array_equal(vectors, sentinel)
         assert len(list(tmp_path.glob("*.emb.npy"))) == 2
 
+    def test_entries_of_the_logaddexp_softplus_scheme_are_not_served(self, tmp_path):
+        # the key as computed while the batch softplus came from np.logaddexp
+        config = sbm_config()
+        g = build_dataset(config)
+        c, gkey, seed = config, pl._graph_key(g), lambda tag: derive_seed(config.seed, tag)
+        wkey = pl._hash_key("corpus.v2", gkey, "baseline", c.p, c.q, c.walks_per_node,
+                            c.walk_length, seed("walks"))
+        ekey = pl._hash_key("embed.v2", wkey, c.dim, c.window, c.negatives, c.epochs,
+                            c.learning_rate, seed("embed"))
+        sentinel = np.full((g.node_count, config.dim), 0.25)
+        ArtifactCache(tmp_path).store_array(ekey, "emb.npy", sentinel)
+        vectors = execute(config, cache_dir=tmp_path).matrix.vectors
+        assert not np.array_equal(vectors, sentinel)
+        assert len(list(tmp_path.glob("*.emb.npy"))) == 2
+
 
 class TestRunExperiment:
     def test_artifacts_written(self, tmp_path):

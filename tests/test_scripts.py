@@ -20,7 +20,8 @@ def run_script(script, *args):
 
 @pytest.mark.parametrize(
     "script",
-    ["compare_presets.py", "run_reference_grid.py", "measure_peak_rss.py", "hash_outputs.py"],
+    ["compare_presets.py", "run_reference_grid.py", "measure_peak_rss.py", "hash_outputs.py",
+     "time_training.py"],
 )
 def test_script_imports_and_shows_help(script):
     result = run_script(script, "--help")
@@ -38,3 +39,17 @@ def test_measure_peak_rss_reports_memory_and_stages():
         "dataset", "closeness", "reweight", "walks", "train", "knn_graph", "propagate",
         "evaluate",
     }
+
+
+def test_time_training_reports_both_corpora():
+    result = run_script("time_training.py", "--toy", "--reps", "2")
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert out["reps"] == 2 and out["toy"] is True
+    for name, dim in (("acceptance_run", 32), ("default_walks", 64)):
+        shape = out[name]
+        assert shape["dim"] == dim and 0 < shape["nodes"] <= 140
+        assert shape["batches"] == -(-shape["pairs"] // shape["batch"])
+        assert shape["min_s"] <= shape["median_s"] <= shape["max_s"]
+        assert shape["pairs_per_s"] > 0 and shape["us_per_batch"] > 0
+
