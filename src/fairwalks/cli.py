@@ -2,7 +2,11 @@
 
 Verbs: run (full pipeline), sweep, summarize, gen-sbm, bias, walk, embed,
 eval. Every pipeline stage is also callable standalone on files, so the
-chain gen-sbm -> bias -> walk -> embed -> eval reproduces what run does.
+chain gen-sbm -> bias -> walk -> embed -> eval runs the same stages as
+run, but it does not produce the same bytes: each stage verb uses
+``--seed`` as given, while run derives one seed per stage from the
+config seed (and ``estimate_closeness`` derives the closeness seed from
+that derived seed a second time).
 """
 
 import argparse
@@ -160,12 +164,12 @@ def cmd_embed(args):
     vocab = sorted({tok for s in sentences for tok in s}, key=_id_key)
     index = {tok: i for i, tok in enumerate(vocab)}
     paths = walks.pad_walks([[index[tok] for tok in s] for s in sentences])
-    matrix = embedding.train(
+    vectors = embedding.train(
         paths, len(vocab), dim=args.dim, window=args.window,
         negatives=args.negatives, epochs=args.epochs,
         learning_rate=args.learning_rate, seed=args.seed,
-    )
-    embedding.save_embeddings(matrix, args.out, tokens=vocab)
+    ).vectors
+    embedding.save_embeddings(vectors, args.out, tokens=vocab)
     print(f"{len(vocab)} x {args.dim} embeddings written to {args.out}")
     return 0
 

@@ -37,16 +37,15 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class EmbeddingMatrix:
-    """Trained node vectors plus the context-side vectors and run metadata.
+    """What ``train`` returns: the input-side vectors, the context-side
+    vectors and the run metadata.
 
-    ``vectors`` (the input side) is the embedding used downstream.
-    ``context_vectors`` is None for a matrix from ``pipeline.execute``,
-    which keeps only the input side (the cached ``emb.npy``); ``train``
-    returns the real context vectors.
+    ``vectors`` is the embedding used downstream; ``pipeline.execute``
+    keeps (and caches) only it.
     """
 
     vectors: np.ndarray
-    context_vectors: np.ndarray | None
+    context_vectors: np.ndarray
     meta: dict
 
 
@@ -355,14 +354,15 @@ def train(
     return EmbeddingMatrix(trainer.w_in, trainer.w_out, meta)
 
 
-def save_embeddings(matrix: EmbeddingMatrix, path, tokens=None):
-    """Text matrix: header ``n dim``, then ``token v1 ... v_dim`` rows."""
-    n, dim = matrix.vectors.shape
+def save_embeddings(vectors, path, tokens=None):
+    """Text matrix of the (n, dim) ``vectors``: header ``n dim``, then
+    ``token v1 ... v_dim`` rows."""
+    n, dim = vectors.shape
     if tokens is None:
         tokens = [str(i) for i in range(n)]
     with atomic_writer(path) as f:
         f.write(f"{n} {dim}\n")
-        for tok, row in zip(tokens, matrix.vectors.tolist()):
+        for tok, row in zip(tokens, vectors.tolist()):
             f.write(tok + " " + " ".join(map(repr, row)) + "\n")
 
 

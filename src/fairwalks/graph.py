@@ -45,16 +45,6 @@ def atomic_writer(path, mode="w"):
             os.unlink(tmp)
 
 
-@dataclass
-class IngestReport:
-    """Counts of what ingestion dropped or merged."""
-
-    nodes_seen: int = 0
-    nodes_dropped_missing_attr: int = 0
-    self_loops_dropped: int = 0
-    duplicate_edges_merged: int = 0
-
-
 @dataclass(eq=False)
 class AttributedGraph:
     """Undirected weighted graph with per-node categorical attributes.
@@ -198,10 +188,9 @@ def _id_key(raw: str):
 
 
 def _parse_edge_file(path):
-    """Return ({(u, v): weight} on string IDs, report counters)."""
+    """Return {(u, v): weight} on string IDs, u < v; self-loops are dropped
+    and repeated edges merged by summing their weights."""
     edges = {}
-    self_loops = 0
-    merged = 0
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.split("#", 1)[0].strip()
@@ -225,15 +214,10 @@ def _parse_edge_file(path):
             else:
                 w = 1.0
             if u == v:
-                self_loops += 1
                 continue
             key = (u, v) if u < v else (v, u)
-            if key in edges:
-                edges[key] += w
-                merged += 1
-            else:
-                edges[key] = w
-    return edges, self_loops, merged
+            edges[key] = edges.get(key, 0.0) + w
+    return edges
 
 
 def _parse_attr_file(path):
@@ -278,13 +262,13 @@ def _densify(raw_edges, kept_ids, attr_names, attr_rows):
     return AttributedGraph(len(order), edge_index, edge_weight, attributes, order)
 
 
-def ingest(edge_path, attr_path):
-    """Load and filter a graph, returning it with an IngestReport.
+def load_graph(edge_path, attr_path) -> AttributedGraph:
+    """Load and filter a graph from an edge file and an attribute file.
 
     Nodes missing any attribute value are dropped along with their incident
     edges. Raises GraphFormatError when the result has no nodes or no edges.
     """
-    raw_edges, self_loops, merged = _parse_edge_file(edge_path)
+    raw_edges = _parse_edge_file(edge_path)
     attr_names, attr_rows = _parse_attr_file(attr_path)
 
     node_ids = {nid for pair in raw_edges for nid in pair}
@@ -299,23 +283,11 @@ def ingest(edge_path, attr_path):
         for nid in node_ids
         if nid in attr_rows and all(v != "" for v in attr_rows[nid])
     ]
-    report = IngestReport(
-        nodes_seen=len(node_ids),
-        nodes_dropped_missing_attr=len(node_ids) - len(kept),
-        self_loops_dropped=self_loops,
-        duplicate_edges_merged=merged,
-    )
     if not kept:
         raise GraphFormatError("empty graph after filtering: no nodes kept")
     graph = _densify(raw_edges, kept, attr_names, attr_rows)
     if graph.edge_count == 0:
         raise GraphFormatError("empty graph after filtering: no edges kept")
-    return graph, report
-
-
-def load_graph(edge_path, attr_path) -> AttributedGraph:
-    """`ingest` without the report."""
-    graph, _ = ingest(edge_path, attr_path)
     return graph
 
 

@@ -4,10 +4,11 @@ A flat JSON-serializable config drives: dataset selection (files or a
 synthetic block model), optional boundary-biased reweighting, walk
 generation, embedding training, and cross-validated evaluation of the
 sensitive and control attributes. One stage output is cached: the
-embedding, under a hash chain over its upstream configuration. A cached
-embedding needs nothing upstream of it, so a warm run reads that one
-file. Boundary closeness and walk corpora are not cached: recomputing
-them costs a fraction of the training they feed.
+embedding, keyed by the graph and every config field outside
+``EVALUATION_FIELDS``. A cached embedding needs nothing upstream of it,
+so a warm run reads that one file. Boundary closeness and walk corpora
+are not cached: recomputing them costs a fraction of the training they
+feed.
 """
 
 import contextlib
@@ -26,6 +27,12 @@ from fairwalks import (
 )
 from fairwalks.graph import atomic_writer
 from fairwalks.seeds import derive_seed
+
+# the fields that steer only the audit of an embedding; the embedding's
+# cache key holds every other field, so a new field is keyed by default
+EVALUATION_FIELDS = (
+    "dataset_name", "control_attribute", "knn_k", "sigma", "folds", "labeled_fraction",
+)
 
 PRESETS = {
     "low_awareness": {"alpha": 0.99, "beta": 15.0},
@@ -242,17 +249,14 @@ class PipelineResult:
     report: evaluation.EvaluationReport
     graph: graph_mod.AttributedGraph
     sensitive: graph_mod.GroupPartition
-    matrix: embedding.EmbeddingMatrix
+    vectors: np.ndarray
 
 
 @contextlib.contextmanager
 def _stage(name):
-    """Re-raise a failure in the block as ``StageError(name)``; a StageError
-    from a stage nested inside keeps its own name."""
+    """Re-raise a failure in the block as ``StageError(name)``."""
     try:
         yield
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(name, exc) from exc
 
@@ -260,9 +264,11 @@ def _stage(name):
 def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
     """Run all pipeline stages in memory; artifacts are written by callers.
 
-    The embedding is the one cached stage output, keyed by a hash chain
-    over everything upstream of it: a cached embedding needs no closeness,
-    bias, walks or training.
+    The embedding is the one cached stage output. Its key is the graph
+    plus every config field outside ``EVALUATION_FIELDS``, so a config
+    that differs in any training field trains again, and a cached
+    embedding needs no closeness, bias, walks or training. The result
+    holds the input-side vectors only.
     """
     config.validate()
     cache = ArtifactCache(cache_dir)
@@ -274,54 +280,36 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
         control = (graph_mod.partition_by(g, config.control_attribute)
                    if config.control_attribute else None)
 
-    gkey = _graph_key(g)
-    closeness_seed = derive_seed(config.seed, "closeness")
-    walk_seed = derive_seed(config.seed, "walks")
     embed_seed = derive_seed(config.seed, "embed")
-    if config.intervention == "crosswalk":
-        # closeness inputs; the formula, tag included, stays fixed so that
-        # cached embeddings keep their keys
-        ckey = _hash_key(
-            "closeness.v2", gkey, config.sensitive_attribute,
-            config.closeness_walks, config.closeness_length, closeness_seed,
-        )
-        walk_source = f"crosswalk(alpha={config.alpha:g}, beta={config.beta:g})"
-        wkey_bias = _hash_key(ckey, config.alpha, config.beta, crosswalk.CLOSENESS_SMOOTHING)
-    else:
-        walk_source = "baseline"
-        wkey_bias = "baseline"
-    wkey = _hash_key(
-        "corpus.v2", gkey, wkey_bias, config.p, config.q,
-        config.walks_per_node, config.walk_length, walk_seed,
-    )
-    ekey = _hash_key(
-        "embed.v3", wkey, config.dim, config.window, config.negatives,
-        config.epochs, config.learning_rate, embed_seed,
-    )
-
+    # a module constant that moves the trained bits (NEGATIVE_CHUNK, say) bumps the tag
+    key = _hash_key("embed.v3", _graph_key(g),
+                    config.replace(**dict.fromkeys(EVALUATION_FIELDS)).config_hash())
     with _stage("embed"):
-        vectors = cache.load_array(ekey, "emb.npy")
-        if vectors is None:
-            with _stage("bias"):
-                if config.intervention == "baseline":
-                    weights = walks.TransitionWeights.from_graph(g)
-                else:
-                    closeness = crosswalk.estimate_closeness(
-                        g, sensitive, config.closeness_walks, config.closeness_length,
-                        closeness_seed,
-                    )
-                    weights = crosswalk.reweight(g, sensitive, closeness, config.alpha, config.beta)
-            with _stage("walks"):
-                corpus = walks.generate_walks(weights, walks.WalkConfig(
-                    p=config.p, q=config.q, walks_per_node=config.walks_per_node,
-                    walk_length=config.walk_length, seed=walk_seed,
-                ))
+        vectors = cache.load_array(key, "emb.npy")
+    if vectors is None:
+        with _stage("bias"):
+            if config.intervention == "baseline":
+                weights = walks.TransitionWeights.from_graph(g)
+            else:
+                closeness = crosswalk.estimate_closeness(
+                    g, sensitive, config.closeness_walks, config.closeness_length,
+                    derive_seed(config.seed, "closeness"),
+                )
+                weights = crosswalk.reweight(g, sensitive, closeness, config.alpha, config.beta)
+        with _stage("walks"):
+            corpus = walks.generate_walks(weights, walks.WalkConfig(
+                p=config.p, q=config.q, walks_per_node=config.walks_per_node,
+                walk_length=config.walk_length, seed=derive_seed(config.seed, "walks"),
+            ))
+        with _stage("embed"):
             vectors = embedding.train(
                 corpus.paths, g.node_count, dim=config.dim, window=config.window,
                 negatives=config.negatives, epochs=config.epochs,
                 learning_rate=config.learning_rate, seed=embed_seed,
             ).vectors
-            cache.store_array(ekey, "emb.npy", vectors)
+            cache.store_array(key, "emb.npy", vectors)
+    walk_source = ("baseline" if config.intervention == "baseline"
+                   else f"crosswalk(alpha={config.alpha:g}, beta={config.beta:g})")
     meta = embedding.embedding_meta(
         config.dim, config.window, config.negatives, config.epochs,
         config.learning_rate, embed_seed,
@@ -334,8 +322,7 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
             config_echo={"experiment": config.to_dict(), "walk_source": walk_source,
                          "embedding_meta": meta},
         )
-    matrix = embedding.EmbeddingMatrix(vectors, None, meta)
-    return PipelineResult(report, g, sensitive, matrix)
+    return PipelineResult(report, g, sensitive, vectors)
 
 
 # one CSV row format for report_row.csv and for sweep tables (results.csv)
@@ -419,12 +406,12 @@ def run_experiment(config: ExperimentConfig, out_dir, cache_dir=None):
     os.makedirs(out_dir, exist_ok=True)
     ids = result.graph.original_ids
     with _stage("artifacts"):
-        coords = projection.pca_2d(result.matrix.vectors)
+        coords = projection.pca_2d(result.vectors)
         groups = [result.sensitive.group_labels[i] for i in result.sensitive.group_of]
         row = csv_header_line() + report_csv_line(config, result.report)
         for name, text in (("report.json", result.report.to_json()), ("report_row.csv", row)):
             with atomic_writer(os.path.join(out_dir, name)) as f:
                 f.write(text)
-        embedding.save_embeddings(result.matrix, os.path.join(out_dir, "embeddings.txt"), ids)
+        embedding.save_embeddings(result.vectors, os.path.join(out_dir, "embeddings.txt"), ids)
         projection.write_projection_csv(os.path.join(out_dir, "pca.csv"), ids, coords, groups)
     return result.report

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -123,8 +124,10 @@ def run_sweep(
     rows are rewritten through ``atomic_writer``, then each run appends its
     row. A run is skipped when an ok row has its config hash; error rows, a
     partial last row and rows of an older schema are dropped and rerun.
-    Runs are serial whatever ``workers`` is: the sweep's work holds
-    the interpreter lock, and threads measured slower than one worker.
+    A run's evaluation warnings go to stderr as ``warning: <run_id>:
+    <text>``; the table has no column for them. Runs are serial whatever
+    ``workers`` is: the sweep's work holds the interpreter lock, and
+    threads measured slower than one worker.
     """
     plans = spec.expand(base)
     csv_path = os.path.join(out_dir, "results.csv")
@@ -148,9 +151,13 @@ def run_sweep(
     todo = [cfg for cfg in plans if cfg.config_hash() not in done]
     for cfg in todo:
         try:
-            line = report_csv_line(cfg, runner(cfg))
+            report = runner(cfg)
+            line = report_csv_line(cfg, report)
         except (StageError, ValueError, RuntimeError) as exc:
             line = report_csv_line(cfg, None, error=exc)
+        else:
+            for text in report.warnings:
+                print(f"warning: {cfg.run_id()}: {text}", file=sys.stderr)
         with open(csv_path, "a") as f:
             f.write(line)
     return csv_path, plans, len(todo)

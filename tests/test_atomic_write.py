@@ -37,7 +37,7 @@ def inputs(tmp_path_factory):
     execute(sbm_config(), cache_dir=cache)  # warm: run_experiment then stores no entry
     return SimpleNamespace(
         graph=g, weights=weights, corpus=corpus,
-        matrix=embedding.EmbeddingMatrix(vectors, None, {}),
+        vectors=vectors,
         groups=[str(b) for b in g.attributes["block"]],
         cache=cache,
     )
@@ -56,7 +56,7 @@ def cli_walk(d, inputs):
 
 def cli_eval(d, inputs):
     graph.save_graph(inputs.graph, d / "g.edges", d / "g.attrs")
-    embedding.save_embeddings(inputs.matrix, d / "emb.txt", inputs.graph.original_ids)
+    embedding.save_embeddings(inputs.vectors, d / "emb.txt", inputs.graph.original_ids)
     main(["eval", "--embeddings", str(d / "emb.txt"), "--attrs", str(d / "g.attrs"),
           "--sensitive", "block", "--folds", "2", "--out", str(d / "report.json")])
 
@@ -99,13 +99,13 @@ WRITERS = {
     "save_corpus": ("corpus.txt", 0, lambda d, i: walks.save_corpus(
         i.corpus, d / "corpus.txt", i.graph.original_ids)),
     "save_embeddings": ("emb.txt", 0, lambda d, i: embedding.save_embeddings(
-        i.matrix, d / "emb.txt", i.graph.original_ids)),
+        i.vectors, d / "emb.txt", i.graph.original_ids)),
     "write_projection_csv": ("pca.csv", 0, lambda d, i: projection.write_projection_csv(
-        d / "pca.csv", i.graph.original_ids, projection.pca_2d(i.matrix.vectors), i.groups)),
+        d / "pca.csv", i.graph.original_ids, projection.pca_2d(i.vectors), i.groups)),
     "ExperimentConfig.save": ("config.json", 0, lambda d, i: sbm_config().save(
         d / "config.json")),
     "ArtifactCache.store_array": ("k.emb.npy", 0, lambda d, i: ArtifactCache(d).store_array(
-        "k", "emb.npy", i.matrix.vectors)),
+        "k", "emb.npy", i.vectors)),
     "run_experiment report.json": ("report.json", 0, experiment),
     "run_experiment report_row.csv": ("report_row.csv", 1, experiment),
     "run_experiment embeddings.txt": ("embeddings.txt", 2, experiment),

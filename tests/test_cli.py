@@ -6,7 +6,7 @@ import pytest
 
 from fairwalks import cli
 from fairwalks.cli import main
-from fairwalks.embedding import EmbeddingMatrix, load_embeddings, save_embeddings
+from fairwalks.embedding import load_embeddings, save_embeddings
 from fairwalks.evaluation import cross_validate
 from fairwalks.graph import GroupPartition, load_graph
 from fairwalks.pipeline import SWEEP_SCHEMA_VERSION
@@ -119,7 +119,7 @@ class TestWarnings:
         rng = np.random.default_rng(5)
         vectors = rng.normal(0, 1, (12, 3))
         tokens = [f"n{i}" for i in range(12)]
-        save_embeddings(EmbeddingMatrix(vectors, None, {}), tmp_path / "emb.txt", tokens)
+        save_embeddings(vectors, tmp_path / "emb.txt", tokens)
         blocks = ["a"] * 6 + ["b"] * 6
         ctl = ["rare"] + ["common", "other"] * 5 + ["common"]
         (tmp_path / "g.attrs").write_text("node\tblock\tctl\n" + "".join(

@@ -11,7 +11,6 @@ import fairwalks.embedding as embedding_mod
 from fairwalks.embedding import (
     FINAL_LR_FRACTION,
     NEGATIVE_CHUNK,
-    EmbeddingMatrix,
     PairStream,
     TrainingDiverged,
     _Trainer,
@@ -553,12 +552,12 @@ class TestDivergence:
 class TestEmbeddingIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        matrix = EmbeddingMatrix(rng.normal(0, 1, (5, 3)), np.zeros((5, 3)), {})
+        saved = rng.normal(0, 1, (5, 3))
         path = tmp_path / "emb.txt"
-        save_embeddings(matrix, path, tokens=["a", "b", "c", "d", "e"])
+        save_embeddings(saved, path, tokens=["a", "b", "c", "d", "e"])
         tokens, vectors = load_embeddings(path)
         assert tokens == ["a", "b", "c", "d", "e"]
-        np.testing.assert_array_equal(vectors, matrix.vectors)
+        np.testing.assert_array_equal(vectors, saved)
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -569,7 +568,7 @@ class TestEmbeddingIO:
     def test_bytes_match_per_element_formatter(self, tmp_path):
         vectors = np.array([[-0.0, 1e-300, 3.0], [2.0, -5e-324, 0.1], [1e16, -7.0, 2.5e-8]])
         path = tmp_path / "emb.txt"
-        save_embeddings(EmbeddingMatrix(vectors, np.zeros_like(vectors), {}), path)
+        save_embeddings(vectors, path)
         want = "3 3\n" + "".join(
             f"{i} " + " ".join(repr(float(x)) for x in row) + "\n" for i, row in enumerate(vectors)
         )

@@ -18,7 +18,6 @@ from fairwalks.graph import (
     draw_slots,
     fill_spans,
     generate_sbm,
-    ingest,
     load_graph,
     partition_by,
     save_graph,
@@ -65,9 +64,9 @@ class TestLoadGraph:
         paths = write_dataset(
             tmp_path, ["a b", "b c", "a c"], ["node\tloc", "a\tX", "b\tX", "c\t"]
         )
-        g, report = ingest(*paths)
-        assert g.node_count == 2
-        assert report.nodes_dropped_missing_attr == 1
+        g = load_graph(*paths)
+        assert g.original_ids == ["a", "b"]
+        assert g.attributes["loc"] == ["X", "X"]
 
     def test_explicit_weights_and_comments(self, tmp_path):
         paths = write_dataset(
@@ -107,9 +106,9 @@ class TestLoadGraph:
         paths = write_dataset(
             tmp_path, ["a a", "a b"], ["node\tloc", "a\tX", "b\tY"]
         )
-        g, report = ingest(*paths)
+        g = load_graph(*paths)
         assert g.edge_count == 1
-        assert report.self_loops_dropped == 1
+        assert g.edge_index.tolist() == [[0, 1]]
 
     def test_numeric_ids_sorted_numerically(self, tmp_path):
         paths = write_dataset(

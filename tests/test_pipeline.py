@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 
@@ -267,12 +268,12 @@ class TestExecute:
         assert np.isfinite(report.awareness)
 
     def test_execute_keeps_only_the_input_side(self, tmp_path):
-        # cold and warm runs alike: no n x d block of zeros for the context side
+        # cold and warm runs alike: a plain (n, dim) array, no context side
         cache = str(tmp_path / "cache")
         for _ in range(2):
-            matrix = execute(sbm_config(), cache_dir=cache).matrix
-            assert matrix.context_vectors is None
-            assert matrix.vectors.shape == (50, 12)
+            vectors = execute(sbm_config(), cache_dir=cache).vectors
+            assert isinstance(vectors, np.ndarray)
+            assert vectors.shape == (50, 12)
 
     def test_warm_run_reads_only_the_embedding(self, tmp_path, monkeypatch):
         loads = []
@@ -298,8 +299,8 @@ class TestExecute:
         warm = execute(config, cache_dir=str(cache))
         assert loads == ["emb.npy"]
         assert calls == {"generate_walks": 1, "train": 1}
-        assert warm.matrix.vectors.tobytes() == cold.matrix.vectors.tobytes()
-        assert warm.matrix.meta == cold.matrix.meta
+        assert warm.vectors.tobytes() == cold.vectors.tobytes()
+        assert warm.report.to_json() == cold.report.to_json()
         assert not list(cache.glob("*.corpus.npy"))
 
     def test_cache_reuse_is_equivalent(self, tmp_path):
@@ -360,7 +361,7 @@ class TestExecute:
         original = crosswalk.estimate_closeness
         monkeypatch.setattr(crosswalk, "estimate_closeness",
                             lambda *a: estimated.append(1) or original(*a))
-        vectors = execute(config, cache_dir=tmp_path).matrix.vectors
+        vectors = execute(config, cache_dir=tmp_path).vectors
         assert not np.array_equal(vectors, sentinel)
         assert len(estimated) == (intervention == "crosswalk")
 
@@ -375,7 +376,7 @@ class TestExecute:
                             c.learning_rate, seed("embed"))
         sentinel = np.full((g.node_count, config.dim), 0.25)
         ArtifactCache(tmp_path).store_array(ekey, "emb.npy", sentinel)
-        vectors = execute(config, cache_dir=tmp_path).matrix.vectors
+        vectors = execute(config, cache_dir=tmp_path).vectors
         assert not np.array_equal(vectors, sentinel)
         assert len(list(tmp_path.glob("*.emb.npy"))) == 2
 
@@ -390,9 +391,84 @@ class TestExecute:
                             c.learning_rate, seed("embed"))
         sentinel = np.full((g.node_count, config.dim), 0.25)
         ArtifactCache(tmp_path).store_array(ekey, "emb.npy", sentinel)
-        vectors = execute(config, cache_dir=tmp_path).matrix.vectors
+        vectors = execute(config, cache_dir=tmp_path).vectors
         assert not np.array_equal(vectors, sentinel)
         assert len(list(tmp_path.glob("*.emb.npy"))) == 2
+
+
+# one changed value per field an SBM config trains from; leaving crosswalk
+# clears alpha and beta with the intervention
+TRAINING_CHANGES = {
+    "sbm_block_sizes": {"sbm_block_sizes": [25, 26]},
+    "sbm_p_intra": {"sbm_p_intra": 0.5},
+    "sbm_p_inter": {"sbm_p_inter": 0.05},
+    "sbm_control_classes": {"sbm_control_classes": 3},
+    "sbm_control_probs": {"sbm_control_probs": [0.3, 0.7]},
+    "sbm_control_bonus": {"sbm_control_bonus": 0.1},
+    "sensitive_attribute": {"sensitive_attribute": "control"},
+    "intervention": {"intervention": "baseline", "alpha": None, "beta": None},
+    "alpha": {"alpha": 0.25},
+    "beta": {"beta": 3.0},
+    "closeness_walks": {"closeness_walks": 5},
+    "closeness_length": {"closeness_length": 3},
+    "p": {"p": 0.5},
+    "q": {"q": 2.0},
+    "walks_per_node": {"walks_per_node": 3},
+    "walk_length": {"walk_length": 10},
+    "dim": {"dim": 8},
+    "window": {"window": 3},
+    "negatives": {"negatives": 3},
+    "epochs": {"epochs": 1},
+    "learning_rate": {"learning_rate": 0.02},
+    "seed": {"seed": 6},
+}
+FILE_FIELDS = ("edges_path", "attrs_path", "select_attribute", "select_values", "bin_age_column")
+EVALUATION_CHANGES = {
+    "dataset_name": "other",
+    "control_attribute": "control",  # the name the SBM gives it anyway
+    "knn_k": 5,
+    "sigma": 1.0,
+    "folds": 3,
+    "labeled_fraction": 0.4,
+}
+
+
+class TestEmbeddingKey:
+    """The cached embedding is keyed by the graph and every config field
+    outside ``EVALUATION_FIELDS``."""
+
+    BASE = dict(sbm_control_classes=2, intervention="crosswalk", alpha=0.5, beta=2.0)
+
+    @pytest.fixture(scope="class")
+    def warm_cache(self, tmp_path_factory):
+        cache = tmp_path_factory.mktemp("cache")
+        return cache, execute(sbm_config(**self.BASE), cache_dir=cache).vectors
+
+    @pytest.fixture
+    def trains(self, monkeypatch):
+        calls = []
+        original = embedding.train
+        monkeypatch.setattr(embedding, "train", lambda *a, **k: calls.append(1) or original(*a, **k))
+        return calls
+
+    def test_evaluation_fields_are_config_fields(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(pl.EVALUATION_FIELDS) == set(EVALUATION_CHANGES) <= names
+        # every other field an SBM config uses is covered below
+        assert set(TRAINING_CHANGES) == names - set(FILE_FIELDS) - set(pl.EVALUATION_FIELDS)
+
+    @pytest.mark.parametrize("field", sorted(TRAINING_CHANGES))
+    def test_a_changed_training_field_trains_again(self, warm_cache, trains, field):
+        cache, _ = warm_cache
+        execute(sbm_config(**{**self.BASE, **TRAINING_CHANGES[field]}), cache_dir=cache)
+        assert trains == [1]
+
+    @pytest.mark.parametrize("field", sorted(EVALUATION_CHANGES))
+    def test_a_changed_evaluation_field_reads_the_cache(self, warm_cache, trains, field):
+        cache, cold = warm_cache
+        config = sbm_config(**self.BASE, **{field: EVALUATION_CHANGES[field]})
+        assert execute(config, cache_dir=cache).vectors.tobytes() == cold.tobytes()
+        assert trains == []
 
 
 class TestRunExperiment:

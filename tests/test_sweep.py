@@ -194,6 +194,21 @@ class TestRunSweep:
         assert len(read_sweep_table(csv_path)) == len(plans) == 5
 
 
+    def test_run_warnings_go_to_stderr(self, tmp_path, capsys):
+        def warning_runner(config):
+            report = fake_report(config)
+            if config.intervention == "crosswalk":
+                report.warnings = ["fold 0: did not converge"]
+            return report
+
+        spec = SweepSpec(alphas=[0.5], betas=[1.0])
+        csv_path, _, _ = run_sweep(spec, base_config(), tmp_path, runner=warning_runner)
+        err = capsys.readouterr().err
+        assert err == "warning: crosswalk_a0.5_b1_p1_q1: fold 0: did not converge\n"
+        rows = read_sweep_table(csv_path)
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+        assert list(rows[0]) == list(SWEEP_COLUMNS)
+
     def test_rerun_with_other_seed_executes_every_run(self, tmp_path):
         spec = SweepSpec(alphas=[0.5], betas=[1.0, 2.0])
         run_sweep(spec, base_config(), tmp_path, runner=RecordingRunner())
