@@ -63,8 +63,8 @@ def recorded_training(config):
         calls.append((args, kwargs))
         return train(*args, **kwargs)
 
-    def counted(stream, order, batch_size):
-        for centers, contexts in batches(stream, order, batch_size):
+    def counted(stream, *args):
+        for centers, contexts in batches(stream, *args):
             sizes.append(len(centers))
             yield centers, contexts
 

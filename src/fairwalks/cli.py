@@ -5,8 +5,8 @@ eval. Every pipeline stage is also callable standalone on files, so the
 chain gen-sbm -> bias -> walk -> embed -> eval runs the same stages as
 run, but it does not produce the same bytes: each stage verb uses
 ``--seed`` as given, while run derives one seed per stage from the
-config seed (and ``estimate_closeness`` derives the closeness seed from
-that derived seed a second time).
+config seed. Boundary closeness is the exception: run passes its config
+seed, so ``bias --seed <seed>`` reweights as run does.
 """
 
 import argparse

@@ -1,6 +1,7 @@
 """Skip-gram training with negative sampling, from walk corpora.
 
-Plain numpy SGD: for every (center, context) pair within the window the
+Plain numpy SGD: each center draws its window uniformly from 1..window,
+as word2vec does; for every (center, context) pair within it the
 positive logit is pushed up and k sampled negative logits are pushed
 down. Negatives are drawn from the unigram distribution raised to 0.75,
 k per chunk of ``NEGATIVE_CHUNK`` consecutive pairs of a batch, which all
@@ -64,6 +65,7 @@ def embedding_meta(dim, window, negatives, epochs, learning_rate, seed) -> dict:
         "seed": seed,
         "negative_power": NEGATIVE_DISTRIBUTION_POWER,
         "negatives_shared_by": NEGATIVE_CHUNK,
+        "window_sampled": True,
     }
 
 
@@ -122,46 +124,64 @@ def softplus(z, out, spare):
 
 
 class PairStream:
-    """The (center, context) pairs of a padded corpus, batched in any walk order.
+    """The (center, context) pairs of a padded corpus under drawn windows,
+    batched in any walk order.
 
     A position template lists, for the longest walk, every pair within the
     window: offset by offset, first each token with the one ``offset``
-    later, then the reverse direction. A walk's pairs are the template
-    entries that fit inside it, in template order.
+    later, then the reverse direction. Given a reach per (walk, position),
+    a walk's pairs are the template entries that fit inside it and whose
+    offset is at most their center's reach, in template order.
     """
 
     def __init__(self, paths, window: int):
         self.padded = paths
+        self.window = window
         self.lengths = np.count_nonzero(paths != PAD, axis=1)
         self.width = int(self.lengths.max())
+        # no walk holds an offset past width - 1, so no reach need exceed it
+        self.cap = max(min(window, self.width - 1), 0)
+        self.reach_type = np.min_scalar_type(self.cap)
         centers, contexts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        for offset in range(1, min(window, self.width - 1) + 1):
+        for offset in range(1, self.cap + 1):
             left = np.arange(self.width - offset)
             centers += [left, left + offset]
             contexts += [left + offset, left]
         self.center_pos = np.concatenate(centers)
         self.context_pos = np.concatenate(contexts)
+        self.offset = np.abs(self.center_pos - self.context_pos).astype(self.reach_type)
         # shortest walk that holds each template pair
         self.needs = np.maximum(self.center_pos, self.context_pos) + 1
-        offsets = np.arange(1, window + 1)
-        self.pairs = int(2 * np.clip(self.lengths[:, None] - offsets, 0, None).sum())
 
-    def batches(self, order, batch_size: int):
-        """Yield (centers, contexts) of the walks in ``order``, ``batch_size``
-        pairs at a time; only the last batch may be shorter."""
+    def draw(self, rng):
+        """A reach per (walk, position), uniform in 1..window as word2vec draws
+        it, capped at the longest offset any walk holds."""
+        reach = rng.integers(1, self.window + 1, size=(len(self.padded), self.width))
+        return np.minimum(reach, self.cap, out=reach).astype(self.reach_type)
+
+    def count(self, reach) -> int:
+        """The pairs ``batches`` yields under ``reach``: min(r, p) + min(r, L - 1 - p)
+        at each position p of a walk of length L."""
+        pos = np.arange(self.width)
+        ahead = self.lengths[:, None] - 1 - pos
+        inside = ahead >= 0
+        return int((np.minimum(reach, pos)[inside] + np.minimum(reach, ahead)[inside]).sum())
+
+    def batches(self, order, batch_size: int, reach):
+        """Yield (centers, contexts) of the walks in ``order`` under ``reach``,
+        ``batch_size`` pairs at a time; only the last batch may be shorter."""
         block = max(1, BLOCK_PAIRS // max(len(self.needs), 1))
         carry_c = carry_x = np.empty(0, dtype=np.int64)
         for start in range(0, len(order), block):
             ids = order[start : start + block]
-            rows = self.padded[ids]
-            centers = rows[:, self.center_pos]
-            contexts = rows[:, self.context_pos]
+            keep = reach[ids][:, self.center_pos] >= self.offset
             lengths = self.lengths[ids]
             if lengths.min() < self.width:
-                fits = self.needs <= lengths[:, None]
-                centers, contexts = centers[fits], contexts[fits]
-            centers = np.concatenate([carry_c, centers.ravel()])
-            contexts = np.concatenate([carry_x, contexts.ravel()])
+                keep &= self.needs <= lengths[:, None]
+            walk, entry = np.nonzero(keep)
+            walk = ids[walk]
+            centers = np.concatenate([carry_c, self.padded[walk, self.center_pos[entry]]])
+            contexts = np.concatenate([carry_x, self.padded[walk, self.context_pos[entry]]])
             full = len(centers) - len(centers) % batch_size
             for s in range(0, full, batch_size):
                 yield centers[s : s + batch_size], contexts[s : s + batch_size]
@@ -311,14 +331,15 @@ def train(
     """Train node embeddings over the padded walk corpus ``walks``.
 
     ``walks`` is a ``WalkCorpus.paths`` array (``walks.pad_walks`` makes
-    one from lists) with at least one walk. Each epoch visits the walks
-    in a seeded shuffle and streams their pairs through batches of
+    one from lists) with at least one walk. Each epoch draws every
+    position's window uniformly from 1..``window``, visits the walks in a
+    seeded shuffle and streams their pairs through batches of
     ``batch_size`` (the last batch of an epoch may be shorter). The
     learning rate decays linearly from ``learning_rate`` to 1% of it
-    across all scheduled pairs. A fixed seed gives bit-identical
-    parameters. An epoch whose mean loss is not finite or exceeds ten
-    times an untrained pair's (k + 1) ln 2, or that leaves a parameter
-    non-finite, raises ``TrainingDiverged``.
+    across the pairs of all epochs, counted before the first. A fixed
+    seed gives bit-identical parameters. An epoch whose mean loss is not
+    finite or exceeds ten times an untrained pair's (k + 1) ln 2, or that
+    leaves a parameter non-finite, raises ``TrainingDiverged``.
     """
     check_training(dim, window, negatives, epochs, learning_rate)
 
@@ -332,18 +353,22 @@ def train(
     # cap batches at the vocabulary size: a node then appears O(1) times per
     # batch and the accumulated stale-gradient step stays close to per-pair SGD
     batch_size = max(8, min(batch_size, node_count))
-    total_pairs = stream.pairs * epochs
-    trainer = _Trainer(params, table, negatives, learning_rate, total_pairs, batch_size)
+    # each epoch's windows are drawn twice, to count its pairs now and to
+    # stream them later, so one epoch's windows are held at a time
+    epoch_pairs = [stream.count(stream.draw(rng_for(seed, "window", epoch)))
+                   for epoch in range(epochs)]
+    trainer = _Trainer(params, table, negatives, learning_rate, sum(epoch_pairs), batch_size)
     limit = 10 * (negatives + 1) * np.log(2)
 
     epoch_losses = []
     for epoch in range(epochs):
         order = rng_for(seed, "epoch", epoch).permutation(len(walks))
+        reach = stream.draw(rng_for(seed, "window", epoch))
         rng = rng_for(seed, "sgd", epoch)
         loss_sum = 0.0
-        for centers, contexts in stream.batches(order, batch_size):
+        for centers, contexts in stream.batches(order, batch_size, reach):
             loss_sum += trainer.process(centers, contexts, rng)
-        epoch_losses.append(loss_sum / max(stream.pairs, 1))
+        epoch_losses.append(loss_sum / max(epoch_pairs[epoch], 1))
         if not epoch_losses[-1] <= limit or not np.isfinite(params).all():
             raise TrainingDiverged(f"epoch {epoch} diverged (mean loss {epoch_losses[-1]:.3g}, "
                                    f"limit {limit:.3g}); lower the learning rate "

@@ -282,7 +282,7 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
 
     embed_seed = derive_seed(config.seed, "embed")
     # a module constant that moves the trained bits (NEGATIVE_CHUNK, say) bumps the tag
-    key = _hash_key("embed.v3", _graph_key(g),
+    key = _hash_key("embed.v4", _graph_key(g),
                     config.replace(**dict.fromkeys(EVALUATION_FIELDS)).config_hash())
     with _stage("embed"):
         vectors = cache.load_array(key, "emb.npy")
@@ -292,8 +292,7 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
                 weights = walks.TransitionWeights.from_graph(g)
             else:
                 closeness = crosswalk.estimate_closeness(
-                    g, sensitive, config.closeness_walks, config.closeness_length,
-                    derive_seed(config.seed, "closeness"),
+                    g, sensitive, config.closeness_walks, config.closeness_length, config.seed,
                 )
                 weights = crosswalk.reweight(g, sensitive, closeness, config.alpha, config.beta)
         with _stage("walks"):
@@ -326,7 +325,7 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
 
 
 # one CSV row format for report_row.csv and for sweep tables (results.csv)
-SWEEP_SCHEMA_VERSION = 5
+SWEEP_SCHEMA_VERSION = 6
 
 SWEEP_COLUMNS = (  # row identity, the varied config, metrics, per-group lists
     "schema_version", "run_id", "config_hash", "dataset", "status", "error",

@@ -4,12 +4,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fairwalks import cli
+from fairwalks import cli, crosswalk
 from fairwalks.cli import main
 from fairwalks.embedding import load_embeddings, save_embeddings
 from fairwalks.evaluation import cross_validate
-from fairwalks.graph import GroupPartition, load_graph
-from fairwalks.pipeline import SWEEP_SCHEMA_VERSION
+from fairwalks.graph import GroupPartition, load_graph, save_graph
+from fairwalks.pipeline import SWEEP_SCHEMA_VERSION, ExperimentConfig, execute
 
 
 @pytest.fixture
@@ -99,6 +99,27 @@ class TestStageVerbs:
         ]) == 1
         assert "error: learning_rate must be finite and > 0, got 0.0" in capsys.readouterr().err
         assert not (d / "lr_emb.txt").exists()
+
+    def test_run_biases_as_the_bias_verb_does_with_its_seed(self, tmp_path, monkeypatch):
+        # execute hands estimate_closeness the run's seed, as bias hands it --seed
+        config = ExperimentConfig(
+            sbm_block_sizes=[15, 15], sbm_p_intra=0.5, sbm_p_inter=0.08,
+            sensitive_attribute="block", intervention="crosswalk", alpha=0.5, beta=2.0,
+            walks_per_node=1, walk_length=4, dim=4, epochs=1, folds=2, seed=6,
+        )
+        biased = []
+        reweight = crosswalk.reweight
+        monkeypatch.setattr(crosswalk, "reweight",
+                            lambda *a: biased.append(reweight(*a)) or biased[-1])
+        g = execute(config).graph
+        crosswalk.save_biased(biased[0], tmp_path / "run.tsv")
+        save_graph(g, tmp_path / "g.edges", tmp_path / "g.attrs")
+        assert main([
+            "bias", "--edges", str(tmp_path / "g.edges"), "--attrs", str(tmp_path / "g.attrs"),
+            "--attribute", "block", "--alpha", "0.5", "--beta", "2", "--seed", "6",
+            "--out", str(tmp_path / "bias.tsv"),
+        ]) == 0
+        assert (tmp_path / "bias.tsv").read_bytes() == (tmp_path / "run.tsv").read_bytes()
 
     def test_baseline_walk_without_bias(self, dataset):
         d = dataset

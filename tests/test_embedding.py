@@ -230,18 +230,17 @@ class TestTrain:
         assert accuracy >= 0.95
 
 
-def reference_pairs(walk, window):
-    """Per-walk pair order: offset by offset, forward then backward."""
-    arr = np.asarray(walk, dtype=np.int64)
-    centers, contexts = [], []
-    for offset in range(1, window + 1):
-        if len(arr) <= offset:
-            break
-        left, right = arr[:-offset], arr[offset:]
-        centers += [left, right]
-        contexts += [right, left]
-    if not centers:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+def reference_pairs(walk, reach):
+    """Per-walk pair order: offset by offset, forward then backward, a pair
+    kept when its offset is at most ``reach`` at its center's position."""
+    arr, reach = np.asarray(walk, dtype=np.int64), np.asarray(reach)
+    centers, contexts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for offset in range(1, len(arr)):
+        left = np.arange(len(arr) - offset)
+        for center, step in ((left, offset), (left + offset, -offset)):
+            center = center[reach[center] >= offset]
+            centers.append(arr[center])
+            contexts.append(arr[center + step])
     return np.concatenate(centers), np.concatenate(contexts)
 
 
@@ -251,45 +250,70 @@ def mixed_walks(seed=0, count=120):
     return walks + [[4], [7, 7], [1, 2, 3]]
 
 
+def reach_for(kind, paths, window, seed=0):
+    """Every (walk, position)'s window: ``window`` itself (the fixed window)
+    or drawn by ``PairStream.draw``."""
+    stream = PairStream(paths, window)
+    if kind == "full":
+        return np.full((len(paths), stream.width), window)
+    return stream.draw(np.random.default_rng(seed))
+
+
+REACHES = ["full", "drawn"]
+
+
+def streamed(stream, order, batch_size, reach):
+    """All (centers, contexts) that ``stream`` yields, batches joined."""
+    batches = list(stream.batches(order, batch_size, reach))
+    return np.concatenate([b[0] for b in batches]), np.concatenate([b[1] for b in batches])
+
+
 class TestPairStream:
+    @pytest.mark.parametrize("kind", REACHES)
     @pytest.mark.parametrize("window", [1, 3, 5, 20])
-    def test_matches_per_walk_reference(self, window):
+    def test_matches_per_walk_reference(self, window, kind):
         walks = mixed_walks()
         order = np.random.default_rng(window).permutation(len(walks))
-        stream = PairStream(pad_walks(walks), window)
-        batches = list(stream.batches(order, 37))
-        expected = [reference_pairs(walks[i], window) for i in order]
+        paths = pad_walks(walks)
+        stream, reach = PairStream(paths, window), reach_for(kind, paths, window, seed=window)
+        expected = [reference_pairs(walks[i], reach[i]) for i in order]
         for got, want in zip(
-            (np.concatenate([b[0] for b in batches]), np.concatenate([b[1] for b in batches])),
+            streamed(stream, order, 37, reach),
             (np.concatenate([e[0] for e in expected]), np.concatenate([e[1] for e in expected])),
         ):
             np.testing.assert_array_equal(got, want)
-        assert stream.pairs == sum(len(e[0]) for e in expected)
+        assert stream.count(reach) == sum(len(e[0]) for e in expected)
 
-    def test_extra_pad_columns_change_nothing(self):
+    @pytest.mark.parametrize("kind", REACHES)
+    def test_extra_pad_columns_change_nothing(self, kind):
         paths = pad_walks(mixed_walks(seed=3))
         wider = np.hstack([paths, np.full((len(paths), 4), PAD)])
         order = np.random.default_rng(3).permutation(len(paths))
         stream, wide = PairStream(paths, 5), PairStream(wider, 5)
-        assert wide.pairs == stream.pairs
-        for (c1, x1), (c2, x2) in zip(stream.batches(order, 29), wide.batches(order, 29),
-                                      strict=True):
+        reach, wide_reach = reach_for(kind, paths, 5, seed=3), reach_for(kind, wider, 5, seed=3)
+        assert wide.count(wide_reach) == stream.count(reach)
+        for (c1, x1), (c2, x2) in zip(stream.batches(order, 29, reach),
+                                      wide.batches(order, 29, wide_reach), strict=True):
             np.testing.assert_array_equal(c1, c2)
             np.testing.assert_array_equal(x1, x2)
 
-    def test_length_one_walks_have_no_pairs(self):
-        stream = PairStream(pad_walks([[3], [1], [2]]), window=5)
-        assert stream.pairs == 0
-        assert list(stream.batches(np.arange(3), 8)) == []
+    @pytest.mark.parametrize("kind", REACHES)
+    def test_length_one_walks_have_no_pairs(self, kind):
+        paths = pad_walks([[3], [1], [2]])
+        stream, reach = PairStream(paths, window=5), reach_for(kind, paths, 5)
+        assert stream.count(reach) == 0
+        assert list(stream.batches(np.arange(3), 8, reach)) == []
 
+    @pytest.mark.parametrize("kind", REACHES)
     @pytest.mark.parametrize("block_pairs", [1, 50, 1 << 20])
-    def test_full_batches_but_the_last(self, monkeypatch, block_pairs):
+    def test_full_batches_but_the_last(self, monkeypatch, block_pairs, kind):
         monkeypatch.setattr(embedding_mod, "BLOCK_PAIRS", block_pairs)
-        stream = PairStream(pad_walks(mixed_walks(seed=1)), window=4)
-        sizes = [len(c) for c, _ in stream.batches(np.arange(123), 64)]
+        paths = pad_walks(mixed_walks(seed=1))
+        stream, reach = PairStream(paths, window=4), reach_for(kind, paths, 4, seed=1)
+        sizes = [len(c) for c, _ in stream.batches(np.arange(123), 64, reach)]
         assert all(size == 64 for size in sizes[:-1])
         assert 0 < sizes[-1] <= 64
-        assert sum(sizes) == stream.pairs
+        assert sum(sizes) == stream.count(reach)
 
     def test_block_size_leaves_vectors_bitwise_identical(self, monkeypatch):
         corpus, n, _ = clique_pair_corpus(seed=4)
@@ -300,6 +324,59 @@ class TestPairStream:
             assert np.array_equal(m.vectors, reference.vectors)
             assert np.array_equal(m.context_vectors, reference.context_vectors)
             assert m.meta["epoch_mean_loss"] == reference.meta["epoch_mean_loss"]
+
+
+class TestSampledWindow:
+    def test_kept_fraction_at_each_offset(self):
+        # tokens are positions, so a pair's offset is |center - context|
+        window, length, count = 5, 30, 2000
+        paths = pad_walks([list(range(length))] * count)
+        stream = PairStream(paths, window)
+        centers, contexts = streamed(stream, np.arange(count), 1024,
+                                     stream.draw(np.random.default_rng(0)))
+        kept = np.bincount(np.abs(centers - contexts), minlength=window + 1)
+        for offset in range(1, window + 1):
+            fits = 2 * (length - offset) * count
+            want = (window - offset + 1) / window
+            # both pairs of a center at one offset share its draw: count centers, not pairs
+            error = math.sqrt(want * (1 - want) / (fits / 2))
+            assert abs(kept[offset] / fits - want) <= 5 * error
+
+    @pytest.mark.parametrize("window", [1, 3, 5, 20])
+    def test_count_equals_pairs_streamed(self, window):
+        walks = mixed_walks(seed=window) + [[9]] * 5
+        paths = np.hstack([pad_walks(walks), np.full((len(walks), 3), PAD)])
+        stream = PairStream(paths, window)
+        order = np.random.default_rng(window).permutation(len(walks))
+        for epoch in range(5):
+            reach = stream.draw(rng_for(window, "window", epoch))
+            brute = sum(len(reference_pairs(w, reach[i])[0]) for i, w in enumerate(walks))
+            assert stream.count(reach) == len(streamed(stream, order, 37, reach)[0]) == brute
+
+    def test_pairs_do_not_depend_on_batch_size(self):
+        paths = pad_walks(mixed_walks(seed=6))
+        stream = PairStream(paths, 5)
+        order = np.random.default_rng(6).permutation(len(paths))
+        reach = stream.draw(np.random.default_rng(6))
+        want = streamed(stream, order, 1, reach)
+        for batch_size in (7, 64, 10**6):
+            got = streamed(stream, order, batch_size, reach)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("window, length, dtype", [
+        (5, 30, np.uint8), (1000, 14, np.uint8), (300, 400, np.uint16), (5000, 300, np.uint16),
+    ])
+    def test_windows_fit_the_narrowest_unsigned_type(self, window, length, dtype):
+        stream = PairStream(pad_walks([list(range(length)), [0]]), window)
+        reach = stream.draw(np.random.default_rng(0))
+        assert reach.dtype == dtype and reach.shape == (2, length)
+        assert reach.min() >= 1 and reach.max() <= min(window, length - 1)
+
+    def test_meta_records_the_sampled_window(self):
+        corpus, n, _ = clique_pair_corpus()
+        meta = train(corpus.paths, n, dim=4, epochs=1).meta
+        assert meta["window_sampled"] is True and meta["window"] == 5
 
 
 class TestScatterRows:
@@ -444,22 +521,31 @@ def reference_train(walks, node_count, dim, window, negatives, epochs, learning_
                     batch_size):
     """SGNS with separate input and context matrices: two gathers and two
     scatters per batch, each chunk of ``NEGATIVE_CHUNK`` pairs sharing its
-    negatives, softplus as max(z, 0) + log1p(e^-|z|). Returns (vectors,
-    context vectors, epoch losses)."""
-    walks = pad_walks(walks)
-    table = AliasTable(negative_distribution(build_frequency_table(walks, node_count)))
-    stream = PairStream(walks, window)
+    negatives, softplus as max(z, 0) + log1p(e^-|z|). Each epoch draws a
+    window uniform in 1..window per (walk, position) from the "window"
+    stream and takes every walk's pairs from ``reference_pairs``. Returns
+    (vectors, context vectors, epoch losses, epoch pair counts)."""
+    table = AliasTable(negative_distribution(build_frequency_table(pad_walks(walks), node_count)))
+    width = max(len(walk) for walk in walks)
+    epoch_pairs = []
+    for epoch in range(epochs):
+        reach = rng_for(seed, "window", epoch).integers(1, window + 1, size=(len(walks), width))
+        order = rng_for(seed, "epoch", epoch).permutation(len(walks))
+        pairs = [reference_pairs(walks[i], reach[i]) for i in order]
+        epoch_pairs.append((np.concatenate([p[0] for p in pairs]),
+                            np.concatenate([p[1] for p in pairs])))
     w_in = (rng_for(seed, "init").random((node_count, dim)) - 0.5) / dim
     w_out = np.zeros((node_count, dim))
     batch_size = max(8, min(batch_size, node_count))
-    total_pairs = max(stream.pairs * max(epochs, 1), 1)
+    total_pairs = max(sum(len(centers) for centers, _ in epoch_pairs), 1)
     c = NEGATIVE_CHUNK
     done, losses = 0, []
-    for epoch in range(epochs):
-        order = rng_for(seed, "epoch", epoch).permutation(len(walks))
+    for epoch, (all_centers, all_contexts) in enumerate(epoch_pairs):
         rng = rng_for(seed, "sgd", epoch)
         loss_sum = 0.0
-        for centers, contexts in stream.batches(order, batch_size):
+        for start in range(0, len(all_centers), batch_size):
+            centers = all_centers[start : start + batch_size]
+            contexts = all_contexts[start : start + batch_size]
             b = len(centers)
             m = -(-b // c)
             frac = min(done / total_pairs, 1.0)
@@ -488,8 +574,8 @@ def reference_train(walks, node_count, dim, window, negatives, epochs, learning_
             reference_scatter(w_out, np.concatenate([contexts, neg.ravel()]),
                               np.vstack([c_vec * coef_pos[:, None], grad_neg]), lr)
             done += b
-        losses.append(loss_sum / max(stream.pairs, 1))
-    return w_in, w_out, losses
+        losses.append(loss_sum / max(len(all_centers), 1))
+    return w_in, w_out, losses, [len(centers) for centers, _ in epoch_pairs]
 
 
 def acceptance_walks(walks_per_node):
@@ -512,12 +598,13 @@ class TestAgainstReferenceTrainer:
         ],
     )
     def test_bitwise_equal(self, walks, n, kwargs):
-        paths = pad_walks(walks)
-        assert PairStream(paths, kwargs["window"]).pairs % max(8, min(kwargs["batch_size"], n))
-        m = train(paths, n, epochs=3, learning_rate=0.05, seed=4, **kwargs)
-        w_in, w_out, losses = reference_train(
+        m = train(pad_walks(walks), n, epochs=3, learning_rate=0.05, seed=4, **kwargs)
+        w_in, w_out, losses, pairs = reference_train(
             walks, n, epochs=3, learning_rate=0.05, seed=4, **kwargs
         )
+        # every epoch ends on a short batch, and the drawn windows vary its pairs
+        assert all(count % max(8, min(kwargs["batch_size"], n)) for count in pairs)
+        assert len(set(pairs)) > 1
         assert m.vectors.tobytes() == w_in.tobytes()
         assert m.context_vectors.tobytes() == w_out.tobytes()
         assert m.meta["epoch_mean_loss"] == losses
@@ -525,7 +612,7 @@ class TestAgainstReferenceTrainer:
     def test_acceptance_walks_bitwise_equal(self):
         corpus, n = acceptance_walks(walks_per_node=1)
         m = train(corpus.paths, n, dim=16, epochs=1, seed=1)
-        w_in, w_out, losses = reference_train(
+        w_in, w_out, losses, _ = reference_train(
             corpus.walks, n, dim=16, window=5, negatives=5, epochs=1, learning_rate=0.025,
             seed=1, batch_size=1024,
         )
@@ -542,9 +629,10 @@ class TestDivergence:
 
     def test_recovering_loss_passes(self):
         # negatives shared by a chunk take c pairs' summed step at once, so
-        # the rate that overshoots and recovers is lower than per-pair draws'
-        corpus, n = acceptance_walks(walks_per_node=2)
-        m = train(corpus.paths, n, dim=32, epochs=2, learning_rate=0.145, seed=1)
+        # the rate that overshoots and recovers is lower than per-pair draws';
+        # on this corpus and seed it overshoots and recovers from 0.190 to 0.198
+        corpus, n = acceptance_walks(walks_per_node=1)
+        m = train(corpus.paths, n, dim=32, epochs=2, learning_rate=0.194, seed=3)
         first, last = m.meta["epoch_mean_loss"]
         assert first > 6 * math.log(2) > last
 

@@ -395,6 +395,18 @@ class TestExecute:
         assert not np.array_equal(vectors, sentinel)
         assert len(list(tmp_path.glob("*.emb.npy"))) == 2
 
+    def test_entries_of_the_fixed_window_scheme_are_not_served(self, tmp_path):
+        # the key as computed while training took every pair of a fixed window
+        config = sbm_config()
+        g = build_dataset(config)
+        key = pl._hash_key("embed.v3", pl._graph_key(g),
+                           config.replace(**dict.fromkeys(pl.EVALUATION_FIELDS)).config_hash())
+        sentinel = np.full((g.node_count, config.dim), 0.25)
+        ArtifactCache(tmp_path).store_array(key, "emb.npy", sentinel)
+        vectors = execute(config, cache_dir=tmp_path).vectors
+        assert not np.array_equal(vectors, sentinel)
+        assert len(list(tmp_path.glob("*.emb.npy"))) == 2
+
 
 # one changed value per field an SBM config trains from; leaving crosswalk
 # clears alpha and beta with the intervention

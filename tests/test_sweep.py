@@ -236,6 +236,19 @@ class TestRunSweep:
         versions = [r["schema_version"] for r in read_sweep_table(csv_path)]
         assert versions == [str(SWEEP_SCHEMA_VERSION)] * 2
 
+    def test_rows_of_the_fixed_window_schema_are_rerun(self, tmp_path):
+        # schema 5 rows came from training on every pair of a fixed window
+        spec = SweepSpec(alphas=[0.5], betas=[1.0])
+        csv_path, _, _ = run_sweep(spec, base_config(), tmp_path, runner=RecordingRunner())
+        header, *rows = open(csv_path).read().splitlines(keepends=True)
+        with open(csv_path, "w") as f:
+            f.write(header + "".join("5" + row[row.index(","):] for row in rows))
+        assert [r["schema_version"] for r in read_sweep_table(csv_path)] == ["5"] * 2
+        _, _, executed = run_sweep(spec, base_config(), tmp_path, runner=RecordingRunner())
+        assert executed == 2
+        versions = [r["schema_version"] for r in read_sweep_table(csv_path)]
+        assert versions == [str(SWEEP_SCHEMA_VERSION)] * 2
+
     def test_interrupted_resume_keeps_completed_rows(self, tmp_path, monkeypatch):
         import fairwalks.sweep as sweep_mod
 
