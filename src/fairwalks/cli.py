@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Verbs: run (full pipeline), sweep, summarize, gen-sbm, bias, walk, embed,
-eval. Every pipeline stage is also callable standalone on files, so the
-chain gen-sbm -> bias -> walk -> embed -> eval runs the same stages as
-run, but it does not produce the same bytes: each stage verb uses
-``--seed`` as given, while run derives one seed per stage from the
-config seed. Boundary closeness is the exception: run passes its config
-seed, so ``bias --seed <seed>`` reweights as run does.
+eval. Every pipeline stage is also callable standalone on files. A stage
+verb turns its flags into an ``ExperimentConfig``, unset flags taking the
+config's defaults, and calls the pipeline's function for that stage, which
+derives the stage's seed from ``--seed`` as ``run`` does. So the chain
+gen-sbm -> bias -> walk -> embed -> eval, given one ``--seed``, writes
+``run``'s embeddings, projection and scores.
 """
 
 import argparse
@@ -14,7 +14,7 @@ import dataclasses
 import json
 import sys
 
-from fairwalks import crosswalk, embedding, evaluation, projection, walks
+from fairwalks import crosswalk, embedding, pipeline, projection, walks
 from fairwalks import graph as graph_mod
 from fairwalks.graph import GroupPartition, _id_key, atomic_writer
 from fairwalks.pipeline import PRESETS, ExperimentConfig, run_experiment
@@ -30,39 +30,43 @@ def _parse_str_list(text):
 
 
 _LIST_FIELDS = {
-    "sbm_block_sizes": _parse_number_list,
+    "sbm_block_sizes": lambda text: [int(x) for x in text.split(",")],
     "sbm_control_probs": _parse_number_list,
     "select_values": _parse_str_list,
 }
 
 
-def _add_config_flags(parser):
-    """One optional flag per ExperimentConfig field."""
-    for f in dataclasses.fields(ExperimentConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.name in _LIST_FIELDS:
-            parser.add_argument(flag, dest=f.name, type=_LIST_FIELDS[f.name], default=None)
-        elif f.type in ("int", int):
-            parser.add_argument(flag, dest=f.name, type=int, default=None)
-        elif f.type in ("float", float):
-            parser.add_argument(flag, dest=f.name, type=float, default=None)
-        else:
-            parser.add_argument(flag, dest=f.name, type=str, default=None)
+def _add_config_flags(parser, *names, required=(), **renamed):
+    """One flag per named ExperimentConfig field, every field if none is named;
+    ``renamed`` maps a flag named apart from its field to the field. An unset
+    flag is None, so the field keeps its ExperimentConfig default."""
+    types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    for flag, name in {**{name: name for name in names or types}, **renamed}.items():
+        parser.add_argument("--" + flag.replace("_", "-"), dest=name,
+                            type=_LIST_FIELDS.get(name, types[name]), required=flag in required)
+
+
+def _flag_values(args) -> dict:
+    """The ExperimentConfig fields that ``args`` sets."""
+    names = (f.name for f in dataclasses.fields(ExperimentConfig))
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
+
+def _stage_config(args, **fixed) -> ExperimentConfig:
+    """A stage verb's config: its flags over the defaults, checked as run checks
+    them except for the dataset source, which a stage verb reads from files."""
+    return ExperimentConfig(**_flag_values(args), **fixed).validate_stages()
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    if args.config:
-        config = ExperimentConfig.load(args.config)
-    else:
-        config = ExperimentConfig()
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(ExperimentConfig)
-        if getattr(args, f.name, None) is not None
-    }
-    if overrides:
-        config = config.replace(**overrides)
+    config = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
+    overrides = _flag_values(args)
+    config = config.replace(**overrides)
     if args.preset:
+        clash = [f"--{name}" for name in ("intervention", "alpha", "beta") if name in overrides]
+        if clash:
+            raise ValueError(f"--preset {args.preset} sets the intervention, alpha and beta; "
+                             f"drop {' and '.join(clash)} or the preset")
         config = config.with_preset(args.preset)
     return config.validate()
 
@@ -112,16 +116,7 @@ def cmd_summarize(args):
 
 
 def cmd_gen_sbm(args):
-    control = None
-    if args.control_classes:
-        control = graph_mod.ControlAttributeSpec(
-            classes=args.control_classes,
-            intra_class_bonus=args.control_bonus,
-            name=args.control_name,
-        )
-    g, summary = graph_mod.generate_sbm(
-        args.block_sizes, args.p_intra, args.p_inter, seed=args.seed, control=control
-    )
+    g, summary = pipeline.synthesize_sbm(_stage_config(args))
     graph_mod.save_graph(g, args.out_edges, args.out_attrs)
     text = json.dumps(summary, indent=2, sort_keys=True)
     if args.summary:
@@ -132,45 +127,36 @@ def cmd_gen_sbm(args):
 
 
 def cmd_bias(args):
+    config = _stage_config(args, intervention="crosswalk")
     g = graph_mod.load_graph(args.edges, args.attrs)
-    partition = graph_mod.partition_by(g, args.attribute)
-    closeness = crosswalk.estimate_closeness(
-        g, partition, args.closeness_walks, args.closeness_length, args.seed
-    )
-    biased = crosswalk.reweight(g, partition, closeness, args.alpha, args.beta)
-    crosswalk.save_biased(biased, args.out)
+    partition = graph_mod.partition_by(g, config.sensitive_attribute)
+    crosswalk.save_biased(pipeline.walk_weights(config, g, partition), args.out)
     print(f"biased transition weights written to {args.out}")
     return 0
 
 
 def cmd_walk(args):
+    config = _stage_config(args)
     g = graph_mod.load_graph(args.edges, args.attrs)
     if args.biased:
         weights = crosswalk.load_biased(args.biased, g)
     else:
-        weights = walks.TransitionWeights.from_graph(g)
-    config = walks.WalkConfig(
-        p=args.p, q=args.q, walks_per_node=args.walks_per_node,
-        walk_length=args.walk_length, seed=args.seed,
-    )
-    corpus = walks.generate_walks(weights, config)
+        weights = pipeline.walk_weights(config, g, None)
+    corpus = pipeline.walk_corpus(config, weights)
     walks.save_corpus(corpus, args.out, original_ids=g.original_ids)
     print(f"{len(corpus)} walks written to {args.out}")
     return 0
 
 
 def cmd_embed(args):
+    config = _stage_config(args)
     sentences = walks.load_corpus_tokens(args.corpus)
     vocab = sorted({tok for s in sentences for tok in s}, key=_id_key)
     index = {tok: i for i, tok in enumerate(vocab)}
     paths = walks.pad_walks([[index[tok] for tok in s] for s in sentences])
-    vectors = embedding.train(
-        paths, len(vocab), dim=args.dim, window=args.window,
-        negatives=args.negatives, epochs=args.epochs,
-        learning_rate=args.learning_rate, seed=args.seed,
-    ).vectors
+    vectors = pipeline.train_vectors(config, paths, len(vocab))
     embedding.save_embeddings(vectors, args.out, tokens=vocab)
-    print(f"{len(vocab)} x {args.dim} embeddings written to {args.out}")
+    print(f"{len(vocab)} x {config.dim} embeddings written to {args.out}")
     return 0
 
 
@@ -186,16 +172,12 @@ def _partition_from_attrs(attr_path, attribute, tokens):
 
 
 def cmd_eval(args):
+    config = _stage_config(args)
     tokens, vectors = embedding.load_embeddings(args.embeddings)
-    sensitive = _partition_from_attrs(args.attrs, args.sensitive, tokens)
-    control = (
-        _partition_from_attrs(args.attrs, args.control, tokens) if args.control else None
-    )
-    report = evaluation.cross_validate(
-        vectors, sensitive, control,
-        folds=args.folds, labeled_fraction=args.labeled_fraction,
-        k=args.knn_k, sigma=args.sigma, seed=args.seed,
-    )
+    sensitive = _partition_from_attrs(args.attrs, config.sensitive_attribute, tokens)
+    control = (_partition_from_attrs(args.attrs, config.control_attribute, tokens)
+               if config.control_attribute else None)
+    report = pipeline.evaluate(config, vectors, sensitive, control)
     with atomic_writer(args.out) as f:
         f.write(report.to_json())
     if args.pca_out:
@@ -241,15 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
     summ.add_argument("--buckets", type=int, default=3)
     summ.set_defaults(func=cmd_summarize)
 
+    # stage verbs: the flags of the config fields each stage reads
     gen = sub.add_parser("gen-sbm", help="synthesize a block-model graph")
-    gen.add_argument("--block-sizes", type=lambda s: [int(x) for x in s.split(",")],
-                     required=True)
-    gen.add_argument("--p-intra", type=float, required=True)
-    gen.add_argument("--p-inter", type=float, required=True)
-    gen.add_argument("--control-classes", type=int, default=0)
-    gen.add_argument("--control-bonus", type=float, default=0.0)
-    gen.add_argument("--control-name", default="control")
-    gen.add_argument("--seed", type=int, default=0)
+    _add_config_flags(gen, "seed", block_sizes="sbm_block_sizes", p_intra="sbm_p_intra",
+                      p_inter="sbm_p_inter", control_classes="sbm_control_classes",
+                      control_bonus="sbm_control_bonus", control_name="control_attribute",
+                      required=("block_sizes", "p_intra", "p_inter"))
     gen.add_argument("--out-edges", required=True)
     gen.add_argument("--out-attrs", required=True)
     gen.add_argument("--summary")
@@ -258,12 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     bias = sub.add_parser("bias", help="boundary-biased edge reweighting")
     bias.add_argument("--edges", required=True)
     bias.add_argument("--attrs", required=True)
-    bias.add_argument("--attribute", required=True)
-    bias.add_argument("--alpha", type=float, required=True)
-    bias.add_argument("--beta", type=float, required=True)
-    bias.add_argument("--closeness-walks", type=int, default=10)
-    bias.add_argument("--closeness-length", type=int, default=5)
-    bias.add_argument("--seed", type=int, default=0)
+    _add_config_flags(bias, "alpha", "beta", "closeness_walks", "closeness_length", "seed",
+                      attribute="sensitive_attribute", required=("attribute", "alpha", "beta"))
     bias.add_argument("--out", required=True)
     bias.set_defaults(func=cmd_bias)
 
@@ -271,35 +246,22 @@ def build_parser() -> argparse.ArgumentParser:
     walk.add_argument("--edges", required=True)
     walk.add_argument("--attrs", required=True)
     walk.add_argument("--biased", help="biased weights from the bias step")
-    walk.add_argument("--p", type=float, default=1.0)
-    walk.add_argument("--q", type=float, default=1.0)
-    walk.add_argument("--walks-per-node", type=int, default=10)
-    walk.add_argument("--walk-length", type=int, default=80)
-    walk.add_argument("--seed", type=int, default=0)
+    _add_config_flags(walk, "p", "q", "walks_per_node", "walk_length", "seed")
     walk.add_argument("--out", required=True)
     walk.set_defaults(func=cmd_walk)
 
     embed = sub.add_parser("embed", help="train embeddings from a corpus file")
     embed.add_argument("--corpus", required=True)
-    embed.add_argument("--dim", type=int, default=64)
-    embed.add_argument("--window", type=int, default=5)
-    embed.add_argument("--negatives", type=int, default=5)
-    embed.add_argument("--epochs", type=int, default=5)
-    embed.add_argument("--learning-rate", type=float, default=0.025)
-    embed.add_argument("--seed", type=int, default=0)
+    _add_config_flags(embed, "dim", "window", "negatives", "epochs", "learning_rate", "seed")
     embed.add_argument("--out", required=True)
     embed.set_defaults(func=cmd_embed)
 
     ev = sub.add_parser("eval", help="label-propagation evaluation of embeddings")
     ev.add_argument("--embeddings", required=True)
     ev.add_argument("--attrs", required=True)
-    ev.add_argument("--sensitive", required=True)
-    ev.add_argument("--control")
-    ev.add_argument("--folds", type=int, default=25)
-    ev.add_argument("--labeled-fraction", type=float, default=0.5)
-    ev.add_argument("--knn-k", type=int, default=10)
-    ev.add_argument("--sigma", type=float, default=None)
-    ev.add_argument("--seed", type=int, default=0)
+    _add_config_flags(ev, "folds", "labeled_fraction", "knn_k", "sigma", "seed",
+                      sensitive="sensitive_attribute", control="control_attribute",
+                      required=("sensitive",))
     ev.add_argument("--out", required=True)
     ev.add_argument("--pca-out")
     ev.set_defaults(func=cmd_eval)

@@ -3,7 +3,10 @@
 A flat JSON-serializable config drives: dataset selection (files or a
 synthetic block model), optional boundary-biased reweighting, walk
 generation, embedding training, and cross-validated evaluation of the
-sensitive and control attributes. One stage output is cached: the
+sensitive and control attributes. Each stage's mapping from the config to
+its call, seed included, is one function here (``synthesize_sbm``,
+``walk_weights``, ``walk_corpus``, ``train_vectors``, ``evaluate``), which
+``execute`` and the CLI stage verbs share. One stage output is cached: the
 embedding, keyed by the graph and every config field outside
 ``EVALUATION_FIELDS``. A cached embedding needs nothing upstream of it,
 so a warm run reads that one file. Boundary closeness and walk corpora
@@ -104,6 +107,11 @@ class ExperimentConfig:
             raise ValueError("both edges_path and attrs_path are required")
         if from_sbm and (self.sbm_p_intra is None or self.sbm_p_inter is None):
             raise ValueError("sbm_p_intra and sbm_p_inter are required")
+        return self.validate_stages()
+
+    def validate_stages(self):
+        """Every check of ``validate`` but the dataset source's, for the CLI
+        stage verbs, which read their graph from files they are given."""
         if self.intervention not in ("baseline", "crosswalk"):
             raise ValueError(f"unknown intervention {self.intervention!r}")
         if self.intervention == "baseline":
@@ -215,24 +223,29 @@ def _graph_key(g: graph_mod.AttributedGraph) -> str:
     return h.hexdigest()[:24]
 
 
+def synthesize_sbm(config: ExperimentConfig):
+    """The block-model graph of ``config`` and its summary, which records
+    ``config.seed`` rather than the stream seed derived from it."""
+    control = None
+    if config.sbm_control_classes:
+        control = graph_mod.ControlAttributeSpec(
+            classes=config.sbm_control_classes,
+            probs=tuple(config.sbm_control_probs) if config.sbm_control_probs else None,
+            intra_class_bonus=config.sbm_control_bonus,
+            name=config.control_attribute or "control",
+        )
+    g, summary = graph_mod.generate_sbm(
+        config.sbm_block_sizes, config.sbm_p_intra, config.sbm_p_inter,
+        seed=derive_seed(config.seed, "sbm"), control=control,
+    )
+    summary["seed"] = config.seed
+    return g, summary
+
+
 def build_dataset(config: ExperimentConfig) -> graph_mod.AttributedGraph:
     """Stage 1: load or synthesize the attributed graph."""
     if config.sbm_block_sizes is not None:
-        control = None
-        if config.sbm_control_classes:
-            control = graph_mod.ControlAttributeSpec(
-                classes=config.sbm_control_classes,
-                probs=tuple(config.sbm_control_probs) if config.sbm_control_probs else None,
-                intra_class_bonus=config.sbm_control_bonus,
-                name=config.control_attribute or "control",
-            )
-        g, _ = graph_mod.generate_sbm(
-            config.sbm_block_sizes,
-            config.sbm_p_intra,
-            config.sbm_p_inter,
-            seed=derive_seed(config.seed, "sbm"),
-            control=control,
-        )
+        g, _ = synthesize_sbm(config)
     else:
         g = graph_mod.load_graph(config.edges_path, config.attrs_path)
     if config.bin_age_column:
@@ -242,6 +255,44 @@ def build_dataset(config: ExperimentConfig) -> graph_mod.AttributedGraph:
             g, config.select_attribute, set(config.select_values or [])
         )
     return g
+
+
+def walk_weights(config: ExperimentConfig, g, sensitive) -> walks.TransitionWeights:
+    """The weights the corpus walks on: the graph's own for a baseline, else
+    CrossWalk's reweighting by boundary closeness (estimated at ``config.seed``)."""
+    if config.intervention == "baseline":
+        return walks.TransitionWeights.from_graph(g)
+    closeness = crosswalk.estimate_closeness(
+        g, sensitive, config.closeness_walks, config.closeness_length, config.seed,
+    )
+    return crosswalk.reweight(g, sensitive, closeness, config.alpha, config.beta)
+
+
+def walk_corpus(config: ExperimentConfig, weights) -> walks.WalkCorpus:
+    return walks.generate_walks(weights, walks.WalkConfig(
+        p=config.p, q=config.q, walks_per_node=config.walks_per_node,
+        walk_length=config.walk_length, seed=derive_seed(config.seed, "walks"),
+    ))
+
+
+def _training_args(config: ExperimentConfig) -> dict:
+    """``train``'s settings for ``config``; ``embedding_meta`` takes the same."""
+    return dict(dim=config.dim, window=config.window, negatives=config.negatives,
+                epochs=config.epochs, learning_rate=config.learning_rate,
+                seed=derive_seed(config.seed, "embed"))
+
+
+def train_vectors(config: ExperimentConfig, paths, node_count) -> np.ndarray:
+    return embedding.train(paths, node_count, **_training_args(config)).vectors
+
+
+def evaluate(config: ExperimentConfig, vectors, sensitive, control=None, config_echo=None):
+    return evaluation.cross_validate(
+        vectors, sensitive, control,
+        folds=config.folds, labeled_fraction=config.labeled_fraction,
+        k=config.knn_k, sigma=config.sigma, seed=derive_seed(config.seed, "eval"),
+        config_echo=config_echo,
+    )
 
 
 @dataclass
@@ -280,7 +331,6 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
         control = (graph_mod.partition_by(g, config.control_attribute)
                    if config.control_attribute else None)
 
-    embed_seed = derive_seed(config.seed, "embed")
     # a module constant that moves the trained bits (NEGATIVE_CHUNK, say) bumps the tag
     key = _hash_key("embed.v4", _graph_key(g),
                     config.replace(**dict.fromkeys(EVALUATION_FIELDS)).config_hash())
@@ -288,39 +338,18 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
         vectors = cache.load_array(key, "emb.npy")
     if vectors is None:
         with _stage("bias"):
-            if config.intervention == "baseline":
-                weights = walks.TransitionWeights.from_graph(g)
-            else:
-                closeness = crosswalk.estimate_closeness(
-                    g, sensitive, config.closeness_walks, config.closeness_length, config.seed,
-                )
-                weights = crosswalk.reweight(g, sensitive, closeness, config.alpha, config.beta)
+            weights = walk_weights(config, g, sensitive)
         with _stage("walks"):
-            corpus = walks.generate_walks(weights, walks.WalkConfig(
-                p=config.p, q=config.q, walks_per_node=config.walks_per_node,
-                walk_length=config.walk_length, seed=derive_seed(config.seed, "walks"),
-            ))
+            corpus = walk_corpus(config, weights)
         with _stage("embed"):
-            vectors = embedding.train(
-                corpus.paths, g.node_count, dim=config.dim, window=config.window,
-                negatives=config.negatives, epochs=config.epochs,
-                learning_rate=config.learning_rate, seed=embed_seed,
-            ).vectors
+            vectors = train_vectors(config, corpus.paths, g.node_count)
             cache.store_array(key, "emb.npy", vectors)
     walk_source = ("baseline" if config.intervention == "baseline"
                    else f"crosswalk(alpha={config.alpha:g}, beta={config.beta:g})")
-    meta = embedding.embedding_meta(
-        config.dim, config.window, config.negatives, config.epochs,
-        config.learning_rate, embed_seed,
-    )
+    echo = {"experiment": config.to_dict(), "walk_source": walk_source,
+            "embedding_meta": embedding.embedding_meta(**_training_args(config))}
     with _stage("evaluate"):
-        report = evaluation.cross_validate(
-            vectors, sensitive, control,
-            folds=config.folds, labeled_fraction=config.labeled_fraction,
-            k=config.knn_k, sigma=config.sigma, seed=derive_seed(config.seed, "eval"),
-            config_echo={"experiment": config.to_dict(), "walk_source": walk_source,
-                         "embedding_meta": meta},
-        )
+        report = evaluate(config, vectors, sensitive, control, config_echo=echo)
     return PipelineResult(report, g, sensitive, vectors)
 
 

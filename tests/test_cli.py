@@ -1,15 +1,17 @@
+import dataclasses
 import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fairwalks import cli, crosswalk
+from fairwalks import cli, crosswalk, pipeline, walks
 from fairwalks.cli import main
 from fairwalks.embedding import load_embeddings, save_embeddings
-from fairwalks.evaluation import cross_validate
-from fairwalks.graph import GroupPartition, load_graph, save_graph
-from fairwalks.pipeline import SWEEP_SCHEMA_VERSION, ExperimentConfig, execute
+from fairwalks.graph import (
+    ControlAttributeSpec, GroupPartition, generate_sbm, load_graph, partition_by, save_graph,
+)
+from fairwalks.pipeline import SWEEP_SCHEMA_VERSION, ExperimentConfig, run_experiment
 
 
 @pytest.fixture
@@ -26,12 +28,15 @@ def dataset(tmp_path):
 
 
 class TestStageVerbs:
-    def test_gen_sbm_outputs(self, dataset):
+    def test_gen_sbm_outputs(self, capsys, dataset):
         g = load_graph(dataset / "g.edges", dataset / "g.attrs")
         assert g.node_count <= 30
         summary = json.loads((dataset / "summary.json").read_text())
         assert summary["nodes"] == g.node_count
         assert set(summary["groups"]) == {"block", "control"}
+        # the --seed given, not the stream seed the SBM stage derives from it
+        assert summary["seed"] == 4
+        assert json.loads(capsys.readouterr().out) == summary
 
     def test_bias_walk_embed_eval_chain(self, dataset):
         d = dataset
@@ -100,26 +105,20 @@ class TestStageVerbs:
         assert "error: learning_rate must be finite and > 0, got 0.0" in capsys.readouterr().err
         assert not (d / "lr_emb.txt").exists()
 
-    def test_run_biases_as_the_bias_verb_does_with_its_seed(self, tmp_path, monkeypatch):
-        # execute hands estimate_closeness the run's seed, as bias hands it --seed
-        config = ExperimentConfig(
-            sbm_block_sizes=[15, 15], sbm_p_intra=0.5, sbm_p_inter=0.08,
-            sensitive_attribute="block", intervention="crosswalk", alpha=0.5, beta=2.0,
-            walks_per_node=1, walk_length=4, dim=4, epochs=1, folds=2, seed=6,
+    def test_bias_with_zero_closeness_walks_fails_as_run_does(self, dataset, capsys):
+        d = dataset
+        graph = ["--edges", str(d / "g.edges"), "--attrs", str(d / "g.attrs")]
+        assert main(["bias", *graph, "--attribute", "block", "--alpha", "0.5", "--beta", "2",
+                     "--closeness-walks", "0", "--out", str(d / "biased.tsv")]) == 1
+        bias_err = capsys.readouterr().err
+        assert main(["run", "--out-dir", str(d / "out"), "--edges-path", str(d / "g.edges"),
+                     "--attrs-path", str(d / "g.attrs"), "--intervention", "crosswalk",
+                     "--alpha", "0.5", "--beta", "2", "--closeness-walks", "0"]) == 1
+        assert capsys.readouterr().err == bias_err == (
+            "error: closeness budget: walks_per_node and walk_length must be >= 1, "
+            "got 0 and 5\n"
         )
-        biased = []
-        reweight = crosswalk.reweight
-        monkeypatch.setattr(crosswalk, "reweight",
-                            lambda *a: biased.append(reweight(*a)) or biased[-1])
-        g = execute(config).graph
-        crosswalk.save_biased(biased[0], tmp_path / "run.tsv")
-        save_graph(g, tmp_path / "g.edges", tmp_path / "g.attrs")
-        assert main([
-            "bias", "--edges", str(tmp_path / "g.edges"), "--attrs", str(tmp_path / "g.attrs"),
-            "--attribute", "block", "--alpha", "0.5", "--beta", "2", "--seed", "6",
-            "--out", str(tmp_path / "bias.tsv"),
-        ]) == 0
-        assert (tmp_path / "bias.tsv").read_bytes() == (tmp_path / "run.tsv").read_bytes()
+        assert not (d / "biased.tsv").exists()
 
     def test_baseline_walk_without_bias(self, dataset):
         d = dataset
@@ -131,6 +130,94 @@ class TestStageVerbs:
         lines = (d / "base_corpus.txt").read_text().splitlines()
         g = load_graph(d / "g.edges", d / "g.attrs")
         assert len(lines) == 2 * g.node_count
+
+
+def _flags(**values):
+    """argv for the set values, a list as comma-separated items."""
+    argv = []
+    for name, value in values.items():
+        if value is not None:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv += ["--" + name.replace("_", "-"), text]
+    return argv
+
+
+CHAIN_SBM = dict(sbm_block_sizes=[15, 15], sbm_p_intra=0.5, sbm_p_inter=0.08,
+                 sbm_control_classes=2, sbm_control_bonus=0.1)
+CHAIN_CASES = {
+    "sbm-baseline": CHAIN_SBM,
+    "sbm-crosswalk-pq": dict(CHAIN_SBM, intervention="crosswalk", alpha=0.5, beta=2.0,
+                             p=0.5, q=2.0),
+    "file-mixed-ids": dict(intervention="crosswalk", alpha=0.7, beta=1.0),
+}
+
+
+def _write_mixed_id_graph(tmp_path):
+    """A block-model graph on disk whose node IDs mix numbers and strings."""
+    g, _ = generate_sbm([12, 14], 0.5, 0.1, seed=3,
+                        control=ControlAttributeSpec(classes=2, intra_class_bonus=0.1))
+    ids = [f"u{v}" if v % 3 else str(97 - v) for v in range(g.node_count)]
+    save_graph(dataclasses.replace(g, original_ids=ids), tmp_path / "g.edges",
+               tmp_path / "g.attrs")
+    return dict(edges_path=str(tmp_path / "g.edges"), attrs_path=str(tmp_path / "g.attrs"))
+
+
+class TestStageChain:
+    @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+    def test_chain_reproduces_run(self, tmp_path, case):
+        c = ExperimentConfig(
+            **CHAIN_CASES[case], sensitive_attribute="block", control_attribute="control",
+            walks_per_node=2, walk_length=8, dim=8, epochs=1, folds=3, seed=6,
+        )
+        if case == "file-mixed-ids":
+            c = c.replace(**_write_mixed_id_graph(tmp_path))
+        run_experiment(c, tmp_path / "run")
+
+        chain = tmp_path / "chain"
+        chain.mkdir()
+        edges, attrs = (c.edges_path, c.attrs_path) if c.edges_path else (
+            str(chain / "g.edges"), str(chain / "g.attrs"))
+        graph = ["--edges", edges, "--attrs", attrs]
+        if c.sbm_block_sizes:
+            assert main(["gen-sbm", *_flags(
+                block_sizes=c.sbm_block_sizes, p_intra=c.sbm_p_intra, p_inter=c.sbm_p_inter,
+                control_classes=c.sbm_control_classes, control_bonus=c.sbm_control_bonus,
+                control_name=c.control_attribute, seed=c.seed,
+            ), "--out-edges", edges, "--out-attrs", attrs]) == 0
+        biased = []
+        if c.intervention == "crosswalk":
+            assert main(["bias", *graph, *_flags(
+                attribute=c.sensitive_attribute, alpha=c.alpha, beta=c.beta, seed=c.seed,
+            ), "--out", str(chain / "biased.tsv")]) == 0
+            biased = ["--biased", str(chain / "biased.tsv")]
+        assert main(["walk", *graph, *biased, *_flags(
+            p=c.p, q=c.q, walks_per_node=c.walks_per_node, walk_length=c.walk_length,
+            seed=c.seed,
+        ), "--out", str(chain / "corpus.txt")]) == 0
+        assert main(["embed", "--corpus", str(chain / "corpus.txt"), *_flags(
+            dim=c.dim, epochs=c.epochs, seed=c.seed,
+        ), "--out", str(chain / "emb.txt")]) == 0
+        assert main(["eval", "--embeddings", str(chain / "emb.txt"), "--attrs", attrs, *_flags(
+            sensitive=c.sensitive_attribute, control=c.control_attribute, folds=c.folds,
+            seed=c.seed,
+        ), "--out", str(chain / "report.json"), "--pca-out", str(chain / "pca.csv")]) == 0
+
+        run = tmp_path / "run"
+        assert (chain / "emb.txt").read_bytes() == (run / "embeddings.txt").read_bytes()
+        assert (chain / "pca.csv").read_bytes() == (run / "pca.csv").read_bytes()
+        got, want = (json.loads((d / "report.json").read_text()) for d in (chain, run))
+        assert got.pop("config") != want.pop("config")  # run also echoes its config
+        assert got == want
+
+        # bias and walk write what the pipeline's own stages give for the config
+        g = pipeline.build_dataset(c)
+        weights = pipeline.walk_weights(c, g, partition_by(g, c.sensitive_attribute))
+        if biased:
+            crosswalk.save_biased(weights, tmp_path / "biased.tsv")
+            assert (chain / "biased.tsv").read_bytes() == (tmp_path / "biased.tsv").read_bytes()
+        walks.save_corpus(pipeline.walk_corpus(c, weights), tmp_path / "corpus.txt",
+                          original_ids=g.original_ids)
+        assert (chain / "corpus.txt").read_bytes() == (tmp_path / "corpus.txt").read_bytes()
 
 
 class TestWarnings:
@@ -152,14 +239,15 @@ class TestWarnings:
         assert main([
             "eval", "--embeddings", str(tmp_path / "emb.txt"), "--attrs",
             str(tmp_path / "g.attrs"), "--sensitive", "block", "--control", "ctl",
-            "--folds", "4", "--knn-k", "3", "--seed", "2", "--out", str(tmp_path / "report.json"),
+            "--folds", "4", "--knn-k", "3", "--seed", "3", "--out", str(tmp_path / "report.json"),
         ]) == 0
         out, err = capsys.readouterr()
         # the bytes cmd_eval wrote before it printed warnings
-        want = cross_validate(
+        want = pipeline.evaluate(
+            ExperimentConfig(sensitive_attribute="block", control_attribute="ctl", folds=4,
+                             knn_k=3, seed=3),
             load_embeddings(tmp_path / "emb.txt")[1], GroupPartition.from_values("block", blocks),
-            GroupPartition.from_values("ctl", ctl), folds=4, labeled_fraction=0.5, k=3,
-            sigma=None, seed=2,
+            GroupPartition.from_values("ctl", ctl),
         )
         assert (tmp_path / "report.json").read_text() == want.to_json()
         assert want.warnings and any("has no labeled seed" in w for w in want.warnings)
@@ -211,6 +299,31 @@ class TestRunVerb:
         assert echoed["alpha"] == 0.99
         assert echoed["beta"] == 15.0
         assert echoed["seed"] == 9
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "0.5"), ("--beta", "3"), ("--intervention", "crosswalk"),
+    ])
+    def test_preset_with_an_intervention_flag_is_an_error(self, tmp_path, capsys, flag, value):
+        config = self.config_file(tmp_path)
+        assert main([
+            "run", "--config", str(config), "--out-dir", str(tmp_path / "out"),
+            "--preset", "low_awareness", flag, value,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --preset low_awareness sets") and flag in err
+        assert not (tmp_path / "out").exists()
+
+    def test_preset_overrides_the_config_files_alpha_and_beta(self, tmp_path):
+        path = self.config_file(tmp_path)
+        data = json.loads(path.read_text())
+        path.write_text(json.dumps({**data, "intervention": "crosswalk", "alpha": 0.5,
+                                    "beta": 2.0}))
+        args = cli.build_parser().parse_args([
+            "run", "--config", str(path), "--out-dir", str(tmp_path / "out"),
+            "--preset", "high_awareness",
+        ])
+        config = cli._config_from_args(args)
+        assert (config.alpha, config.beta) == (0.01, 1.0)
 
     def test_invalid_config_reports_error(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
