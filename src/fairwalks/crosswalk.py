@@ -9,11 +9,14 @@ individual neighbor weights are tilted toward boundary-close nodes by
 raising the closeness to the power ``beta``.
 """
 
-import math
+import itertools
+from operator import itemgetter
 
 import numpy as np
 
-from fairwalks.graph import AttributedGraph, GroupPartition, atomic_writer
+from fairwalks.graph import (
+    AttributedGraph, GroupPartition, atomic_writer, parse_floats, read_blocks,
+)
 from fairwalks.seeds import derive_seed
 from fairwalks.walks import PAD, TransitionWeights, WalkConfig, generate_walks
 
@@ -117,51 +120,76 @@ def _number(path, lineno, what, text) -> float:
         raise ValueError(f"{path}:{lineno}: {what} {text!r} is not a number") from None
 
 
+# the message of each fault code of a biased line, formatted with its fields
+BIASED_FAULTS = (None, "expected 'u\\tv\\tprob'", "unknown node {0!r}", "unknown node {1!r}",
+                 "{0} -> {1} is not an edge of the graph", "{0} -> {1} is a duplicate entry",
+                 "probability {2!r} is not a number", "probability {2!r} is not finite >= 0")
+
+
 def load_biased(path, graph: AttributedGraph) -> TransitionWeights:
     """Rebind a serialized biased edge list to its base graph.
 
     Each line must name a distinct edge of ``graph`` with a finite
     probability >= 0, every edge needs a line in both directions, and the
     probabilities out of every non-isolated node must sum to 1 within
-    ``ROW_SUM_TOLERANCE``; otherwise ValueError names the culprit.
+    ``ROW_SUM_TOLERANCE``; otherwise ValueError names the culprit. The
+    file is read in blocks of ``LOAD_BLOCK_LINES`` lines, a column at a
+    time: each line's CSR slot is found by ``np.searchsorted`` on the
+    ascending keys ``rows * n + indices``. The first faulty line is the
+    one named; within a line the field count is checked first, then that
+    ``u`` and then ``v`` are nodes, that the pair is an edge not seen
+    before, and that the probability is a number and finite >= 0.
     """
     index = {nid: i for i, nid in enumerate(graph.original_ids)}
-    slot_of = {pair: s for s, pair in enumerate(zip(graph.rows.tolist(), graph.indices.tolist()))}
-    prob_at = {}  # CSR slot -> probability
+    n = graph.node_count
+    keys = graph.rows * n + graph.indices  # CSR order: ascending
+    probs = np.empty(len(keys), dtype=np.float64)
+    seen = np.zeros(len(keys), dtype=bool)
     header = {}  # alpha and beta
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if stripped.startswith("#"):
-                for token in stripped[1:].split():
-                    key, _, value = token.partition("=")
-                    if key in ("alpha", "beta") and value != "None":  # None: baseline weights
-                        header[key] = _number(path, lineno, key, value)
-                continue
-            if not stripped:
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'u\\tv\\tprob'")
-            try:
-                pair = (index[parts[0]], index[parts[1]])
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: unknown node {exc}") from None
-            slot = slot_of.get(pair)
-            if slot is None or slot in prob_at:
-                problem = "is not an edge of the graph" if slot is None else "is a duplicate entry"
-                raise ValueError(f"{path}:{lineno}: {parts[0]} -> {parts[1]} {problem}")
-            prob = _number(path, lineno, "probability", parts[2])
-            if not (math.isfinite(prob) and prob >= 0):
-                raise ValueError(f"{path}:{lineno}: probability {parts[2]!r} is not finite >= 0")
-            prob_at[slot] = prob
-    if len(prob_at) < len(slot_of):
-        e = min(set(range(len(slot_of))) - prob_at.keys())
+    for first, lines in read_blocks(path):
+        fields = [line.strip().split("\t") for line in lines]
+        count = np.fromiter(map(len, fields), np.int64, len(fields))
+        # the first character of a line that may be blank ("") or a header ("#")
+        lead = np.full(len(lines), "x")
+        odd = np.arange(len(lines)) if "#" in "".join(lines) else np.flatnonzero(count != 3)
+        lead[odd] = [fields[i][0][:1] for i in odd.tolist()]
+        is_data = (count == 3) & (lead != "#")
+        rows = list(itertools.compress(fields, is_data.tolist()))
+        u, v = (np.fromiter(map(index.get, map(itemgetter(k), rows), itertools.repeat(-1)),
+                            np.int64, len(rows)) for k in (0, 1))
+        key = u * n + v
+        slot = np.searchsorted(keys, key)
+        edge = (u >= 0) & (v >= 0) & (slot < len(keys))
+        edge[edge] = keys[slot[edge]] == key[edge]
+        slot[~edge] = -1
+        repeat = np.ones(len(rows), dtype=bool)
+        repeat[np.unique(slot, return_index=True)[1]] = False
+        prob = np.full(len(rows), np.nan)
+        parsed = parse_floats(list(map(itemgetter(2), rows)))
+        prob[:len(parsed)] = parsed
+        fault = np.where((lead != "") & (lead != "#") & (count != 3), 1, 0)
+        fault[is_data] = np.select(
+            [u < 0, v < 0, ~edge, repeat | seen[slot], np.arange(len(rows)) >= len(parsed),
+             ~(np.isfinite(prob) & (prob >= 0))],
+            [2, 3, 4, 5, 6, 7],
+        )
+        faulty = np.flatnonzero(fault)
+        stop = int(faulty[0]) if len(faulty) else len(lines)
+        for i in np.flatnonzero(lead[:stop] == "#").tolist():
+            for token in lines[i].strip()[1:].split():
+                name, _, value = token.partition("=")
+                if name in ("alpha", "beta") and value != "None":  # None: baseline weights
+                    header[name] = _number(path, first + i, name, value)
+        if len(faulty):
+            raise ValueError(f"{path}:{first + stop}: "
+                             + BIASED_FAULTS[fault[stop]].format(*fields[stop]))
+        probs[slot] = prob
+        seen[slot] = True
+    if not seen.all():
+        e = int(np.argmin(seen))
         ids = graph.original_ids
         u, v = ids[graph.rows[e]], ids[graph.indices[e]]
         raise ValueError(f"{path}: no line for edge {u} -> {v}")
-    probs = np.empty(len(slot_of), dtype=np.float64)
-    probs[list(prob_at)] = list(prob_at.values())
     sums = np.bincount(graph.rows, weights=probs, minlength=graph.node_count)
     bad = np.flatnonzero((np.diff(graph.indptr) > 0) & ~(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE))
     if len(bad):

@@ -13,6 +13,7 @@ File formats:
 """
 
 import contextlib
+import itertools
 import os
 import shutil
 from collections import Counter
@@ -187,37 +188,77 @@ def _id_key(raw: str):
         return (1, 0, raw)
 
 
-def _parse_edge_file(path):
-    """Return {(u, v): weight} on string IDs, u < v; self-loops are dropped
-    and repeated edges merged by summing their weights."""
-    edges = {}
+LOAD_BLOCK_LINES = 1024  # lines per block of the edge and biased list readers, and of save_graph
+
+
+def read_blocks(path):
+    """Yield (number of the first line, lines) for each run of
+    ``LOAD_BLOCK_LINES`` lines of a text file, so that a reader holds one
+    block of text at a time and never the whole file."""
     with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected 'u v [weight]', got {len(parts)} fields"
-                )
-            u, v = parts[0], parts[1]
-            if len(parts) == 3:
-                try:
-                    w = float(parts[2])
-                except ValueError:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: weight {parts[2]!r} is not a number"
-                    ) from None
-                if not w > 0:
-                    raise GraphFormatError(f"{path}:{lineno}: weight must be > 0")
-            else:
-                w = 1.0
-            if u == v:
-                continue
-            key = (u, v) if u < v else (v, u)
-            edges[key] = edges.get(key, 0.0) + w
-    return edges
+        lineno = 1
+        while lines := list(itertools.islice(f, LOAD_BLOCK_LINES)):
+            yield lineno, lines
+            lineno += len(lines)
+
+
+def parse_floats(tokens) -> np.ndarray:
+    """``float`` of each token as float64, cut before the first token that
+    ``float`` rejects: a result shorter than ``tokens`` ends there."""
+    try:
+        return np.array(list(map(float, tokens)), dtype=np.float64)
+    except ValueError:
+        values = []
+        for token in tokens:
+            try:
+                values.append(float(token))
+            except ValueError:
+                break
+        return np.array(values, dtype=np.float64)
+
+
+# the message of each fault code of an edge line, formatted with its fields
+EDGE_FAULTS = (None, "expected 'u v [weight]', got {count} fields",
+               "weight {2!r} is not a number", "weight must be > 0")
+
+
+def _parse_edge_file(path):
+    """Read an edge list in blocks of ``LOAD_BLOCK_LINES`` lines, a column
+    at a time. Return the IDs in ``_id_key`` order, an (m, 2) int64 array
+    of the pairs over them, u < v, and their float64 weights, one row per
+    edge line in file order (repeated edges are not merged). Every ID on a
+    data line is one of the IDs, a self-loop's too, but a self-loop has no
+    row. The file's first faulty line raises GraphFormatError; within a
+    line the field count is checked first, then that the weight parses,
+    then that it is > 0."""
+    code = {}  # ID -> first-seen code: only the distinct ID strings outlive a block
+    columns = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]
+    for first, lines in read_blocks(path):
+        fields = [line.partition("#")[0].split() for line in lines]
+        count = np.fromiter(map(len, fields), np.int64, len(fields))
+        weighted = np.flatnonzero(count == 3)
+        weight = parse_floats([fields[i][2] for i in weighted.tolist()])
+        fault = np.where(np.isin(count, (0, 2, 3)), 0, 1)
+        fault[weighted[len(weight):][:1]] = 2
+        fault[weighted[:len(weight)][~(weight > 0)]] = 3
+        if fault.any():
+            i = int(np.flatnonzero(fault)[0])
+            message = EDGE_FAULTS[fault[i]].format(*fields[i], count=len(fields[i]))
+            raise GraphFormatError(f"{path}:{first + i}: {message}")
+        data = list(filter(None, fields))
+        u, v = (np.array([code.setdefault(f[k], len(code)) for f in data], dtype=np.int64)
+                for k in (0, 1))
+        w = np.ones(len(data))
+        w[count[count > 0] == 3] = weight
+        edge = u != v  # a self-loop line names its node but adds no edge
+        columns.append((u[edge], v[edge], w[edge]))
+    u, v, w = (np.concatenate(column) for column in zip(*columns))
+    ids = list(code)
+    order = sorted(range(len(ids)), key=lambda c: _id_key(ids[c]))
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[order] = np.arange(len(ids))
+    pairs = np.sort(rank[np.stack([u, v], axis=1)], axis=1)
+    return [ids[c] for c in order], pairs, w
 
 
 def _parse_attr_file(path):
@@ -246,57 +287,54 @@ def _parse_attr_file(path):
     return names, rows
 
 
-def _densify(raw_edges, kept_ids, attr_names, attr_rows):
-    """Build an AttributedGraph over ``kept_ids`` from string-keyed edges."""
-    order = sorted(kept_ids, key=_id_key)
-    index = {nid: i for i, nid in enumerate(order)}
-    kept = [(index[u], index[v], w) for (u, v), w in raw_edges.items()
-            if u in index and v in index]
-    edge_index = np.sort(np.array([e[:2] for e in kept], dtype=np.int64).reshape(-1, 2), axis=1)
-    edge_weight = np.array([e[2] for e in kept], dtype=np.float64)
-    sort = np.lexsort((edge_index[:, 1], edge_index[:, 0]))
-    edge_index, edge_weight = edge_index[sort], edge_weight[sort]
-    attributes = {
-        name: [attr_rows[nid][j] for nid in order] for j, name in enumerate(attr_names)
-    }
-    return AttributedGraph(len(order), edge_index, edge_weight, attributes, order)
-
-
 def load_graph(edge_path, attr_path) -> AttributedGraph:
     """Load and filter a graph from an edge file and an attribute file.
 
-    Nodes missing any attribute value are dropped along with their incident
-    edges. Raises GraphFormatError when the result has no nodes or no edges.
+    The edge file is read in blocks of ``LOAD_BLOCK_LINES`` lines, so
+    memory holds arrays per edge line plus one block of text. Every ID on
+    an edge line is a node, one named only by self-loops too. Nodes
+    missing any attribute value are dropped along with their incident
+    edges; a node left with no edge stays as an isolated node. Repeated
+    edges merge by adding their weights in file order. Raises
+    GraphFormatError when the result has no nodes or no edges.
     """
-    raw_edges = _parse_edge_file(edge_path)
+    ids, pairs, weights = _parse_edge_file(edge_path)
     attr_names, attr_rows = _parse_attr_file(attr_path)
 
-    node_ids = {nid for pair in raw_edges for nid in pair}
+    known = set(ids)
     for nid in attr_rows:
-        if nid not in node_ids:
+        if nid not in known:
             raise GraphFormatError(
                 f"{attr_path}: attribute row for unknown node {nid!r}"
             )
 
-    kept = [
-        nid
-        for nid in node_ids
-        if nid in attr_rows and all(v != "" for v in attr_rows[nid])
-    ]
+    keep = np.array([nid in attr_rows and "" not in attr_rows[nid] for nid in ids], dtype=bool)
+    kept = [nid for nid, k in zip(ids, keep.tolist()) if k]
     if not kept:
         raise GraphFormatError("empty graph after filtering: no nodes kept")
-    graph = _densify(raw_edges, kept, attr_names, attr_rows)
-    if graph.edge_count == 0:
+    n = len(kept)
+    pairs = np.where(keep, np.cumsum(keep) - 1, -1)[pairs]  # monotone: u < v still holds
+    live = (pairs >= 0).all(axis=1)
+    keys, edge = np.unique(pairs[live, 0] * n + pairs[live, 1], return_inverse=True)
+    if len(keys) == 0:
         raise GraphFormatError("empty graph after filtering: no edges kept")
-    return graph
+    edge_weight = np.bincount(edge, weights=weights[live])  # adds each edge's lines in order
+    attributes = {
+        name: [attr_rows[nid][j] for nid in kept] for j, name in enumerate(attr_names)
+    }
+    return AttributedGraph(n, np.stack([keys // n, keys % n], axis=1), edge_weight,
+                           attributes, kept)
 
 
 def save_graph(graph: AttributedGraph, edge_path, attr_path):
-    """Write the graph back in the ingestion formats (lossless round trip)."""
+    """Write the graph back in the ingestion formats (lossless round trip).
+    The edges are turned into Python lists ``LOAD_BLOCK_LINES`` at a time."""
     ids = graph.original_ids
     with atomic_writer(edge_path) as f:
-        for (u, v), w in zip(graph.edge_index, graph.edge_weight):
-            f.write(f"{ids[u]}\t{ids[v]}\t{float(w)!r}\n")
+        for lo in range(0, graph.edge_count, LOAD_BLOCK_LINES):
+            heads, tails = graph.edge_index[lo:lo + LOAD_BLOCK_LINES].T.tolist()
+            for u, v, w in zip(heads, tails, graph.edge_weight[lo:lo + LOAD_BLOCK_LINES].tolist()):
+                f.write(f"{ids[u]}\t{ids[v]}\t{w!r}\n")
     names = list(graph.attributes)
     with atomic_writer(attr_path) as f:
         f.write("node\t" + "\t".join(names) + "\n")

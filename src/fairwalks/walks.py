@@ -220,11 +220,21 @@ def generate_walks(weights: TransitionWeights, config: WalkConfig) -> WalkCorpus
     return WalkCorpus(paths)
 
 
+CORPUS_BLOCK_ROWS = 256  # walks turned into tokens at a time by save_corpus
+
+
 def save_corpus(corpus: WalkCorpus, path, original_ids):
-    """One walk per line, its nodes' original IDs separated by spaces."""
+    """One walk per line, its nodes' original IDs separated by spaces.
+    Walks are looked up ``CORPUS_BLOCK_ROWS`` rows at a time in an object
+    array of the IDs, whose last entry, None, is what ``PAD`` picks."""
+    tokens = np.array(list(original_ids) + [None], dtype=object)
+    paths = corpus.paths
     with atomic_writer(path) as f:
-        for walk in _trimmed(corpus.paths):
-            f.write(" ".join([original_ids[v] for v in walk]) + "\n")
+        for lo in range(0, len(paths), CORPUS_BLOCK_ROWS):
+            for walk in tokens[paths[lo:lo + CORPUS_BLOCK_ROWS]].tolist():
+                if walk[-1] is None:
+                    del walk[walk.index(None):]
+                f.write(" ".join(walk) + "\n")
 
 
 def load_corpus_tokens(path):

@@ -1,8 +1,14 @@
+import math
+import tracemalloc
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairwalks.graph as graph_mod
 from fairwalks import crosswalk
 from fairwalks.crosswalk import (
     CLOSENESS_SMOOTHING,
@@ -430,3 +436,187 @@ class TestLoadBiasedValidation:
         path.write_text(header + "\n" + "".join(line + "\n" for line in self.PATH_LINES))
         with pytest.raises(ValueError, match=r"biased\.edges:1: (alpha|beta) '.*' is not a number"):
             load_biased(path, g)
+
+
+def reference_load_biased(path, graph):
+    """``load_biased`` one line at a time, as it was before the block reader:
+    dicts from node pair to CSR slot and from slot to probability."""
+    index = {nid: i for i, nid in enumerate(graph.original_ids)}
+    pairs = zip(graph.rows.tolist(), graph.indices.tolist())
+    slot_of = {pair: s for s, pair in enumerate(pairs)}
+    prob_at = {}  # CSR slot -> probability
+    header = {}  # alpha and beta
+    with open(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            stripped = line.strip()
+            if stripped.startswith("#"):
+                for token in stripped[1:].split():
+                    key, _, value = token.partition("=")
+                    if key in ("alpha", "beta") and value != "None":
+                        header[key] = crosswalk._number(path, lineno, key, value)
+                continue
+            if not stripped:
+                continue
+            parts = stripped.split("\t")
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 'u\\tv\\tprob'")
+            try:
+                pair = (index[parts[0]], index[parts[1]])
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: unknown node {exc}") from None
+            slot = slot_of.get(pair)
+            if slot is None or slot in prob_at:
+                problem = "is not an edge of the graph" if slot is None else "is a duplicate entry"
+                raise ValueError(f"{path}:{lineno}: {parts[0]} -> {parts[1]} {problem}")
+            prob = crosswalk._number(path, lineno, "probability", parts[2])
+            if not (math.isfinite(prob) and prob >= 0):
+                raise ValueError(f"{path}:{lineno}: probability {parts[2]!r} is not finite >= 0")
+            prob_at[slot] = prob
+    if len(prob_at) < len(slot_of):
+        e = min(set(range(len(slot_of))) - prob_at.keys())
+        ids = graph.original_ids
+        u, v = ids[graph.rows[e]], ids[graph.indices[e]]
+        raise ValueError(f"{path}: no line for edge {u} -> {v}")
+    probs = np.empty(len(slot_of), dtype=np.float64)
+    probs[list(prob_at)] = list(prob_at.values())
+    sums = np.bincount(graph.rows, weights=probs, minlength=graph.node_count)
+    bad = np.flatnonzero((np.diff(graph.indptr) > 0)
+                         & ~(np.abs(sums - 1.0) <= crosswalk.ROW_SUM_TOLERANCE))
+    if len(bad):
+        v = bad[0]
+        raise ValueError(f"{path}: probabilities out of node {graph.original_ids[v]} "
+                         f"sum to {float(sums[v])!r}, not 1")
+    return TransitionWeights(graph, probs, **header)
+
+
+def load_outcome(load, *args):
+    """What ``load`` returns, or the type and message of the ValueError it raises."""
+    try:
+        return load(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+BIASED_IDS = ["0", "1", "2", "3", "10", "-1", "a", "b", "n1", "x_y", "z"]
+BIASED_FAULT_KINDS = ("duplicate", "unknown", "not an edge", "probability", "fields", "header",
+                      "missing", "row sum")
+
+
+def draw_biased_file(draw, path, faults):
+    """Write a saved biased file of a small block model with numeric and
+    string IDs, its lines shuffled among comments, blank lines and its
+    header, CRLF or LF, with ``faults`` faults; return the graph."""
+    g, _ = generate_sbm([4, 5], 0.7, 0.3, seed=draw(st.integers(0, 2**16)))
+    g = replace(g, original_ids=draw(st.permutations(BIASED_IDS))[:g.node_count])
+    if draw(st.booleans()) and len(set(g.attributes["block"])) == 2:
+        p = partition_by(g, "block")
+        weights = reweight(g, p, estimate_closeness(g, p, 3, 3, seed=1), 0.3, 2.0)
+    else:
+        weights = TransitionWeights.from_graph(g)
+    save_biased(weights, path)
+    header, *lines = path.read_text().splitlines()
+    lines = draw(st.permutations(lines))
+    extras = ["", "  ", "\t", "# note", "#alpha=0.25", "# a\tb\tc"]
+    for extra in draw(st.lists(st.sampled_from(extras), max_size=6)) + [header]:
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    for fault in draw(st.lists(st.sampled_from(BIASED_FAULT_KINDS), min_size=faults,
+                               max_size=faults)):
+        i = draw(st.sampled_from([i for i, line in enumerate(lines)
+                                  if line.count("\t") == 2 and line[0] != "#"]))
+        u, v, prob = lines[i].split("\t")
+        if fault == "duplicate":
+            lines.insert(draw(st.integers(i + 1, len(lines))), lines[i])
+        elif fault == "unknown":
+            lines[i] = draw(st.sampled_from([f"ghost\t{v}\t{prob}", f"{u}\tghost\t{prob}"]))
+        elif fault == "not an edge":
+            lines[i] = f"{u}\t{u}\t{prob}"
+        elif fault == "probability":
+            lines[i] = f"{u}\t{v}\t" + draw(st.sampled_from(["abc", "-0.5", "nan", "inf"]))
+        elif fault == "fields":
+            lines[i] = draw(st.sampled_from([f"{u}\t{v}", f"{u} {v} {prob}", lines[i] + "\t1"]))
+        elif fault == "header":
+            lines.insert(i, "# beta=abc")
+        elif fault == "missing":
+            lines[i] = "# dropped"
+        else:
+            lines[i] = f"{u}\t{v}\t0.75"
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    path.write_bytes((newline.join(lines) + newline).encode())
+    return g
+
+
+class TestLoadBiasedParity:
+    """``load_biased`` reads blocks of ``LOAD_BLOCK_LINES`` lines, patched
+    down here so that every file spans several; the reference reads line
+    by line."""
+
+    def check(self, path, g):
+        want = load_outcome(reference_load_biased, path, g)
+        with mock.patch.object(graph_mod, "LOAD_BLOCK_LINES", 5):
+            got = load_outcome(load_biased, path, g)
+        if isinstance(want, TransitionWeights):
+            assert isinstance(got, TransitionWeights)
+            assert got.probs.tobytes() == want.probs.tobytes()
+            assert (got.alpha, got.beta) == (want.alpha, want.beta)
+        else:
+            assert got == want
+        return got
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_valid_files_load_as_the_reference(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("parity") / "biased.edges"
+        got = self.check(path, draw_biased_file(data.draw, path, faults=0))
+        assert isinstance(got, TransitionWeights)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_faulty_files_raise_as_the_reference(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("parity") / "biased.edges"
+        self.check(path, draw_biased_file(data.draw, path, faults=2))
+
+    LINES = ["# alpha=0.5 beta=1.0", "0\t1\t1.0", "1\t0\t0.5", "1\t2\t0.5", "2\t1\t1.0"]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 1024])
+    def test_later_check_on_earlier_line_wins(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(graph_mod, "LOAD_BLOCK_LINES", block)
+        g = make_graph([(0, 1), (1, 2)], attrs={"loc": ["X", "Y", "X"]})
+        faults = ["1\t0\tabc", "# beta=x", "1\t9\t0.5", "1\t2"]  # each later check first
+        lines = self.LINES[:2] + faults + self.LINES[4:]
+        path = tmp_path / "biased.edges"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError, match=r"biased\.edges:3: probability 'abc' is not a"):
+            load_biased(path, g)
+        self.check(path, g)
+
+    @pytest.mark.parametrize("block", [2, 3, 4])
+    def test_duplicate_of_a_line_in_an_earlier_block(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(graph_mod, "LOAD_BLOCK_LINES", block)
+        g = make_graph([(0, 1), (1, 2)], attrs={"loc": ["X", "Y", "X"]})
+        path = tmp_path / "biased.edges"
+        path.write_text("".join(line + "\n" for line in self.LINES + ["", "#", "0\t1\t1.0"]))
+        with pytest.raises(ValueError, match=r"biased\.edges:8: 0 -> 1 is a duplicate entry"):
+            load_biased(path, g)
+        self.check(path, g)
+
+
+class TestLoadBiasedMemory:
+    # traced bytes per line at the peak of a load: the arrays per CSR slot
+    # plus one block of text stay below it, a dict entry per line does not
+    BOUND_PER_LINE = 150
+
+    def test_peak_is_bounded_per_line(self, tmp_path):
+        g, _ = generate_sbm([400, 400], 0.06, 0.005, seed=3)
+        path = tmp_path / "biased.edges"
+        save_biased(TransitionWeights.from_graph(g), path)
+        lines = len(g.indices)
+        assert lines >= 16 * graph_mod.LOAD_BLOCK_LINES
+        peak = {}
+        for load in (load_biased, reference_load_biased):
+            tracemalloc.start()
+            try:
+                load(path, g)
+                peak[load] = tracemalloc.get_traced_memory()[1] / lines
+            finally:
+                tracemalloc.stop()
+        assert peak[load_biased] < self.BOUND_PER_LINE < peak[reference_load_biased]

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -110,6 +111,23 @@ class TestLoadGraph:
         assert g.edge_count == 1
         assert g.edge_index.tolist() == [[0, 1]]
 
+    def test_node_named_only_by_self_loops_is_kept_isolated(self, tmp_path):
+        paths = write_dataset(
+            tmp_path, ["a b", "c c"], ["node\tloc", "a\tX", "b\tY", "c\tX"]
+        )
+        g = load_graph(*paths)
+        assert g.original_ids == ["a", "b", "c"]
+        assert g.edge_index.tolist() == [[0, 1]]
+        assert g.degree(2) == 0
+
+    def test_node_whose_neighbour_is_dropped_is_kept_isolated(self, tmp_path):
+        paths = write_dataset(
+            tmp_path, ["a b", "c d"], ["node\tloc", "a\tX", "b\tY", "c\tX", "d\t"]
+        )
+        g = load_graph(*paths)
+        assert g.original_ids == ["a", "b", "c"]
+        assert g.degree(2) == 0
+
     def test_numeric_ids_sorted_numerically(self, tmp_path):
         paths = write_dataset(
             tmp_path,
@@ -159,6 +177,148 @@ class TestRoundTrip:
         out = (tmp_path / "o.edges", tmp_path / "o.attrs")
         save_graph(g1, *out)
         assert load_graph(*out) == g1
+
+
+def reference_load_graph(edge_path, attr_path):
+    """``load_graph`` one line at a time, as it was before the block reader:
+    a dict of string pairs summed in file order, then densified. Every ID
+    on a data line is a node, a self-loop's too."""
+    edges, names = {}, set()
+    with open(edge_path) as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) not in (2, 3):
+                raise GraphFormatError(
+                    f"{edge_path}:{lineno}: expected 'u v [weight]', got {len(parts)} fields"
+                )
+            u, v = parts[0], parts[1]
+            if len(parts) == 3:
+                try:
+                    w = float(parts[2])
+                except ValueError:
+                    raise GraphFormatError(
+                        f"{edge_path}:{lineno}: weight {parts[2]!r} is not a number"
+                    ) from None
+                if not w > 0:
+                    raise GraphFormatError(f"{edge_path}:{lineno}: weight must be > 0")
+            else:
+                w = 1.0
+            names.update((u, v))
+            if u == v:
+                continue
+            key = (u, v) if u < v else (v, u)
+            edges[key] = edges.get(key, 0.0) + w
+    attr_names, attr_rows = graph_mod._parse_attr_file(attr_path)
+    for nid in attr_rows:
+        if nid not in names:
+            raise GraphFormatError(f"{attr_path}: attribute row for unknown node {nid!r}")
+    kept = [nid for nid in names if nid in attr_rows and all(v != "" for v in attr_rows[nid])]
+    if not kept:
+        raise GraphFormatError("empty graph after filtering: no nodes kept")
+    order = sorted(kept, key=graph_mod._id_key)
+    index = {nid: i for i, nid in enumerate(order)}
+    kept_edges = [(index[u], index[v], w) for (u, v), w in edges.items()
+                  if u in index and v in index]
+    edge_index = np.sort(np.array([e[:2] for e in kept_edges], dtype=np.int64).reshape(-1, 2),
+                         axis=1)
+    edge_weight = np.array([e[2] for e in kept_edges], dtype=np.float64)
+    sort = np.lexsort((edge_index[:, 1], edge_index[:, 0]))
+    attributes = {
+        name: [attr_rows[nid][j] for nid in order] for j, name in enumerate(attr_names)
+    }
+    g = AttributedGraph(len(order), edge_index[sort], edge_weight[sort], attributes, order)
+    if g.edge_count == 0:
+        raise GraphFormatError("empty graph after filtering: no edges kept")
+    return g
+
+
+def load_outcome(load, *args):
+    """What ``load`` returns, or the type and message of the ValueError it raises."""
+    try:
+        return load(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# no two IDs share an ``_id_key``: ties are ordered by first sight, not by a set
+ID_POOL = [str(i) for i in range(-2, 10)] + ["a", "b", "n1", "n10", "x_y"]
+EDGE_FAULT_LINES = ["{u} {v} 1 2", "{u}", "{u} {v} heavy", "{u} {v} 0", "{u} {v} -1.5",
+                    "{u} {v} nan"]
+
+
+@st.composite
+def edge_files(draw, faults):
+    """(edge file text, attribute file text) of more lines than a patched
+    block: repeated edges in both orientations, self-loops, fractional
+    weights, comments, blank lines, CRLF, missing attribute values, and
+    ``faults`` faulty lines."""
+    ids = draw(st.lists(st.sampled_from(ID_POOL), min_size=2, max_size=8, unique=True))
+    node = st.sampled_from(ids)
+    edge = st.tuples(node, node, st.sampled_from([None, "1", "0.5", "2.25", "1e-3", "0.1", "7"]),
+                     st.sampled_from([" ", "\t", "  ", " \t"]),
+                     st.sampled_from(["", "  # note", "\t#x", " "]))
+    other = st.sampled_from(["", "   ", "# comment", "#", "\t# indented"])
+    specs = draw(st.lists(st.one_of(edge, edge, edge, other), min_size=12, max_size=40))
+    lines = [
+        spec if isinstance(spec, str)
+        else spec[3].join(filter(None, spec[:3])) + spec[4]
+        for spec in specs
+    ]
+    for fault in draw(st.lists(st.sampled_from(EDGE_FAULT_LINES), min_size=faults,
+                               max_size=faults)):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, fault.format(u=draw(node), v=draw(node)))
+    named = {nid for spec in specs if not isinstance(spec, str) for nid in spec[:2]}
+    rows = [f"{nid}\t{draw(st.sampled_from(['X', 'Y', 'Y', '']))}" for nid in sorted(named)
+            if draw(st.booleans()) or draw(st.booleans())]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline, "\n".join(["node\tloc"] + rows) + "\n"
+
+
+class TestLoadGraphParity:
+    """``load_graph`` reads blocks of ``LOAD_BLOCK_LINES`` lines, patched down
+    here so that every file spans several; the reference reads line by line."""
+
+    def check(self, tmp_path, texts):
+        edge_path, attr_path = tmp_path / "g.edges", tmp_path / "g.attrs"
+        edge_path.write_bytes(texts[0].encode())
+        attr_path.write_bytes(texts[1].encode())
+        want = load_outcome(reference_load_graph, edge_path, attr_path)
+        with mock.patch.object(graph_mod, "LOAD_BLOCK_LINES", 5):
+            got = load_outcome(load_graph, edge_path, attr_path)
+        if isinstance(want, AttributedGraph):
+            assert got == want
+            assert got.edge_weight.tobytes() == want.edge_weight.tobytes()
+        else:
+            assert got == want
+        return got
+
+    @given(texts=edge_files(faults=0))
+    @settings(max_examples=60, deadline=None)
+    def test_valid_files_load_as_the_reference(self, tmp_path_factory, texts):
+        self.check(tmp_path_factory.mktemp("parity"), texts)
+
+    @given(texts=edge_files(faults=2))
+    @settings(max_examples=60, deadline=None)
+    def test_faulty_files_raise_as_the_reference(self, tmp_path_factory, texts):
+        got = self.check(tmp_path_factory.mktemp("parity"), texts)
+        assert isinstance(got, tuple) and got[0] is GraphFormatError
+
+    @pytest.mark.parametrize("lines", [
+        ["a b", "a b 0", "a b c d"],  # the weight fault sits on the earlier line
+        ["a b", "a b c d", "a b 0"],
+        ["a b", "a b x", "a b c d", "a b -1"],
+    ])
+    @pytest.mark.parametrize("block", [1, 2, 1024])
+    def test_first_faulty_line_is_reported(self, tmp_path, monkeypatch, lines, block):
+        monkeypatch.setattr(graph_mod, "LOAD_BLOCK_LINES", block)
+        paths = write_dataset(tmp_path, lines, ["node\tloc", "a\tX", "b\tY"])
+        with pytest.raises(GraphFormatError, match=r"g\.edges:2: "):
+            load_graph(*paths)
+        self.check(tmp_path, (paths[0].read_text(), paths[1].read_text()))
 
 
 class TestBinAge:

@@ -21,7 +21,7 @@ def run_script(script, *args):
 @pytest.mark.parametrize(
     "script",
     ["compare_presets.py", "run_reference_grid.py", "measure_peak_rss.py", "hash_outputs.py",
-     "time_training.py"],
+     "time_training.py", "time_io.py"],
 )
 def test_script_imports_and_shows_help(script):
     result = run_script(script, "--help")
@@ -53,3 +53,14 @@ def test_time_training_reports_both_corpora():
         assert shape["min_s"] <= shape["median_s"] <= shape["max_s"]
         assert shape["pairs_per_s"] > 0 and shape["us_per_batch"] > 0
 
+
+def test_time_io_reports_every_reader_and_writer():
+    result = run_script("time_io.py", "--toy", "--reps", "2")
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert out["reps"] == 2 and out["toy"] is True
+    assert 0 < out["nodes"] <= 120 and out["edges"] > 0
+    for name in ("save_graph", "load_graph", "save_biased", "load_biased", "save_corpus"):
+        call = out[name]
+        assert 0 < call["min_ms"] <= call["median_ms"]
+        assert call["peak_mb"] > 0
