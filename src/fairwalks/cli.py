@@ -151,7 +151,8 @@ def cmd_walk(args):
 def cmd_embed(args):
     config = _stage_config(args)
     sentences = walks.load_corpus_tokens(args.corpus)
-    vocab = sorted({tok for s in sentences for tok in s}, key=_id_key)
+    # ties under _id_key ("1", "01") keep their first appearance, not a hash order
+    vocab = sorted(dict.fromkeys(tok for s in sentences for tok in s), key=_id_key)
     index = {tok: i for i, tok in enumerate(vocab)}
     paths = walks.pad_walks([[index[tok] for tok in s] for s in sentences])
     vectors = pipeline.train_vectors(config, paths, len(vocab))

@@ -71,11 +71,13 @@ class AttributedGraph:
     def __post_init__(self):
         self.edge_index = np.asarray(self.edge_index, dtype=np.int64).reshape(-1, 2)
         self.edge_weight = np.asarray(self.edge_weight, dtype=np.float64).reshape(-1)
-        self._validate()
-        self._build_csr()
+        self._build_csr(self._validate())
 
-    def _validate(self):
+    def _validate(self) -> np.ndarray:
+        """Raise on a malformed graph; else return the edges' sort order,
+        the identity for the sorted edges every producer gives."""
         n, e, w = self.node_count, self.edge_index, self.edge_weight
+        order = np.arange(len(e))
         if len(e) != len(w):
             raise ValueError("edge_index and edge_weight length mismatch")
         if len(self.original_ids) != n:
@@ -88,24 +90,28 @@ class AttributedGraph:
             if np.any(e[:, 0] > e[:, 1]):
                 raise ValueError("edges must be canonical (u < v)")
             keys = e[:, 0] * n + e[:, 1]
-            if len(np.unique(keys)) != len(keys):
+            order = np.argsort(keys, kind="stable")  # linear on sorted keys
+            if np.any(keys[order[1:]] == keys[order[:-1]]):
                 raise ValueError("duplicate edges are not allowed")
             if np.any(~(w > 0)):
                 raise ValueError("edge weights must be positive")
         for name, values in self.attributes.items():
             if len(values) != n:
                 raise ValueError(f"attribute {name!r} must have one value per node")
+        return order
 
-    def _build_csr(self):
-        n = self.node_count
-        src = np.concatenate([self.edge_index[:, 0], self.edge_index[:, 1]])
-        dst = np.concatenate([self.edge_index[:, 1], self.edge_index[:, 0]])
-        w = np.concatenate([self.edge_weight, self.edge_weight])
-        order = np.lexsort((dst, src))
-        self.rows = src[order]
-        self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
-        self.indices = dst[order]
-        self.weights = w[order]
+    def _build_csr(self, order):
+        # over edges sorted by (u, v), row r takes its neighbors below r from
+        # the first half and then those above r from the second, each run
+        # ascending, so one stable sort by row orders every row
+        u, v = self.edge_index[order].T
+        src, dst = np.concatenate([v, u]), np.concatenate([u, v])
+        w = self.edge_weight[order]
+        slots = np.argsort(src, kind="stable")
+        self.rows = src[slots]
+        self.indptr = np.searchsorted(self.rows, np.arange(self.node_count + 1))
+        self.indices = dst[slots]
+        self.weights = np.concatenate([w, w])[slots]
 
     @property
     def edge_count(self) -> int:
@@ -563,20 +569,27 @@ def generate_sbm(
         control_of = rng.choice(control.classes, size=n, p=probs)
         attributes[control.name] = [f"class{c}" for c in control_of]
 
-    # consecutive (b, n) draws consume the stream exactly as one (n, n) draw
+    # consecutive (b, n) draws consume the stream exactly as one (n, n) draw;
+    # only a draw below the largest edge probability can make an edge, so the
+    # exact probability is computed for those candidates alone
     bonus = control.intra_class_bonus if control is not None else 0.0
+    top = min(p_intra + bonus, 1.0) if bonus > 0 else p_intra
     b = max(1, SBM_BLOCK_CELLS // n)
+    draws = np.empty((min(b, n), n))
     u_parts, v_parts = [], []
     for lo in range(0, n, b):
-        hi = min(lo + b, n)
-        prob = np.where(block[lo:hi, None] == block[None, :], p_intra, p_inter)
+        block_draws = draws[:min(lo + b, n) - lo]
+        rng.random(out=block_draws)
+        u_blk, v_blk = np.nonzero(block_draws < top)
+        upper = v_blk > u_blk + lo  # v > u only
+        u_blk, v_blk = u_blk[upper], v_blk[upper]
+        prob = np.where(block[u_blk + lo] == block[v_blk], p_intra, p_inter)
         if bonus > 0:
-            same_class = control_of[lo:hi, None] == control_of[None, :]
+            same_class = control_of[u_blk + lo] == control_of[v_blk]
             prob = np.clip(prob + bonus * same_class, 0.0, 1.0)
-        upper = np.triu(rng.random((hi - lo, n)) < prob, k=lo + 1)  # v > u only
-        u_blk, v_blk = np.nonzero(upper)
-        u_parts.append(u_blk + lo)
-        v_parts.append(v_blk)
+        edge = block_draws[u_blk, v_blk] < prob
+        u_parts.append(u_blk[edge] + lo)
+        v_parts.append(v_blk[edge])
     u_idx, v_idx = np.concatenate(u_parts), np.concatenate(v_parts)
 
     degree = np.bincount(np.concatenate([u_idx, v_idx]), minlength=n)

@@ -6,12 +6,14 @@ generation, embedding training, and cross-validated evaluation of the
 sensitive and control attributes. Each stage's mapping from the config to
 its call, seed included, is one function here (``synthesize_sbm``,
 ``walk_weights``, ``walk_corpus``, ``train_vectors``, ``evaluate``), which
-``execute`` and the CLI stage verbs share. One stage output is cached: the
-embedding, keyed by the graph and every config field outside
+``execute`` and the CLI stage verbs share. One stage output is cached on
+disk: the embedding, keyed by the graph and every config field outside
 ``EVALUATION_FIELDS``. A cached embedding needs nothing upstream of it,
-so a warm run reads that one file. Boundary closeness and walk corpora
-are not cached: recomputing them costs a fraction of the training they
-feed.
+so a warm run reads that one file. Walk corpora are not kept. The
+dataset stage (graph, partitions and graph key) is one ``Dataset`` value,
+built by ``prepare_dataset``, which keeps in memory the boundary
+closeness of each (closeness walks, length, seed) it is asked for. Runs
+that agree in ``DATASET_FIELDS``, such as those of a sweep, can share it.
 """
 
 import contextlib
@@ -37,6 +39,14 @@ EVALUATION_FIELDS = (
     "dataset_name", "control_attribute", "knn_k", "sigma", "folds", "labeled_fraction",
 )
 
+# the fields that ``build_dataset`` and ``partition_by`` read: runs that
+# agree in all of them can share one ``Dataset``
+DATASET_FIELDS = (
+    "edges_path", "attrs_path", "sbm_block_sizes", "sbm_p_intra", "sbm_p_inter",
+    "sbm_control_classes", "sbm_control_probs", "sbm_control_bonus", "select_attribute",
+    "select_values", "bin_age_column", "sensitive_attribute", "control_attribute", "seed",
+)
+
 PRESETS = {
     "low_awareness": {"alpha": 0.99, "beta": 15.0},
     "high_awareness": {"alpha": 0.01, "beta": 1.0},
@@ -50,6 +60,15 @@ class StageError(RuntimeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+@contextlib.contextmanager
+def _stage(name):
+    """Re-raise a failure in the block as ``StageError(name)``."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 @dataclass
@@ -257,15 +276,52 @@ def build_dataset(config: ExperimentConfig) -> graph_mod.AttributedGraph:
     return g
 
 
-def walk_weights(config: ExperimentConfig, g, sensitive) -> walks.TransitionWeights:
+@dataclass(eq=False)
+class Dataset:
+    """The dataset stage's output for ``config``: the graph, its sensitive and
+    control partitions and its cache key. ``closeness`` maps (closeness walks,
+    closeness length, seed) to a read-only estimate, filled on first use."""
+
+    config: ExperimentConfig
+    graph: graph_mod.AttributedGraph
+    sensitive: graph_mod.GroupPartition
+    control: graph_mod.GroupPartition
+    key: str
+    closeness: dict = dataclasses.field(default_factory=dict)
+
+    def check(self, config: ExperimentConfig):
+        """Raise ValueError unless ``config`` agrees with the one this was
+        built from in every field of ``DATASET_FIELDS``."""
+        differ = [name for name in DATASET_FIELDS
+                  if getattr(config, name) != getattr(self.config, name)]
+        if differ:
+            raise ValueError(f"the shared dataset was built for other {', '.join(differ)}")
+
+
+def prepare_dataset(config: ExperimentConfig) -> Dataset:
+    """Stages 1 and 2: the graph of ``config`` and its partitions."""
+    with _stage("dataset"):
+        g = build_dataset(config)
+    with _stage("partition"):
+        sensitive = graph_mod.partition_by(g, config.sensitive_attribute)
+        control = (graph_mod.partition_by(g, config.control_attribute)
+                   if config.control_attribute else None)
+    return Dataset(config, g, sensitive, control, _graph_key(g))
+
+
+def walk_weights(config: ExperimentConfig, g, sensitive, closeness=None) -> walks.TransitionWeights:
     """The weights the corpus walks on: the graph's own for a baseline, else
-    CrossWalk's reweighting by boundary closeness (estimated at ``config.seed``)."""
+    CrossWalk's reweighting by boundary closeness (estimated at ``config.seed``).
+    A ``closeness`` dict, such as ``Dataset.closeness``, keeps each estimate
+    for later calls on the same graph and partition."""
     if config.intervention == "baseline":
         return walks.TransitionWeights.from_graph(g)
-    closeness = crosswalk.estimate_closeness(
-        g, sensitive, config.closeness_walks, config.closeness_length, config.seed,
-    )
-    return crosswalk.reweight(g, sensitive, closeness, config.alpha, config.beta)
+    known = {} if closeness is None else closeness
+    budget = (config.closeness_walks, config.closeness_length, config.seed)
+    if budget not in known:
+        known[budget] = crosswalk.estimate_closeness(g, sensitive, *budget)
+        known[budget].flags.writeable = False
+    return crosswalk.reweight(g, sensitive, known[budget], config.alpha, config.beta)
 
 
 def walk_corpus(config: ExperimentConfig, weights) -> walks.WalkCorpus:
@@ -303,18 +359,12 @@ class PipelineResult:
     vectors: np.ndarray
 
 
-@contextlib.contextmanager
-def _stage(name):
-    """Re-raise a failure in the block as ``StageError(name)``."""
-    try:
-        yield
-    except Exception as exc:
-        raise StageError(name, exc) from exc
-
-
-def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
+def execute(config: ExperimentConfig, cache_dir=None, dataset: Dataset = None) -> PipelineResult:
     """Run all pipeline stages in memory; artifacts are written by callers.
 
+    ``dataset`` is ``prepare_dataset``'s value for a config that agrees
+    with this one in ``DATASET_FIELDS`` (else ValueError), so that runs
+    can share the graph and its closeness; without it, it is built here.
     The embedding is the one cached stage output. Its key is the graph
     plus every config field outside ``EVALUATION_FIELDS``, so a config
     that differs in any training field trains again, and a cached
@@ -323,22 +373,20 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
     """
     config.validate()
     cache = ArtifactCache(cache_dir)
-
-    with _stage("dataset"):
-        g = build_dataset(config)
-    with _stage("partition"):
-        sensitive = graph_mod.partition_by(g, config.sensitive_attribute)
-        control = (graph_mod.partition_by(g, config.control_attribute)
-                   if config.control_attribute else None)
+    if dataset is None:
+        dataset = prepare_dataset(config)
+    else:
+        dataset.check(config)
+    g, sensitive = dataset.graph, dataset.sensitive
 
     # a module constant that moves the trained bits (NEGATIVE_CHUNK, say) bumps the tag
-    key = _hash_key("embed.v4", _graph_key(g),
+    key = _hash_key("embed.v4", dataset.key,
                     config.replace(**dict.fromkeys(EVALUATION_FIELDS)).config_hash())
     with _stage("embed"):
         vectors = cache.load_array(key, "emb.npy")
     if vectors is None:
         with _stage("bias"):
-            weights = walk_weights(config, g, sensitive)
+            weights = walk_weights(config, g, sensitive, dataset.closeness)
         with _stage("walks"):
             corpus = walk_corpus(config, weights)
         with _stage("embed"):
@@ -349,7 +397,7 @@ def execute(config: ExperimentConfig, cache_dir=None) -> PipelineResult:
     echo = {"experiment": config.to_dict(), "walk_source": walk_source,
             "embedding_meta": embedding.embedding_meta(**_training_args(config))}
     with _stage("evaluate"):
-        report = evaluate(config, vectors, sensitive, control, config_echo=echo)
+        report = evaluate(config, vectors, sensitive, dataset.control, config_echo=echo)
     return PipelineResult(report, g, sensitive, vectors)
 
 

@@ -17,7 +17,7 @@ from itertools import product
 from fairwalks.graph import atomic_writer
 from fairwalks.pipeline import (  # the row format lives in pipeline and is re-exported
     LIST_SEP, PRESETS, SWEEP_COLUMNS, SWEEP_SCHEMA_VERSION, ExperimentConfig, StageError,
-    _row_line, csv_header_line, execute, report_csv_line,
+    _row_line, csv_header_line, execute, prepare_dataset, report_csv_line,
 )
 
 
@@ -128,6 +128,12 @@ def run_sweep(
     <text>``; the table has no column for them. Runs are serial whatever
     ``workers`` is: the sweep's work holds the interpreter lock, and
     threads measured slower than one worker.
+
+    The runs differ only outside ``DATASET_FIELDS``, so the default runner
+    builds one ``Dataset`` (graph, partitions, graph key and, on first use,
+    each boundary closeness) at the first run that passes ``validate`` and
+    hands it to every run. A resumed sweep with nothing left to run builds
+    none. If building fails, every run that needed it gets that error's row.
     """
     plans = spec.expand(base)
     csv_path = os.path.join(out_dir, "results.csv")
@@ -146,7 +152,19 @@ def run_sweep(
 
     cache_dir = os.path.join(out_dir, "cache")
     if runner is None:
-        runner = lambda cfg: execute(cfg, cache_dir=cache_dir).report
+        shared = None  # the Dataset, or the StageError that building it raised
+
+        def runner(cfg):
+            nonlocal shared
+            cfg.validate()
+            if shared is None:
+                try:
+                    shared = prepare_dataset(cfg)
+                except StageError as exc:
+                    shared = exc
+            if isinstance(shared, StageError):
+                raise shared
+            return execute(cfg, cache_dir=cache_dir, dataset=shared).report
 
     todo = [cfg for cfg in plans if cfg.config_hash() not in done]
     for cfg in todo:

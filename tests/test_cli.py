@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -104,6 +108,26 @@ class TestStageVerbs:
         ]) == 1
         assert "error: learning_rate must be finite and > 0, got 0.0" in capsys.readouterr().err
         assert not (d / "lr_emb.txt").exists()
+
+    def test_embed_vocabulary_does_not_follow_the_hash_seed(self, tmp_path):
+        # "1", "01" and "001" tie under the numeric ID order
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("01 1 001 2 0001\n001 02 1 01 2\n2 0001 01 02 1\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for hash_seed in ("1", "2", "3"):
+            out = tmp_path / f"emb{hash_seed}.txt"
+            subprocess.run(
+                [sys.executable, "-m", "fairwalks", "embed", "--corpus", str(corpus),
+                 "--dim", "4", "--epochs", "1", "--out", str(out)],
+                check=True, capture_output=True,
+                env={**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": hash_seed},
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[1:] == outputs[:1] * 2
+        tokens = [line.split()[0] for line in outputs[0].decode().splitlines()[1:]]
+        assert tokens == ["01", "1", "001", "0001", "2", "02"]  # ties by first appearance
 
     def test_bias_with_zero_closeness_walks_fails_as_run_does(self, dataset, capsys):
         d = dataset

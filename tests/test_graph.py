@@ -560,6 +560,27 @@ class TestGraphInvariants:
         g = graph_factory([(2, 0), (2, 1), (2, 3)])
         assert g.neighbors(2).tolist() == [0, 1, 3]
 
+    @given(
+        pairs=st.sets(st.tuples(st.integers(0, 11), st.integers(0, 11)).map(sorted).map(tuple)
+                      .filter(lambda e: e[0] != e[1]), max_size=40),
+        shuffle_seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60)
+    def test_csr_equals_the_lexsort_build(self, pairs, shuffle_seed):
+        # canonical edges in any order, against a CSR built by one lexsort
+        rng = np.random.default_rng(shuffle_seed)
+        edges = rng.permutation(np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2))
+        weights = rng.uniform(0.1, 5.0, len(edges))
+        g = AttributedGraph(12, edges, weights, {}, [str(v) for v in range(12)])
+        src = np.concatenate([edges[:, 0], edges[:, 1]])
+        dst = np.concatenate([edges[:, 1], edges[:, 0]])
+        order = np.lexsort((dst, src))
+        assert g.rows.tobytes() == src[order].tobytes()
+        assert g.indptr.tobytes() == np.searchsorted(src[order], np.arange(13)).tobytes()
+        assert g.indices.tobytes() == dst[order].tobytes()
+        assert g.weights.tobytes() == np.concatenate([weights, weights])[order].tobytes()
+        assert g.edge_index.tobytes() == edges.tobytes()
+
 
 class TestCsrHelpers:
     def test_component_labels_match_union_find(self):

@@ -17,6 +17,7 @@ from fairwalks.pipeline import (
     execute,
     run_experiment,
 )
+from fairwalks.graph import save_graph
 from fairwalks.projection import pca_2d, write_projection_csv
 from fairwalks.seeds import derive_seed
 
@@ -481,6 +482,92 @@ class TestEmbeddingKey:
         config = sbm_config(**self.BASE, **{field: EVALUATION_CHANGES[field]})
         assert execute(config, cache_dir=cache).vectors.tobytes() == cold.tobytes()
         assert trains == []
+
+
+# one changed value per field of DATASET_FIELDS, over an SBM config or, for
+# the file fields, a config that reads the same graph from files
+DATASET_CHANGES = {
+    "edges_path": ("files", {"edges_path": "copy.edges"}),
+    "attrs_path": ("files", {"attrs_path": "copy.attrs"}),
+    "select_attribute": ("files", {"select_attribute": "block"}),
+    "select_values": ("files", {"select_values": ["block0"]}),
+    "bin_age_column": ("files", {"bin_age_column": "block"}),
+    "sbm_block_sizes": ("sbm", TRAINING_CHANGES["sbm_block_sizes"]),
+    "sbm_p_intra": ("sbm", TRAINING_CHANGES["sbm_p_intra"]),
+    "sbm_p_inter": ("sbm", TRAINING_CHANGES["sbm_p_inter"]),
+    "sbm_control_classes": ("sbm", TRAINING_CHANGES["sbm_control_classes"]),
+    "sbm_control_probs": ("sbm", TRAINING_CHANGES["sbm_control_probs"]),
+    "sbm_control_bonus": ("sbm", TRAINING_CHANGES["sbm_control_bonus"]),
+    "sensitive_attribute": ("sbm", {"sensitive_attribute": "control",
+                                    "control_attribute": "block"}),
+    "control_attribute": ("sbm", {"control_attribute": None}),
+    "seed": ("sbm", TRAINING_CHANGES["seed"]),
+}
+# one changed value per other field; none moves the dataset
+OTHER_CHANGES = {
+    **{name: change for name, change in TRAINING_CHANGES.items() if name not in pl.DATASET_FIELDS},
+    **{name: {name: value} for name, value in EVALUATION_CHANGES.items()
+       if name not in pl.DATASET_FIELDS},
+}
+
+
+class TestSharedDataset:
+    """``execute`` takes a ``Dataset`` only for a config that agrees with
+    the one it was built from in every field of ``DATASET_FIELDS``."""
+
+    BASE = dict(sbm_control_classes=2, control_attribute="control", intervention="crosswalk",
+                alpha=0.5, beta=2.0)
+
+    @pytest.fixture(scope="class")
+    def shared(self, tmp_path_factory):
+        """The SBM base config and a file config of its graph, each with its dataset."""
+        tmp = tmp_path_factory.mktemp("files")
+        config = sbm_config(**self.BASE)
+        names = ("g.edges", "g.attrs", "copy.edges", "copy.attrs")
+        paths = {name: str(tmp / name) for name in names}
+        for edges, attrs in (names[:2], names[2:]):
+            save_graph(build_dataset(config), paths[edges], paths[attrs])
+        files = config.replace(
+            sbm_block_sizes=None, sbm_p_intra=None, sbm_p_inter=None, sbm_control_classes=None,
+            edges_path=paths["g.edges"], attrs_path=paths["g.attrs"])
+        return {"sbm": (config, pl.prepare_dataset(config)),
+                "files": (files, pl.prepare_dataset(files)), "paths": paths}
+
+    def test_changes_cover_every_field(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(DATASET_CHANGES) == set(pl.DATASET_FIELDS) <= names
+        assert set(OTHER_CHANGES) == names - set(pl.DATASET_FIELDS)
+
+    @pytest.mark.parametrize("field", sorted(DATASET_CHANGES))
+    def test_a_changed_dataset_field_is_refused(self, shared, field):
+        source, change = DATASET_CHANGES[field]
+        config, dataset = shared[source]
+        change = {k: shared["paths"].get(v, v) if isinstance(v, str) else v
+                  for k, v in change.items()}
+        with pytest.raises(ValueError, match=f"built for other .*{field}"):
+            execute(config.replace(**change), dataset=dataset)
+
+    @pytest.mark.parametrize("field", sorted(OTHER_CHANGES))
+    def test_another_field_leaves_the_dataset_equal(self, shared, field):
+        config, dataset = shared["sbm"]
+        changed = sbm_config(**{**self.BASE, **OTHER_CHANGES[field]})
+        other = pl.prepare_dataset(changed)
+        assert other.graph == dataset.graph and other.key == dataset.key
+        for mine, theirs in ((other.sensitive, dataset.sensitive), (other.control, dataset.control)):
+            assert mine.group_labels == theirs.group_labels
+            assert mine.group_of.tobytes() == theirs.group_of.tobytes()
+        dataset.check(changed)
+
+    def test_a_shared_run_equals_its_own_and_keeps_a_read_only_closeness(self):
+        config = sbm_config(**self.BASE)
+        dataset = pl.prepare_dataset(config)
+        for alpha in (0.5, 0.25):
+            run = config.replace(alpha=alpha)
+            shared = execute(run, dataset=dataset)
+            assert shared.report.to_json() == execute(run).report.to_json()
+        (closeness,) = dataset.closeness.values()
+        assert list(dataset.closeness) == [(10, 5, 5)]
+        assert not closeness.flags.writeable
 
 
 class TestRunExperiment:

@@ -21,7 +21,7 @@ def run_script(script, *args):
 @pytest.mark.parametrize(
     "script",
     ["compare_presets.py", "run_reference_grid.py", "measure_peak_rss.py", "hash_outputs.py",
-     "time_training.py", "time_io.py"],
+     "time_training.py", "time_io.py", "time_sweep.py"],
 )
 def test_script_imports_and_shows_help(script):
     result = run_script(script, "--help")
@@ -64,3 +64,16 @@ def test_time_io_reports_every_reader_and_writer():
         call = out[name]
         assert 0 < call["min_ms"] <= call["median_ms"]
         assert call["peak_mb"] > 0
+
+
+def test_time_sweep_builds_the_dataset_once():
+    result = run_script("time_sweep.py", "--toy", "--reps", "2")
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert out["reps"] == 2 and out["toy"] is True and out["runs"] == 6
+    assert 0 < out["nodes"] <= 150 and out["edges"] > 0
+    assert out["dataset_builds"] == 1 and out["closeness_estimates"] == 1
+    assert 0 < out["sweep_min_s"] <= out["sweep_median_s"]
+    assert set(out["stage_median_s"]) == {
+        "dataset", "closeness", "reweight", "walks", "train", "evaluate",
+    }

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+import fairwalks.pipeline as pl
+from fairwalks import crosswalk
 from fairwalks.evaluation import EvaluationReport
 from fairwalks.pipeline import ExperimentConfig
 from fairwalks.sweep import (
@@ -289,6 +291,66 @@ class TestRunSweep:
         assert rerun.calls == [read_sweep_table(csv_path)[-1]["run_id"]]
         with open(csv_path) as f:
             assert f.read() == complete
+
+
+class TestSharedDataset:
+    """A sweep builds its dataset and each boundary closeness once for all runs."""
+
+    SPEC = SweepSpec(alphas=[0.5], betas=[2.0], ps=[0.5, 1])  # 2 baselines, 2 crosswalk
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"build_dataset": 0, "estimate_closeness": 0}
+        for module, name in ((pl, "build_dataset"), (crosswalk, "estimate_closeness")):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @staticmethod
+    def separate_rows(plans):
+        """The table that a separate ``execute`` per run gives."""
+        lines = [csv_header_line()]
+        for cfg in plans:
+            try:
+                lines.append(report_csv_line(cfg, pl.execute(cfg).report))
+            except pl.StageError as exc:
+                lines.append(report_csv_line(cfg, None, error=exc))
+        return "".join(lines)
+
+    def test_one_dataset_and_closeness_for_all_runs(self, tmp_path, calls):
+        csv_path, plans, executed = run_sweep(self.SPEC, base_config(), tmp_path)
+        assert executed == len(plans) == 4
+        assert calls == {"build_dataset": 1, "estimate_closeness": 1}
+        assert [r["status"] for r in read_sweep_table(csv_path)] == ["ok"] * 4
+
+    def test_rows_equal_separate_runs(self, tmp_path):
+        base = base_config(sbm_control_classes=2, control_attribute="control")
+        csv_path, plans, _ = run_sweep(self.SPEC, base, tmp_path)
+        with open(csv_path) as f:
+            assert f.read() == self.separate_rows(plans)
+
+    def test_resume_with_nothing_left_builds_no_dataset(self, tmp_path, calls):
+        run_sweep(self.SPEC, base_config(), tmp_path)
+        calls.update(dict.fromkeys(calls, 0))
+        _, _, executed = run_sweep(self.SPEC, base_config(), tmp_path)
+        assert executed == 0
+        assert calls == {"build_dataset": 0, "estimate_closeness": 0}
+
+    def test_missing_edges_file_gives_each_run_the_error_row(self, tmp_path, calls):
+        attrs = tmp_path / "g.attrs"
+        attrs.write_text("node\tblock\na\tx\nb\ty\n")
+        base = ExperimentConfig(edges_path=str(tmp_path / "missing.edges"), attrs_path=str(attrs),
+                                walks_per_node=2, walk_length=8, dim=8, epochs=1, folds=2)
+        csv_path, plans, _ = run_sweep(self.SPEC, base, tmp_path / "out")
+        assert calls["build_dataset"] == 1
+        rows = read_sweep_table(csv_path)
+        assert [r["status"] for r in rows] == ["error"] * 4
+        assert all(r["error"].startswith("stage 'dataset' failed: ") for r in rows)
+        with open(csv_path) as f:
+            assert f.read() == self.separate_rows(plans)
 
 
 class TestCsvQuoting:
