@@ -95,8 +95,8 @@ def main():
     result = pipeline.execute(config)
     total = time.perf_counter() - start
     print(json.dumps({
-        "nodes": result.graph.node_count,
-        "edges": result.graph.edge_count,
+        "nodes": result.dataset.graph.node_count,
+        "edges": result.dataset.graph.edge_count,
         "ru_maxrss_import_mb": round(import_mb, 1),
         "ru_maxrss_mb": round(maxrss_mb(), 1),
         "execute_s": round(total, 3),

@@ -2,7 +2,7 @@
 """Milliseconds and tracemalloc peaks of the file readers and writers.
 
 The graph has walk_chain's shape (see ``perfbench/workloads.py``): a block
-model made by ``pipeline.synthesize_sbm`` with blocks 100/200/300, p_intra
+model made by ``pipeline.prepare_dataset`` with blocks 100/200/300, p_intra
 0.06, p_inter 0.01 and 3 control classes with bonus 0.01, at seed 1. Its
 biased weights are CrossWalk's at alpha 0.5, beta 2, and its corpus has 2
 walks per node of length 40 at p 0.5, q 2, as the ``bias`` and ``walk``
@@ -71,8 +71,9 @@ def main(argv=None):
     if args.reps < 1:
         parser.error("--reps must be >= 1")
     config = walk_chain_config(args.toy)
-    g, _ = pipeline.synthesize_sbm(config)
-    weights = pipeline.walk_weights(config, g, graph.partition_by(g, "block"))
+    dataset = pipeline.prepare_dataset(config)
+    g = dataset.graph
+    weights = pipeline.walk_weights(config, dataset)
     corpus = pipeline.walk_corpus(config, weights)
     out = {"reps": args.reps, "toy": args.toy, "nodes": g.node_count, "edges": g.edge_count}
     with tempfile.TemporaryDirectory() as tmp:

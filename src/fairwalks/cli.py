@@ -4,9 +4,10 @@ Verbs: run (full pipeline), sweep, summarize, gen-sbm, bias, walk, embed,
 eval. Every pipeline stage is also callable standalone on files. A stage
 verb turns its flags into an ``ExperimentConfig``, unset flags taking the
 config's defaults, and calls the pipeline's function for that stage, which
-derives the stage's seed from ``--seed`` as ``run`` does. So the chain
-gen-sbm -> bias -> walk -> embed -> eval, given one ``--seed``, writes
-``run``'s embeddings, projection and scores.
+derives the stage's seed from ``--seed`` as ``run`` does; ``walk`` without
+``--biased`` walks ``TransitionWeights.from_graph`` as a baseline run does.
+So the chain gen-sbm -> bias -> walk -> embed -> eval, given one
+``--seed``, writes ``run``'s embeddings, projection and scores.
 """
 
 import argparse
@@ -129,8 +130,8 @@ def cmd_gen_sbm(args):
 def cmd_bias(args):
     config = _stage_config(args, intervention="crosswalk")
     g = graph_mod.load_graph(args.edges, args.attrs)
-    partition = graph_mod.partition_by(g, config.sensitive_attribute)
-    crosswalk.save_biased(pipeline.walk_weights(config, g, partition), args.out)
+    dataset = pipeline.Dataset(config, g, graph_mod.partition_by(g, config.sensitive_attribute))
+    crosswalk.save_biased(pipeline.walk_weights(config, dataset), args.out)
     print(f"biased transition weights written to {args.out}")
     return 0
 
@@ -141,7 +142,7 @@ def cmd_walk(args):
     if args.biased:
         weights = crosswalk.load_biased(args.biased, g)
     else:
-        weights = pipeline.walk_weights(config, g, None)
+        weights = walks.TransitionWeights.from_graph(g)
     corpus = pipeline.walk_corpus(config, weights)
     walks.save_corpus(corpus, args.out, original_ids=g.original_ids)
     print(f"{len(corpus)} walks written to {args.out}")

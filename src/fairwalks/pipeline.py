@@ -10,19 +10,22 @@ its call, seed included, is one function here (``synthesize_sbm``,
 disk: the embedding, keyed by the graph and every config field outside
 ``EVALUATION_FIELDS``. A cached embedding needs nothing upstream of it,
 so a warm run reads that one file. Walk corpora are not kept. The
-dataset stage (graph, partitions and graph key) is one ``Dataset`` value,
-built by ``prepare_dataset``, which keeps in memory the boundary
-closeness of each (closeness walks, length, seed) it is asked for. Runs
-that agree in ``DATASET_FIELDS``, such as those of a sweep, can share it.
+dataset stage is one ``Dataset`` value (the graph and its partitions),
+built by ``prepare_dataset``, which derives the graph key and the boundary
+closeness on first use. Runs that differ from its config only in
+``SWEPT_FIELDS``, as a sweep's do, can share it.
 """
 
 import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
+import numbers
 import os
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,13 +42,9 @@ EVALUATION_FIELDS = (
     "dataset_name", "control_attribute", "knn_k", "sigma", "folds", "labeled_fraction",
 )
 
-# the fields that ``build_dataset`` and ``partition_by`` read: runs that
-# agree in all of them can share one ``Dataset``
-DATASET_FIELDS = (
-    "edges_path", "attrs_path", "sbm_block_sizes", "sbm_p_intra", "sbm_p_inter",
-    "sbm_control_classes", "sbm_control_probs", "sbm_control_bonus", "select_attribute",
-    "select_values", "bin_age_column", "sensitive_attribute", "control_attribute", "seed",
-)
+# the fields in which a sweep's runs differ: a ``Dataset`` serves a config
+# that agrees with its own in every other field, so a new field is not shared
+SWEPT_FIELDS = ("intervention", "alpha", "beta", "p", "q")
 
 PRESETS = {
     "low_awareness": {"alpha": 0.99, "beta": 15.0},
@@ -71,6 +70,39 @@ def _stage(name):
         raise StageError(name, exc) from exc
 
 
+def _fits(value, annotation) -> bool:
+    """Whether ``value`` is of the type a field is annotated with: any integral
+    number for ``int``, any real one for ``float``, never a bool for either."""
+    if type(value) is annotation:  # the common case, without an ABC check
+        return True
+    if typing.get_origin(annotation) is list:
+        (item,) = typing.get_args(annotation)
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    kind = {int: numbers.Integral, float: numbers.Real}.get(annotation, annotation)
+    return isinstance(value, kind) and (annotation is bool or not isinstance(value, bool))
+
+
+def _check_field_types(obj, what):
+    """Raise ValueError naming the first field of dataclass ``obj`` whose value
+    does not fit its annotation; None fits only where the default is None."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if not (value is None and f.default is None or _fits(value, f.type)):
+            kind = f.type if typing.get_origin(f.type) else f.type.__name__
+            raise ValueError(f"{what} key {f.name!r} must be of type {kind}, got {value!r}")
+
+
+def _json_fields(cls, data, what) -> dict:
+    """``data``, a parsed JSON document, as keyword arguments of dataclass
+    ``cls``: ValueError unless it is an object whose keys are its fields."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a {what} must be a JSON object, got {type(data).__name__}")
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return data
+
+
 @dataclass
 class ExperimentConfig:
     """Flat description of one pipeline run; round-trips through JSON."""
@@ -78,15 +110,15 @@ class ExperimentConfig:
     # dataset: either files on disk or a synthetic block model
     edges_path: str = None
     attrs_path: str = None
-    sbm_block_sizes: list = None
+    sbm_block_sizes: list[int] = None
     sbm_p_intra: float = None
     sbm_p_inter: float = None
     sbm_control_classes: int = None
-    sbm_control_probs: list = None
+    sbm_control_probs: list[float] = None
     sbm_control_bonus: float = 0.0
     dataset_name: str = "dataset"
     select_attribute: str = None
-    select_values: list = None
+    select_values: list[str] = None
     bin_age_column: str = None
     # prediction targets
     sensitive_attribute: str = "block"
@@ -115,6 +147,17 @@ class ExperimentConfig:
     labeled_fraction: float = 0.5
     seed: int = 0
 
+    def __post_init__(self):
+        # numpy scalars (a grid from np.arange, say) become Python numbers,
+        # which JSON, the cache key and the table rows write as numbers
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.generic):
+                setattr(self, f.name, value.item())
+            elif isinstance(value, list):
+                setattr(self, f.name, [v.item() if isinstance(v, np.generic) else v
+                                       for v in value])
+
     def validate(self):
         from_files = self.edges_path is not None or self.attrs_path is not None
         from_sbm = self.sbm_block_sizes is not None
@@ -131,6 +174,7 @@ class ExperimentConfig:
     def validate_stages(self):
         """Every check of ``validate`` but the dataset source's, for the CLI
         stage verbs, which read their graph from files they are given."""
+        _check_field_types(self, "config")
         if self.intervention not in ("baseline", "crosswalk"):
             raise ValueError(f"unknown intervention {self.intervention!r}")
         if self.intervention == "baseline":
@@ -161,11 +205,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data).validate()
+        return cls(**_json_fields(cls, data, "config")).validate()
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -278,22 +318,31 @@ def build_dataset(config: ExperimentConfig) -> graph_mod.AttributedGraph:
 
 @dataclass(eq=False)
 class Dataset:
-    """The dataset stage's output for ``config``: the graph, its sensitive and
-    control partitions and its cache key. ``closeness`` maps (closeness walks,
-    closeness length, seed) to a read-only estimate, filled on first use."""
+    """The dataset stage's output for ``config``: the graph and its partitions.
+    The graph key and the read-only boundary closeness are derived on first
+    use, so a run that reads a cached embedding estimates no closeness."""
 
     config: ExperimentConfig
     graph: graph_mod.AttributedGraph
     sensitive: graph_mod.GroupPartition
-    control: graph_mod.GroupPartition
-    key: str
-    closeness: dict = dataclasses.field(default_factory=dict)
+    control: graph_mod.GroupPartition = None
+
+    @functools.cached_property
+    def key(self) -> str:
+        return _graph_key(self.graph)
+
+    @functools.cached_property
+    def closeness(self) -> np.ndarray:
+        budget = (self.config.closeness_walks, self.config.closeness_length, self.config.seed)
+        estimate = crosswalk.estimate_closeness(self.graph, self.sensitive, *budget)
+        estimate.flags.writeable = False
+        return estimate
 
     def check(self, config: ExperimentConfig):
         """Raise ValueError unless ``config`` agrees with the one this was
-        built from in every field of ``DATASET_FIELDS``."""
-        differ = [name for name in DATASET_FIELDS
-                  if getattr(config, name) != getattr(self.config, name)]
+        built from in every field outside ``SWEPT_FIELDS``."""
+        differ = [f.name for f in dataclasses.fields(config) if f.name not in SWEPT_FIELDS
+                  and getattr(config, f.name) != getattr(self.config, f.name)]
         if differ:
             raise ValueError(f"the shared dataset was built for other {', '.join(differ)}")
 
@@ -306,22 +355,16 @@ def prepare_dataset(config: ExperimentConfig) -> Dataset:
         sensitive = graph_mod.partition_by(g, config.sensitive_attribute)
         control = (graph_mod.partition_by(g, config.control_attribute)
                    if config.control_attribute else None)
-    return Dataset(config, g, sensitive, control, _graph_key(g))
+    return Dataset(config, g, sensitive, control)
 
 
-def walk_weights(config: ExperimentConfig, g, sensitive, closeness=None) -> walks.TransitionWeights:
+def walk_weights(config: ExperimentConfig, dataset: Dataset) -> walks.TransitionWeights:
     """The weights the corpus walks on: the graph's own for a baseline, else
-    CrossWalk's reweighting by boundary closeness (estimated at ``config.seed``).
-    A ``closeness`` dict, such as ``Dataset.closeness``, keeps each estimate
-    for later calls on the same graph and partition."""
+    CrossWalk's reweighting of it by the dataset's boundary closeness."""
     if config.intervention == "baseline":
-        return walks.TransitionWeights.from_graph(g)
-    known = {} if closeness is None else closeness
-    budget = (config.closeness_walks, config.closeness_length, config.seed)
-    if budget not in known:
-        known[budget] = crosswalk.estimate_closeness(g, sensitive, *budget)
-        known[budget].flags.writeable = False
-    return crosswalk.reweight(g, sensitive, known[budget], config.alpha, config.beta)
+        return walks.TransitionWeights.from_graph(dataset.graph)
+    return crosswalk.reweight(dataset.graph, dataset.sensitive, dataset.closeness,
+                              config.alpha, config.beta)
 
 
 def walk_corpus(config: ExperimentConfig, weights) -> walks.WalkCorpus:
@@ -354,16 +397,15 @@ def evaluate(config: ExperimentConfig, vectors, sensitive, control=None, config_
 @dataclass
 class PipelineResult:
     report: evaluation.EvaluationReport
-    graph: graph_mod.AttributedGraph
-    sensitive: graph_mod.GroupPartition
+    dataset: Dataset
     vectors: np.ndarray
 
 
 def execute(config: ExperimentConfig, cache_dir=None, dataset: Dataset = None) -> PipelineResult:
     """Run all pipeline stages in memory; artifacts are written by callers.
 
-    ``dataset`` is ``prepare_dataset``'s value for a config that agrees
-    with this one in ``DATASET_FIELDS`` (else ValueError), so that runs
+    ``dataset`` is ``prepare_dataset``'s value for a config that differs
+    from this one only in ``SWEPT_FIELDS`` (else ValueError), so that runs
     can share the graph and its closeness; without it, it is built here.
     The embedding is the one cached stage output. Its key is the graph
     plus every config field outside ``EVALUATION_FIELDS``, so a config
@@ -377,7 +419,6 @@ def execute(config: ExperimentConfig, cache_dir=None, dataset: Dataset = None) -
         dataset = prepare_dataset(config)
     else:
         dataset.check(config)
-    g, sensitive = dataset.graph, dataset.sensitive
 
     # a module constant that moves the trained bits (NEGATIVE_CHUNK, say) bumps the tag
     key = _hash_key("embed.v4", dataset.key,
@@ -386,19 +427,19 @@ def execute(config: ExperimentConfig, cache_dir=None, dataset: Dataset = None) -
         vectors = cache.load_array(key, "emb.npy")
     if vectors is None:
         with _stage("bias"):
-            weights = walk_weights(config, g, sensitive, dataset.closeness)
+            weights = walk_weights(config, dataset)
         with _stage("walks"):
             corpus = walk_corpus(config, weights)
         with _stage("embed"):
-            vectors = train_vectors(config, corpus.paths, g.node_count)
+            vectors = train_vectors(config, corpus.paths, dataset.graph.node_count)
             cache.store_array(key, "emb.npy", vectors)
     walk_source = ("baseline" if config.intervention == "baseline"
                    else f"crosswalk(alpha={config.alpha:g}, beta={config.beta:g})")
     echo = {"experiment": config.to_dict(), "walk_source": walk_source,
             "embedding_meta": embedding.embedding_meta(**_training_args(config))}
     with _stage("evaluate"):
-        report = evaluate(config, vectors, sensitive, dataset.control, config_echo=echo)
-    return PipelineResult(report, g, sensitive, vectors)
+        report = evaluate(config, vectors, dataset.sensitive, dataset.control, config_echo=echo)
+    return PipelineResult(report, dataset, vectors)
 
 
 # one CSV row format for report_row.csv and for sweep tables (results.csv)
@@ -480,10 +521,10 @@ def run_experiment(config: ExperimentConfig, out_dir, cache_dir=None):
     """
     result = execute(config, cache_dir=cache_dir)
     os.makedirs(out_dir, exist_ok=True)
-    ids = result.graph.original_ids
+    ids, sensitive = result.dataset.graph.original_ids, result.dataset.sensitive
     with _stage("artifacts"):
         coords = projection.pca_2d(result.vectors)
-        groups = [result.sensitive.group_labels[i] for i in result.sensitive.group_of]
+        groups = [sensitive.group_labels[i] for i in sensitive.group_of]
         row = csv_header_line() + report_csv_line(config, result.report)
         for name, text in (("report.json", result.report.to_json()), ("report_row.csv", row)):
             with atomic_writer(os.path.join(out_dir, name)) as f:

@@ -16,8 +16,9 @@ from itertools import product
 
 from fairwalks.graph import atomic_writer
 from fairwalks.pipeline import (  # the row format lives in pipeline and is re-exported
-    LIST_SEP, PRESETS, SWEEP_COLUMNS, SWEEP_SCHEMA_VERSION, ExperimentConfig, StageError,
-    _row_line, csv_header_line, execute, prepare_dataset, report_csv_line,
+    LIST_SEP, PRESETS, SWEEP_COLUMNS, SWEEP_SCHEMA_VERSION, SWEPT_FIELDS, ExperimentConfig,
+    StageError, _check_field_types, _json_fields, _row_line, csv_header_line, execute,
+    prepare_dataset, report_csv_line,
 )
 
 
@@ -25,13 +26,13 @@ from fairwalks.pipeline import (  # the row format lives in pipeline and is re-e
 class SweepSpec:
     """Value grids per parameter; empty lists fall back to the base config."""
 
-    alphas: list = field(default_factory=list)
-    betas: list = field(default_factory=list)
-    ps: list = field(default_factory=list)
-    qs: list = field(default_factory=list)
+    alphas: list[float] = field(default_factory=list)
+    betas: list[float] = field(default_factory=list)
+    ps: list[float] = field(default_factory=list)
+    qs: list[float] = field(default_factory=list)
     include_baseline: bool = True
     cartesian: bool = True
-    presets: list = field(default_factory=list)
+    presets: list[str] = field(default_factory=list)
     cap: int = 10_000
 
     @classmethod
@@ -47,12 +48,9 @@ class SweepSpec:
     @classmethod
     def load(cls, path) -> "SweepSpec":
         with open(path) as f:
-            data = json.load(f)
-        known = {f_.name for f_ in cls.__dataclass_fields__.values()}
-        unknown = set(data) - set(known)
-        if unknown:
-            raise ValueError(f"unknown sweep keys: {sorted(unknown)}")
-        return cls(**data)
+            spec = cls(**_json_fields(cls, json.load(f), "sweep"))
+        _check_field_types(spec, "sweep")
+        return spec
 
     def expand(self, base: ExperimentConfig):
         """All distinct run configs, baselines first. Honors the cartesian flag.
@@ -91,11 +89,11 @@ class SweepSpec:
         if not plans:
             plans = [base]
         # a preset on the grid would otherwise run, and be counted, twice;
-        # plans differ from base only in these fields, so equal keys mean
+        # plans differ from base only in SWEPT_FIELDS, so equal keys mean
         # equal configs (a tuple key costs far less than config_hash)
         unique = {}
         for cfg in plans:
-            unique.setdefault((cfg.intervention, cfg.alpha, cfg.beta, cfg.p, cfg.q), cfg)
+            unique.setdefault(tuple(getattr(cfg, name) for name in SWEPT_FIELDS), cfg)
         plans = list(unique.values())
         if len(plans) > self.cap:
             raise ValueError(f"sweep expands to {len(plans)} runs, over the cap of {self.cap}")
@@ -129,11 +127,11 @@ def run_sweep(
     ``workers`` is: the sweep's work holds the interpreter lock, and
     threads measured slower than one worker.
 
-    The runs differ only outside ``DATASET_FIELDS``, so the default runner
-    builds one ``Dataset`` (graph, partitions, graph key and, on first use,
-    each boundary closeness) at the first run that passes ``validate`` and
-    hands it to every run. A resumed sweep with nothing left to run builds
-    none. If building fails, every run that needed it gets that error's row.
+    The runs differ only in ``SWEPT_FIELDS``, so the default runner builds
+    one ``Dataset`` (which estimates the boundary closeness once) at the
+    first run that passes ``validate`` and hands it to every run. A resumed
+    sweep with nothing left to run builds none. If building fails, every
+    run that needed it gets that error's row.
     """
     plans = spec.expand(base)
     csv_path = os.path.join(out_dir, "results.csv")

@@ -235,7 +235,8 @@ class TestStageChain:
 
         # bias and walk write what the pipeline's own stages give for the config
         g = pipeline.build_dataset(c)
-        weights = pipeline.walk_weights(c, g, partition_by(g, c.sensitive_attribute))
+        weights = pipeline.walk_weights(
+            c, pipeline.Dataset(c, g, partition_by(g, c.sensitive_attribute)))
         if biased:
             crosswalk.save_biased(weights, tmp_path / "biased.tsv")
             assert (chain / "biased.tsv").read_bytes() == (tmp_path / "biased.tsv").read_bytes()
@@ -354,6 +355,48 @@ class TestRunVerb:
         config.write_text(json.dumps({"intervention": "magic"}))
         assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _assert_one_error_line(capsys, *words):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and all(word in err for word in words)
+
+
+class TestTypeErrors:
+    """A config or grid value of the wrong type exits 1 with one error line."""
+
+    def write(self, tmp_path, name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def config(self, tmp_path, **changes):
+        return self.write(tmp_path, "config.json", {
+            "sbm_block_sizes": [10, 10], "sbm_p_intra": 0.5, "sbm_p_inter": 0.1,
+            "walks_per_node": 1, "walk_length": 5, "dim": 4, "epochs": 1, "folds": 2,
+            **changes})
+
+    @pytest.mark.parametrize("key, value", [
+        ("walks_per_node", "2"), ("dim", 4.5), ("select_values", "abc"),
+    ])
+    def test_run(self, tmp_path, capsys, key, value):
+        config = self.config(tmp_path, **{key: value})
+        assert main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == 1
+        _assert_one_error_line(capsys, repr(key))
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_with_a_bad_base_config(self, tmp_path, capsys):
+        config = self.config(tmp_path, walks_per_node="2")
+        assert main(["sweep", "--config", config, "--out-dir", str(tmp_path / "out")]) == 1
+        _assert_one_error_line(capsys, "'walks_per_node'")
+
+    def test_sweep_with_a_bad_grid(self, tmp_path, capsys):
+        grid = self.write(tmp_path, "grid.json", {"alphas": 0.5})
+        assert main(["sweep", "--config", self.config(tmp_path), "--grid", grid,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        _assert_one_error_line(capsys, "'alphas'")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweepVerb:

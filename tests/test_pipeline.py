@@ -54,6 +54,29 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"alhpa": 0.5})
 
+    @pytest.mark.parametrize("key, value", [
+        ("walks_per_node", "2"), ("dim", 4.5), ("epochs", True), ("seed", None),
+        ("learning_rate", "0.1"), ("sensitive_attribute", 3), ("select_values", "abc"),
+        ("sbm_block_sizes", [25, "25"]), ("sbm_control_probs", 0.5), ("sigma", [1.0]),
+    ])
+    def test_a_value_of_the_wrong_type_is_refused(self, key, value):
+        data = {**sbm_config().to_dict(), key: value}
+        with pytest.raises(ValueError, match=f"config key '{key}' must be of type"):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("data", [[], "config", 3, None])
+    def test_a_top_level_that_is_not_an_object_is_refused(self, data):
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            ExperimentConfig.from_dict(data)
+
+    def test_numpy_numbers_and_ints_for_floats_are_accepted(self):
+        sbm_config(intervention="crosswalk", alpha=0.5, beta=2, p=1, q=np.int64(2),
+                   sbm_p_inter=np.float32(0.04))
+        mixed = sbm_config(walks_per_node=np.int64(4), p=np.float64(1.0),
+                           sbm_block_sizes=[np.int32(25), 25])
+        assert json.dumps(mixed.to_dict()) == json.dumps(sbm_config().to_dict())
+        assert mixed.config_hash() == sbm_config().config_hash()
+
     def test_removed_training_mode_key_rejected(self):
         data = {**sbm_config().to_dict(), "training_mode": "exact"}
         with pytest.raises(ValueError, match="training_mode"):
@@ -484,90 +507,67 @@ class TestEmbeddingKey:
         assert trains == []
 
 
-# one changed value per field of DATASET_FIELDS, over an SBM config or, for
-# the file fields, a config that reads the same graph from files
-DATASET_CHANGES = {
-    "edges_path": ("files", {"edges_path": "copy.edges"}),
-    "attrs_path": ("files", {"attrs_path": "copy.attrs"}),
-    "select_attribute": ("files", {"select_attribute": "block"}),
-    "select_values": ("files", {"select_values": ["block0"]}),
-    "bin_age_column": ("files", {"bin_age_column": "block"}),
-    "sbm_block_sizes": ("sbm", TRAINING_CHANGES["sbm_block_sizes"]),
-    "sbm_p_intra": ("sbm", TRAINING_CHANGES["sbm_p_intra"]),
-    "sbm_p_inter": ("sbm", TRAINING_CHANGES["sbm_p_inter"]),
-    "sbm_control_classes": ("sbm", TRAINING_CHANGES["sbm_control_classes"]),
-    "sbm_control_probs": ("sbm", TRAINING_CHANGES["sbm_control_probs"]),
-    "sbm_control_bonus": ("sbm", TRAINING_CHANGES["sbm_control_bonus"]),
-    "sensitive_attribute": ("sbm", {"sensitive_attribute": "control",
-                                    "control_attribute": "block"}),
-    "control_attribute": ("sbm", {"control_attribute": None}),
-    "seed": ("sbm", TRAINING_CHANGES["seed"]),
-}
-# one changed value per other field; none moves the dataset
-OTHER_CHANGES = {
-    **{name: change for name, change in TRAINING_CHANGES.items() if name not in pl.DATASET_FIELDS},
-    **{name: {name: value} for name, value in EVALUATION_CHANGES.items()
-       if name not in pl.DATASET_FIELDS},
-}
-
-
 class TestSharedDataset:
-    """``execute`` takes a ``Dataset`` only for a config that agrees with
-    the one it was built from in every field of ``DATASET_FIELDS``."""
+    """``execute`` takes a ``Dataset`` only for a config that differs from the
+    one it was built from in nothing but ``SWEPT_FIELDS``."""
 
-    BASE = dict(sbm_control_classes=2, control_attribute="control", intervention="crosswalk",
-                alpha=0.5, beta=2.0)
+    BASE = TestEmbeddingKey.BASE
+    # one changed value per field outside SWEPT_FIELDS
+    UNSWEPT_CHANGES = {
+        **{name: change for name, change in TRAINING_CHANGES.items()
+           if name not in pl.SWEPT_FIELDS},
+        **{name: {name: value} for name, value in EVALUATION_CHANGES.items()},
+        **{name: {name: value} for name, value in zip(
+            FILE_FIELDS, ("g.edges", "g.attrs", "block", ["block0"], "age"))},
+    }
 
     @pytest.fixture(scope="class")
-    def shared(self, tmp_path_factory):
-        """The SBM base config and a file config of its graph, each with its dataset."""
-        tmp = tmp_path_factory.mktemp("files")
+    def shared(self):
         config = sbm_config(**self.BASE)
-        names = ("g.edges", "g.attrs", "copy.edges", "copy.attrs")
-        paths = {name: str(tmp / name) for name in names}
-        for edges, attrs in (names[:2], names[2:]):
-            save_graph(build_dataset(config), paths[edges], paths[attrs])
-        files = config.replace(
-            sbm_block_sizes=None, sbm_p_intra=None, sbm_p_inter=None, sbm_control_classes=None,
-            edges_path=paths["g.edges"], attrs_path=paths["g.attrs"])
-        return {"sbm": (config, pl.prepare_dataset(config)),
-                "files": (files, pl.prepare_dataset(files)), "paths": paths}
+        return config, pl.prepare_dataset(config)
+
+    @pytest.fixture
+    def estimates(self, monkeypatch):
+        calls = []
+        original = crosswalk.estimate_closeness
+        monkeypatch.setattr(crosswalk, "estimate_closeness",
+                            lambda *a: calls.append(1) or original(*a))
+        return calls
 
     def test_changes_cover_every_field(self):
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert set(DATASET_CHANGES) == set(pl.DATASET_FIELDS) <= names
-        assert set(OTHER_CHANGES) == names - set(pl.DATASET_FIELDS)
+        assert set(self.UNSWEPT_CHANGES) == names - set(pl.SWEPT_FIELDS)
 
-    @pytest.mark.parametrize("field", sorted(DATASET_CHANGES))
-    def test_a_changed_dataset_field_is_refused(self, shared, field):
-        source, change = DATASET_CHANGES[field]
-        config, dataset = shared[source]
-        change = {k: shared["paths"].get(v, v) if isinstance(v, str) else v
-                  for k, v in change.items()}
-        with pytest.raises(ValueError, match=f"built for other .*{field}"):
-            execute(config.replace(**change), dataset=dataset)
+    @pytest.mark.parametrize("field", sorted(UNSWEPT_CHANGES))
+    def test_a_changed_unswept_field_is_refused(self, shared, field):
+        config, dataset = shared
+        with pytest.raises(ValueError, match=f"built for other {field}$"):
+            dataset.check(config.replace(**self.UNSWEPT_CHANGES[field]))
 
-    @pytest.mark.parametrize("field", sorted(OTHER_CHANGES))
-    def test_another_field_leaves_the_dataset_equal(self, shared, field):
-        config, dataset = shared["sbm"]
-        changed = sbm_config(**{**self.BASE, **OTHER_CHANGES[field]})
-        other = pl.prepare_dataset(changed)
-        assert other.graph == dataset.graph and other.key == dataset.key
-        for mine, theirs in ((other.sensitive, dataset.sensitive), (other.control, dataset.control)):
-            assert mine.group_labels == theirs.group_labels
-            assert mine.group_of.tobytes() == theirs.group_of.tobytes()
-        dataset.check(changed)
+    def test_execute_refuses_a_dataset_built_for_another_dim(self, shared):
+        config, dataset = shared
+        with pytest.raises(ValueError, match="built for other dim"):
+            execute(config.replace(dim=8), dataset=dataset)
 
-    def test_a_shared_run_equals_its_own_and_keeps_a_read_only_closeness(self):
+    @pytest.mark.parametrize("field", pl.SWEPT_FIELDS)
+    def test_a_shared_run_equals_its_own(self, shared, field):
+        config, dataset = shared
+        run = config.replace(**TRAINING_CHANGES[field])
+        assert execute(run, dataset=dataset).report.to_json() == execute(run).report.to_json()
+
+    def test_closeness_is_estimated_once_for_crosswalk_runs_only(self, estimates):
         config = sbm_config(**self.BASE)
         dataset = pl.prepare_dataset(config)
-        for alpha in (0.5, 0.25):
-            run = config.replace(alpha=alpha)
-            shared = execute(run, dataset=dataset)
-            assert shared.report.to_json() == execute(run).report.to_json()
-        (closeness,) = dataset.closeness.values()
-        assert list(dataset.closeness) == [(10, 5, 5)]
-        assert not closeness.flags.writeable
+        execute(config.replace(intervention="baseline", alpha=None, beta=None), dataset=dataset)
+        assert estimates == []
+        for alpha in (0.25, 0.5):
+            execute(config.replace(alpha=alpha), dataset=dataset)
+        assert estimates == [1]
+
+    def test_closeness_is_read_only(self, shared):
+        _, dataset = shared
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.closeness[0] = 1.0
 
 
 class TestRunExperiment:

@@ -131,6 +131,38 @@ class TestExpand:
             spec.expand(base_config())
 
 
+class TestLoad:
+    @pytest.mark.parametrize("key, value", [
+        ("alphas", 0.5), ("ps", ["1"]), ("betas", None), ("presets", "low_awareness"),
+        ("include_baseline", 1), ("cartesian", "yes"), ("cap", 2.5), ("cap", True),
+    ])
+    def test_a_value_of_the_wrong_type_is_refused(self, tmp_path, key, value):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ValueError, match=f"sweep key '{key}' must be of type"):
+            SweepSpec.load(path)
+
+    @pytest.mark.parametrize("text", ["[]", '"grid"', "1"])
+    def test_a_top_level_that_is_not_an_object_is_refused(self, tmp_path, text):
+        path = tmp_path / "grid.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="sweep must be a JSON object"):
+            SweepSpec.load(path)
+
+    def test_unknown_keys_are_refused(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"alpha": [0.5]}))
+        with pytest.raises(ValueError, match=r"unknown sweep keys: \['alpha'\]"):
+            SweepSpec.load(path)
+
+    def test_a_valid_grid_loads(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"alphas": [0.5], "betas": [2], "presets": ["low_awareness"],
+                                    "include_baseline": False, "cap": 10}))
+        assert SweepSpec.load(path) == SweepSpec(alphas=[0.5], betas=[2], include_baseline=False,
+                                                 presets=["low_awareness"], cap=10)
+
+
 class TestRunSweep:
     def test_rows_and_baseline_fields_empty(self, tmp_path):
         spec = SweepSpec(alphas=[0.5], betas=[1.0])
