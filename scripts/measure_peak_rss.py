@@ -4,12 +4,16 @@
 Runs ``pipeline.execute`` once, without a cache, on a three-block graph
 with the low-awareness preset (so boundary closeness runs) and a small
 walk and epoch budget, then prints JSON: the node and edge counts, the
-process's ``ru_maxrss`` after imports and after the run (MB), and the
-seconds spent in each stage. ``ru_maxrss`` is the high-water mark of the
-whole process, so run the script in a fresh process per measurement.
+walks' (p, q), the process's ``ru_maxrss`` after imports and after the
+run (MB), and the seconds spent in each stage. ``--p`` and ``--q`` set
+node2vec's return and in-out parameters (default 1, first-order walks);
+any other value makes the walk stage build its (p, q) edge table.
+``ru_maxrss`` is the high-water mark of the whole process, so run the
+script in a fresh process per measurement.
 
 Run:
     python3 scripts/measure_peak_rss.py --nodes 20000
+    python3 scripts/measure_peak_rss.py --nodes 20000 --p 0.5 --q 2
 """
 
 import argparse
@@ -65,6 +69,8 @@ def timed(seconds, name, fn):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nodes", type=int, default=20000)
+    parser.add_argument("--p", type=float, default=1.0, help="node2vec return parameter")
+    parser.add_argument("--q", type=float, default=1.0, help="node2vec in-out parameter")
     args = parser.parse_args()
 
     n = args.nodes
@@ -81,6 +87,8 @@ def main():
         control_attribute="control",
         walks_per_node=WALKS_PER_NODE,
         walk_length=WALK_LENGTH,
+        p=args.p,
+        q=args.q,
         dim=DIM,
         epochs=EPOCHS,
         folds=FOLDS,
@@ -97,6 +105,8 @@ def main():
     print(json.dumps({
         "nodes": result.dataset.graph.node_count,
         "edges": result.dataset.graph.edge_count,
+        "p": config.p,
+        "q": config.q,
         "ru_maxrss_import_mb": round(import_mb, 1),
         "ru_maxrss_mb": round(maxrss_mb(), 1),
         "execute_s": round(total, 3),

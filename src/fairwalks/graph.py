@@ -451,20 +451,6 @@ def draw_slots(cum, indptr, rows, draws) -> np.ndarray:
     return starts + np.minimum(count, lengths - 1)
 
 
-def fill_spans(table, offsets, rows, indptr, scores, reweigh) -> None:
-    """Write, for every i, the running sums of CSR row ``rows[i]``'s scores,
-    each first multiplied by ``reweigh(slots, i)``, into
-    ``table[offsets[i]:offsets[i] + len(row)]``, so that ``draw_slots`` can
-    count over each span as over a row."""
-    starts = indptr[rows]
-    lengths = indptr[rows + 1] - starts
-    local = np.concatenate(([0], np.cumsum(lengths)))
-    owner = np.repeat(np.arange(len(rows)), lengths)
-    slots = np.arange(local[-1]) + np.repeat(starts - local[:-1], lengths)
-    spans = cumsum_by_row(scores[slots] * reweigh(slots, owner), local)
-    table[slots + (offsets - starts)[owner]] = spans
-
-
 def component_labels(node_count: int, src, dst) -> np.ndarray:
     """Connected-component label per node: the smallest node ID it reaches.
 

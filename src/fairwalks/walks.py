@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fairwalks.graph import AttributedGraph, atomic_writer, cumsum_by_row, draw_slots, fill_spans
+from fairwalks.graph import AttributedGraph, atomic_writer, cumsum_by_row, draw_slots
 from fairwalks.seeds import rng_for
 
 
@@ -110,53 +110,73 @@ class TransitionWeights:
         return self.indices[row], self.probs[row]
 
 
-def _edge_keys(weights: TransitionWeights) -> np.ndarray:
-    """``row * n + neighbor`` per CSR slot, ascending because rows are sorted."""
-    return weights.graph.rows * weights.node_count + weights.indices
-
-
-def _node2vec_factors(keys, n, prev, nbrs, p, q) -> np.ndarray:
-    """(p, q) factor of each step to ``nbrs`` after ``prev``: 1/p back to prev,
-    1 to a neighbor of prev (its pair is in ``keys``), 1/q further away."""
-    wanted = prev * n + nbrs
-    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    return np.where(nbrs == prev, 1.0 / p, np.where(keys[pos] == wanted, 1.0, 1.0 / q))
-
-
 def transition_distribution(weights: TransitionWeights, prev, cur: int, p: float, q: float):
     """Next-step distribution from ``cur`` given the previous node.
 
     Returns (neighbor IDs, probabilities). ``prev=None`` marks the first
-    step, where the second-order factors do not apply. Isolated ``cur``
+    step, where the second-order factors do not apply. Otherwise each score
+    is multiplied by 1/p for the step back to ``prev``, 1 for a step to a
+    neighbor of ``prev`` and 1/q for a step further away. Isolated ``cur``
     yields empty arrays.
     """
     nbrs, scores = weights.out_distribution(cur)
     if len(nbrs) == 0:
         return nbrs, scores
     if prev is not None and (p != 1.0 or q != 1.0):
-        keys = _edge_keys(weights)
-        scores = scores * _node2vec_factors(keys, weights.node_count, prev, nbrs, p, q)
+        near = np.isin(nbrs, weights.out_distribution(prev)[0])
+        scores = scores * np.where(nbrs == prev, 1.0 / p, np.where(near, 1.0, 1.0 / q))
     return nbrs, scores / scores.sum()
 
 
-FILL_BLOCK_SLOTS = 1 << 16  # candidate slots per fill block of generate_walks' edge table
+FILL_BLOCK_SLOTS = 1 << 14  # candidate slots per fill block of the (p, q) edge table
+MARK_CELLS = 1 << 22  # cells of the edge table's mark buffer, in rows of n cells
 
 
-def _fill_edges(table, start, new, weights, keys, p, q):
-    """Fill the table spans of edges ``new`` (see ``generate_walks``) in blocks
-    of at most ``FILL_BLOCK_SLOTS`` candidate slots; a longer span fills alone."""
-    n, indices = weights.node_count, weights.indices
-    prev = weights.graph.rows[new]  # each edge's source, the walkers' previous node
-    ends = np.cumsum(start[new + 1] - start[new])
+def _edge_table(weights: TransitionWeights, p: float, q: float):
+    """The (p, q) running sums of every directed edge (see ``generate_walks``)
+    as ``(table, start)``: CSR slot e owns ``table[start[e]:start[e + 1]]``.
+
+    Edges are filled in CSR order, in blocks of at most ``FILL_BLOCK_SLOTS``
+    candidate slots (an edge with a longer span fills alone), so a block's
+    spans are one slice of the table. Because ``rows`` ascends, a block's
+    previous nodes (its edges' sources) are one range ``p0 <= prev < p1``,
+    capped at the ``min(n, MARK_CELLS // n)`` rows of a reused mark buffer.
+    Row ``prev - p0`` marks prev's neighbors 1 and prev itself 2, so the
+    mark at each candidate indexes its factor (0 is further away); the
+    marks are cleared again after the block."""
+    n, indptr, indices = weights.node_count, weights.indptr, weights.indices
+    rows = weights.graph.rows
+    deg = np.diff(indptr)
+    start = np.concatenate(([0], np.cumsum(deg[indices])))
+    table = np.empty(start[-1])
+    factors = np.array([1.0 / q, 1.0, 1.0 / p])  # by mark
+    mark_rows = max(1, min(n, MARK_CELLS // n))
+    mark = np.zeros(mark_rows * n, dtype=np.uint8)
     lo = 0
-    while lo < len(new):
-        base = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, base + FILL_BLOCK_SLOTS, "right")))
-        fill_spans(
-            table, start[new[lo:hi]], indices[new[lo:hi]], weights.indptr, weights.probs,
-            lambda cand, owner: _node2vec_factors(keys, n, prev[lo + owner], indices[cand], p, q),
-        )
+    while lo < len(indices):
+        p0 = rows[lo]
+        last = np.searchsorted(start, start[lo] + FILL_BLOCK_SLOTS, "right") - 1
+        hi = max(lo + 1, min(int(last), int(indptr[min(p0 + mark_rows, n)])))
+        p1 = rows[hi - 1] + 1
+        near = slice(indptr[p0], indptr[p1])  # the edges out of the block's previous nodes
+        cells = (rows[near] - p0) * n + indices[near]
+        own = np.arange(p1 - p0) * (n + 1) + p0
+        targets = indices[lo:hi]
+        lengths = deg[targets]
+        local = start[lo:hi + 1] - start[lo]
+        slots = np.repeat(indptr[targets] - local[:-1], lengths)
+        slots += np.arange(local[-1])  # the targets' rows, one span after another
+        at = np.repeat((rows[lo:hi] - p0) * n, lengths)
+        at += indices[slots]  # each candidate's cell in its previous node's mark row
+        mark[cells] = 1
+        mark[own] = 2
+        scores = weights.probs[slots]
+        scores *= factors[mark[at]]
+        mark[cells] = 0
+        mark[own] = 0
+        table[start[lo]:start[hi]] = cumsum_by_row(scores, local)
         lo = hi
+    return table, start
 
 
 def generate_walks(weights: TransitionWeights, config: WalkConfig) -> WalkCorpus:
@@ -177,15 +197,14 @@ def generate_walks(weights: TransitionWeights, config: WalkConfig) -> WalkCorpus
     A later (p, q) step depends only on the directed edge the walker just
     crossed, CSR slot e from ``rows[e]`` to ``indices[e]``. Each edge owns
     the span ``table[start[e]:start[e + 1]]`` of one float64 table, with
-    ``start`` the running total of ``deg[indices]``, so the table holds at
-    most sum_v deg(v)**2 entries. A span holds the running sums of the
-    target's row reweighted by the (p, q) factors after ``rows[e]``. It is
-    filled the first time a walker crosses its edge; the edges new at a
-    step are deduplicated and filled in blocks of at most
-    ``FILL_BLOCK_SLOTS`` candidate slots (an edge with a longer span fills
-    alone). Only filled spans are written. The table saves work in
-    proportion to how often each directed edge is crossed, which is live
-    walkers x (walk_length - 1) / 2m.
+    ``start`` the running total of ``deg[indices]``, so the table holds
+    sum_v deg(v)**2 entries. A span holds the running sums of the target's
+    row reweighted by the (p, q) factors after ``rows[e]``. ``_edge_table``
+    fills every span once per call, before the first (p, q) step, in CSR
+    order, reading the factors from rows of neighbor marks; each such step
+    is then one ``draw_slots`` over the table. The fill pays for every
+    edge, so it saves most when walkers cross each edge often: live
+    walkers x (walk_length - 1) / 2m times on average.
     """
     n = weights.node_count
     if n == 0:
@@ -201,18 +220,12 @@ def generate_walks(weights: TransitionWeights, config: WalkConfig) -> WalkCorpus
     cum = cumsum_by_row(weights.probs, indptr)  # first-order running sums
     slots = draw_slots(cum, indptr, roots[live], rng.random(len(live)))
     paths[live, 1] = indices[slots]
-    second_order = p != 1.0 or q != 1.0
+    second_order = (p != 1.0 or q != 1.0) and length > 1
     if second_order:
-        keys = _edge_keys(weights)
-        start = np.concatenate(([0], np.cumsum(np.diff(indptr)[indices])))
-        table = np.empty(start[-1])
-        filled = np.zeros(len(indices), dtype=bool)
+        table, start = _edge_table(weights, p, q)
     for step in range(1, length):
         edge, cur, u = slots, indices[slots], rng.random(len(live))
         if second_order:
-            new = np.unique(edge[~filled[edge]])
-            _fill_edges(table, start, new, weights, keys, p, q)
-            filled[new] = True
             slots = indptr[cur] + draw_slots(table, start, edge, u) - start[edge]
         else:
             slots = draw_slots(cum, indptr, cur, u)

@@ -17,7 +17,6 @@ from fairwalks.graph import (
     component_labels,
     cumsum_by_row,
     draw_slots,
-    fill_spans,
     generate_sbm,
     load_graph,
     partition_by,
@@ -613,7 +612,7 @@ class TestCsrHelpers:
         np.testing.assert_array_equal(cumsum_by_row(values, indptr), np.concatenate(expected))
         assert cumsum_by_row(np.empty(0), np.zeros(1, dtype=np.int64)).tolist() == []
 
-    def test_fill_spans_bitwise_per_row_searchsorted(self):
+    def test_cumsum_by_row_draws_per_row_searchsorted(self):
         rng = np.random.default_rng(8)
         lengths = rng.integers(1, 60, 30)
         indptr = np.concatenate([[0], np.cumsum(lengths)])
@@ -627,19 +626,6 @@ class TestCsrHelpers:
             cum = np.cumsum(scores[a:b])
             expected.append(a + min(np.searchsorted(cum, u * cum[-1], "right"), b - a - 1))
         assert draw_slots(cumsum_by_row(scores, indptr), indptr, rows, draws).tolist() == expected
-        # one span per walker, reweighted on the fill: the same picks as the
-        # running sums of the products taken row by row
-        factors = rng.random(indptr[-1])
-        offsets = np.concatenate([[0], np.cumsum(lengths[rows])])
-        table = np.full(offsets[-1], np.nan)
-        fill_spans(table, offsets[:-1], rows, indptr, scores / factors, lambda s, w: factors[s])
-        walkers = np.arange(len(rows))
-        got = indptr[rows] + draw_slots(table, offsets, walkers, draws) - offsets[:-1]
-        products = cumsum_by_row(scores / factors * factors, indptr)
-        assert got.tolist() == draw_slots(products, indptr, rows, draws).tolist()
-        for i, row in enumerate(rows[:50].tolist()):
-            span = table[offsets[i]:offsets[i + 1]]
-            assert span.tolist() == products[indptr[row]:indptr[row + 1]].tolist()
 
     def test_draw_slots_bisect_like_per_row_searchsorted(self):
         rng = np.random.default_rng(13)

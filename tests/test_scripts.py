@@ -41,6 +41,14 @@ def test_measure_peak_rss_reports_memory_and_stages():
     }
 
 
+def test_measure_peak_rss_takes_p_and_q():
+    result = run_script("measure_peak_rss.py", "--nodes", "120", "--p", "0.5", "--q", "2")
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert (out["p"], out["q"]) == (0.5, 2.0)
+    assert out["stage_s"]["walks"] > 0
+
+
 def test_time_training_reports_both_corpora():
     result = run_script("time_training.py", "--toy", "--reps", "2")
     assert result.returncode == 0, result.stderr

@@ -11,8 +11,7 @@ from fairwalks.walks import (
     TransitionWeights,
     WalkConfig,
     WalkCorpus,
-    _edge_keys,
-    _fill_edges,
+    _edge_table,
     generate_walks,
     load_corpus_tokens,
     pad_walks,
@@ -229,10 +228,8 @@ class TestGenerateWalks:
         tw = weights_for([(0, 1), (1, 2), (1, 3), (0, 2)])
         p, q = 0.5, 2.0
         nbrs, probs = transition_distribution(tw, prev=0, cur=1, p=p, q=q)
-        start = np.concatenate(([0], np.cumsum(np.diff(tw.indptr)[tw.indices])))
-        table = np.full(start[-1], np.nan)
+        table, start = _edge_table(tw, p, q)
         edge = tw.indptr[0] + tw.graph.neighbors(0).tolist().index(1)  # the slot of 0 -> 1
-        _fill_edges(table, start, np.array([edge]), tw, _edge_keys(tw), p, q)
         n_walkers = 100_000
         edges = np.full(n_walkers, edge)
         draws = np.random.default_rng(17).random(n_walkers)
@@ -240,18 +237,44 @@ class TestGenerateWalks:
         freq = np.bincount(tw.indices[slots], minlength=tw.node_count)[nbrs] / n_walkers
         tv = 0.5 * np.abs(freq - probs).sum()
         assert tv <= 0.01
-        # only the crossed edge's span is written
-        assert np.isnan(np.delete(table, np.arange(start[edge], start[edge + 1]))).all()
+
+    @pytest.mark.parametrize("graph", ["hub", "sbm_three_blocks"])
+    @pytest.mark.parametrize("p, q", [(0.5, 2.0), (4.0, 0.25)])
+    def test_edge_table_spans_bitwise(self, graph, p, q):
+        # every edge's span is the running sums of its target's row times the
+        # node2vec factors after its source, summed in row order
+        tw = TransitionWeights.from_graph(REFERENCE_GRAPHS[graph]())
+        table, start = _edge_table(tw, p, q)
+        deg = np.diff(tw.indptr)
+        assert start.tolist() == [0] + np.cumsum(deg[tw.indices]).tolist()
+        for e, (prev, cur) in enumerate(zip(tw.graph.rows.tolist(), tw.indices.tolist())):
+            nbrs, probs = tw.out_distribution(cur)
+            near = np.isin(nbrs, tw.graph.neighbors(prev))
+            factor = np.where(nbrs == prev, 1.0 / p, np.where(near, 1.0, 1.0 / q))
+            expected = np.cumsum(probs * factor)
+            assert table[start[e]:start[e + 1]].tolist() == expected.tolist()
 
     @pytest.mark.parametrize("graph", ["hub", "sbm_three_blocks"])
     @pytest.mark.parametrize("block_slots", [1, 41])
     def test_small_fill_blocks_match(self, graph, block_slots, monkeypatch):
-        # 1 fills every new edge alone; 41 packs leaf spans and fills each hub span alone
+        # 1 fills every edge alone; 41 packs leaf spans and fills each hub span alone
         tw = TransitionWeights.from_graph(REFERENCE_GRAPHS[graph]())
         config = WalkConfig(p=0.5, q=2.0, walks_per_node=3, walk_length=15, seed=11)
         expected = generate_walks(tw, config).walks
         monkeypatch.setattr(walks, "FILL_BLOCK_SLOTS", block_slots)
         assert generate_walks(tw, config).walks == expected
+
+    @pytest.mark.parametrize("graph", ["hub", "sbm_three_blocks"])
+    @pytest.mark.parametrize("mark_rows", [1, 2])
+    def test_few_mark_rows_match(self, graph, mark_rows, monkeypatch):
+        # a block holds at most mark_rows previous nodes, so it ends at every
+        # (or every other) change of source
+        tw = TransitionWeights.from_graph(REFERENCE_GRAPHS[graph]())
+        config = WalkConfig(p=0.5, q=2.0, walks_per_node=3, walk_length=15, seed=11)
+        expected, expected_table = generate_walks(tw, config).walks, _edge_table(tw, 0.5, 2.0)[0]
+        monkeypatch.setattr(walks, "MARK_CELLS", mark_rows * tw.node_count)
+        assert generate_walks(tw, config).walks == expected
+        assert _edge_table(tw, 0.5, 2.0)[0].tolist() == expected_table.tolist()
 
 
 class TestPaddedCorpus:
