@@ -45,6 +45,18 @@ def class_f1(table) -> np.ndarray:
     return np.divide(2 * true_positive, denom, out=np.zeros(denom.shape), where=denom > 0)
 
 
+def _fold_cells(predicted, truth, eval_set):
+    """(eval set, truth, predicted) of every fold over its eval set, as (F, m)
+    arrays, and whether the fold axis was added to a single fold's input."""
+    predicted = np.asarray(predicted)
+    eval_set = np.asarray(eval_set, dtype=np.int64)
+    single = predicted.ndim == 1
+    if single:
+        predicted, eval_set = predicted[None], eval_set[None]
+    return (eval_set, np.asarray(truth)[eval_set],
+            np.take_along_axis(predicted, eval_set, axis=1), single)
+
+
 def per_group_f1(
     predicted,
     truth,
@@ -56,15 +68,21 @@ def per_group_f1(
     ``predicted`` and ``truth`` are group indices of the SAME partition
     (the sensitive attribute predicts itself); group i is scored with
     "is in group i" as the positive class.
+
+    With ``predicted`` of shape (F, n) and ``eval_set`` of shape (F, m),
+    each of F folds is scored over its own eval set: the values are
+    (F, groups) and the flags one list per fold, each bitwise what the
+    fold's own call returns.
     """
-    eval_set = np.asarray(eval_set, dtype=np.int64)
-    c = partition.num_groups
-    cells = np.asarray(truth)[eval_set] * c + np.asarray(predicted)[eval_set]
-    table = np.bincount(cells, minlength=c * c).reshape(c, c)
-    absent = table.sum(axis=0) + table.sum(axis=1) == 0
-    flags = [f"group {label}: no positives, F1 set to 0"
-             for label, none in zip(partition.group_labels, absent) if none]
-    return GroupScores(class_f1(table), flags)
+    _, t, p, single = _fold_cells(predicted, truth, eval_set)
+    folds, c = len(t), partition.num_groups
+    cells = (np.arange(folds)[:, None] * c + t) * c + p
+    table = np.bincount(cells.ravel(), minlength=folds * c * c).reshape(folds, c, c)
+    absent = table.sum(axis=-2) + table.sum(axis=-1) == 0
+    flags = [[f"group {label}: no positives, F1 set to 0"
+              for label, none in zip(partition.group_labels, row) if none] for row in absent]
+    f1 = class_f1(table)
+    return GroupScores(f1[0], flags[0]) if single else GroupScores(f1, flags)
 
 
 def per_group_macro_f1(
@@ -76,25 +94,28 @@ def per_group_macro_f1(
     """Macro-F1 of a prediction, restricted to each sensitive group.
 
     Within each sensitive group, the macro average runs over the classes
-    that actually occur in that group's eval-set truth.
+    that actually occur in that group's eval-set truth. A leading fold
+    axis on ``predicted`` and ``eval_set`` scores each fold as
+    ``per_group_f1`` does.
     """
-    eval_set = np.asarray(eval_set, dtype=np.int64)
-    t = np.asarray(truth)[eval_set]
-    p = np.asarray(predicted)[eval_set]
+    eval_set, t, p, single = _fold_cells(predicted, truth, eval_set)
+    folds, groups = len(t), sensitive.num_groups
     c = 1 + int(max(t.max(initial=0), p.max(initial=0)))
-    groups = sensitive.num_groups
-    cells = (sensitive.group_of[eval_set] * c + t) * c + p
-    table = np.bincount(cells, minlength=groups * c * c).reshape(groups, c, c)
+    cells = ((np.arange(folds)[:, None] * groups + sensitive.group_of[eval_set]) * c + t) * c + p
+    table = np.bincount(cells.ravel(), minlength=folds * groups * c * c)
+    table = table.reshape(folds, groups, c, c)
     f1 = class_f1(table)
-    present = table.sum(axis=2) > 0
-    scores = np.zeros(groups)
-    flags = []
-    for i in range(groups):
-        if not present[i].any():
-            flags.append(f"group {sensitive.group_labels[i]}: empty eval set")
-            continue
-        scores[i] = np.mean(f1[i, present[i]])
-    return GroupScores(scores, flags)
+    present = table.sum(axis=-1) > 0
+    # np.mean over each (fold, group)'s present classes, batched by their
+    # count: a row of an axis-1 mean sums as the row's own mean does
+    counts = present.sum(axis=-1)
+    scores = np.zeros((folds, groups))
+    for size in set(counts.ravel().tolist()) - {0}:
+        rows = counts == size
+        scores[rows] = np.mean(f1[rows][present[rows]].reshape(-1, size), axis=1)
+    flags = [[f"group {label}: empty eval set"
+              for label, count in zip(sensitive.group_labels, row) if not count] for row in counts]
+    return GroupScores(scores[0], flags[0]) if single else GroupScores(scores, flags)
 
 
 def awareness(scores) -> float:
@@ -123,21 +144,15 @@ def check_split(folds: int, labeled_fraction: float):
         )
 
 
-def stratified_split(partition: GroupPartition, labeled_fraction: float, rng):
-    """Random labeled/unlabeled node split, stratified by group.
-
-    The labeled set has exactly ceil(n * fraction) nodes; per-group quotas
-    follow largest-remainder rounding, clamped so every group keeps at
-    least one node on each side. Groups smaller than 2 cannot be split.
-    """
+def _split_quotas(partition: GroupPartition, labeled_fraction: float):
+    """Members of every group and how many of each a split labels."""
     sizes = partition.sizes()
-    n = len(partition.group_of)
     for i, size in enumerate(sizes):
         if size < 2:
             raise ValueError(
                 f"cannot stratify: group {partition.group_labels[i]!r} has {size} node(s)"
             )
-    target = int(np.ceil(n * labeled_fraction))
+    target = int(np.ceil(len(partition.group_of) * labeled_fraction))
     quotas = sizes * labeled_fraction
     base = np.clip(np.floor(quotas).astype(int), 1, sizes - 1)
     remainders = quotas - np.floor(quotas)
@@ -155,17 +170,28 @@ def stratified_split(partition: GroupPartition, labeled_fraction: float, rng):
         elif deficit < 0 and base[g] > 1:
             base[g] -= 1
             deficit += 1
+    members = [np.flatnonzero(partition.group_of == i) for i in range(partition.num_groups)]
+    return members, base
 
-    labeled = []
-    for i in range(partition.num_groups):
-        members = np.nonzero(partition.group_of == i)[0]
-        pick = rng.permutation(len(members))[: base[i]]
-        labeled.append(members[pick])
-    labeled = np.sort(np.concatenate(labeled))
+
+def _labeled_mask(members, base, n: int, rng) -> np.ndarray:
+    """Labeled-node mask of one split: a random ``base[i]`` members of group i."""
     mask = np.zeros(n, dtype=bool)
-    mask[labeled] = True
-    unlabeled = np.nonzero(~mask)[0]
-    return labeled, unlabeled
+    for group, quota in zip(members, base):
+        mask[group[rng.permutation(len(group))[:quota]]] = True
+    return mask
+
+
+def stratified_split(partition: GroupPartition, labeled_fraction: float, rng):
+    """Random labeled/unlabeled node split, stratified by group.
+
+    The labeled set has exactly ceil(n * fraction) nodes; per-group quotas
+    follow largest-remainder rounding, clamped so every group keeps at
+    least one node on each side. Groups smaller than 2 cannot be split.
+    """
+    members, base = _split_quotas(partition, labeled_fraction)
+    mask = _labeled_mask(members, base, len(partition.group_of), rng)
+    return np.flatnonzero(mask), np.flatnonzero(~mask)
 
 
 @dataclass
@@ -228,8 +254,9 @@ def cross_validate(
     """Repeated stratified-split evaluation of embedding predictiveness.
 
     Each fold draws an independent split (seeded per fold index), clamps
-    the labeled nodes, propagates, and scores the unlabeled ones. Metrics
-    are computed on the fold-averaged score vectors.
+    the labeled nodes and propagates; the unlabeled nodes of all folds are
+    scored together at the end. Metrics are computed on the fold-averaged
+    score vectors.
     """
     check_split(folds, labeled_fraction)
     vectors = np.asarray(vectors, dtype=np.float64)
@@ -238,33 +265,40 @@ def cross_validate(
     if n < 2 * c_groups:
         raise ValueError("need at least 2 nodes per sensitive group")
 
-    pg = build_propagation_graph(vectors, k=k, sigma=sigma)
-    warnings = []
     attributes = [sensitive] if control is None else [sensitive, control]
+    for attribute in attributes:
+        if len(attribute.group_of) != n:
+            raise ValueError(f"partition {attribute.attribute!r} has {len(attribute.group_of)} "
+                             f"nodes, but there are {n} vectors")
+
+    pg = build_propagation_graph(vectors, k=k, sigma=sigma)
     n_classes = [attribute.num_groups for attribute in attributes]
+    truth = np.stack([attribute.group_of for attribute in attributes])
+    members, base = _split_quotas(sensitive, labeled_fraction)
 
-    q_folds = np.zeros((folds, c_groups))
-    qstar_folds = np.zeros((folds, c_groups)) if control is not None else np.zeros((folds, 0))
+    # every split labels base.sum() nodes, so the eval sets stack
+    predicted = np.empty((folds, len(attributes), n), dtype=np.int64)
+    unlabeled = np.empty((folds, n - base.sum()), dtype=np.int64)
+    fold_warnings = []
     for f in range(folds):
-        rng = rng_for(seed, "fold", f)
-        labeled, unlabeled = stratified_split(sensitive, labeled_fraction, rng)
-
+        free = ~_labeled_mask(members, base, n, rng_for(seed, "fold", f))
+        unlabeled[f] = np.flatnonzero(free)
         # the attributes share the labeled set, so one call propagates both
-        seed_labels = np.full((len(attributes), n), -1, dtype=np.int64)
-        for row, attribute in zip(seed_labels, attributes):
-            row[labeled] = attribute.group_of[labeled]
-        results = propagate(pg, seed_labels, n_classes, max_iters, tol)
-        probs, warn = results[0]
-        q = per_group_f1(predict(probs), sensitive.group_of, sensitive, unlabeled)
-        q_folds[f] = q.values
-        warnings.extend(f"fold {f}: {w}" for w in warn + q.flags)
+        results = propagate(pg, np.where(free, -1, truth), n_classes, max_iters, tol)
+        for row, (probs, _) in zip(predicted[f], results):
+            row[:] = predict(probs)
+        fold_warnings.append([warn for _, warn in results])
 
+    q = per_group_f1(predicted[:, 0], sensitive.group_of, sensitive, unlabeled)
+    if control is not None:
+        qstar = per_group_macro_f1(predicted[:, 1], control.group_of, sensitive, unlabeled)
+    warnings = []
+    for f, warn in enumerate(fold_warnings):
+        warnings.extend(f"fold {f}: {w}" for w in warn[0] + q.flags[f])
         if control is not None:
-            cprobs, cwarn = results[1]
-            qstar = per_group_macro_f1(predict(cprobs), control.group_of, sensitive, unlabeled)
-            qstar_folds[f] = qstar.values
-            warnings.extend(f"fold {f} (control): {w}" for w in cwarn + qstar.flags)
-
+            warnings.extend(f"fold {f} (control): {w}" for w in warn[1] + qstar.flags[f])
+    q_folds = q.values
+    qstar_folds = qstar.values if control is not None else np.zeros((folds, 0))
     q_mean = q_folds.mean(axis=0)
     qstar_mean = qstar_folds.mean(axis=0) if control is not None else np.zeros(0)
     config = dict(config_echo or {})

@@ -58,6 +58,34 @@ def check_knn(k, sigma):
         raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
 
 
+def _block_nearest(vectors, sq_norm, lo: int, hi: int, k: int):
+    """The k nearest of rows lo:hi: (k-th distance per row, rows - lo, cols,
+    squared distances). Its distance block is freed on return, before the
+    next block is built."""
+    # (s_i + s_j) - 2 G, with the Gram block as the one temporary
+    gram = vectors[lo:hi] @ vectors.T
+    gram *= 2.0
+    d2 = np.add.outer(sq_norm[lo:hi], sq_norm)
+    d2 -= gram
+    del gram
+    np.clip(d2, 0.0, None, out=d2)
+    d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+
+    # the k nearest of each row are those below its k-th smallest
+    # distance plus, at that distance, the lowest column indices: the
+    # first k of a stable sort, without sorting
+    cut = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()  # frees the partitioned block
+    nearest = d2 <= cut[:, None]
+    over = np.flatnonzero(nearest.sum(axis=1) > k)
+    if len(over):
+        closer = d2[over] < cut[over, None]
+        tied = d2[over] == cut[over, None]
+        tied &= np.cumsum(tied, axis=1) <= k - closer.sum(axis=1)[:, None]
+        nearest[over] = closer | tied
+    r, c = np.nonzero(nearest)
+    return cut, r, c, d2[r, c]
+
+
 def build_propagation_graph(vectors, k: int = 10, sigma=None) -> PropagationGraph:
     """Union-kNN graph with RBF edge weights.
 
@@ -79,31 +107,20 @@ def build_propagation_graph(vectors, k: int = 10, sigma=None) -> PropagationGrap
     k = min(k, n - 1)
 
     sq_norm = np.einsum("ij,ij->i", vectors, vectors)
+    if not np.isfinite(sq_norm).all():
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"row {np.argmin(finite)} of the vectors is not finite")
     b = max(1, KNN_BLOCK_CELLS // n)
     kth = np.empty(n)
     src, dst, dist = [], [], []
     for lo in range(0, n, b):
         hi = min(lo + b, n)
-        d2 = sq_norm[lo:hi, None] + sq_norm[None, :] - 2.0 * (vectors[lo:hi] @ vectors.T)
-        np.clip(d2, 0.0, None, out=d2)
-        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-
-        # the k nearest of each row are those below its k-th smallest
-        # distance plus, at that distance, the lowest column indices: the
-        # first k of a stable sort, without sorting
-        cut = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()  # frees the partitioned block
+        cut, r, c, d = _block_nearest(vectors, sq_norm, lo, hi, k)
         kth[lo:hi] = cut
-        nearest = d2 <= cut[:, None]
-        over = np.flatnonzero(nearest.sum(axis=1) > k)
-        if len(over):
-            closer = d2[over] < cut[over, None]
-            tied = d2[over] == cut[over, None]
-            tied &= np.cumsum(tied, axis=1) <= k - closer.sum(axis=1)[:, None]
-            nearest[over] = closer | tied
-        r, c = np.nonzero(nearest)
         src.append(r + lo)
         dst.append(c)
-        dist.append(d2[r, c])
+        dist.append(d)
     if sigma is None:
         sigma = float(np.sqrt(kth).mean())
         if sigma == 0.0:
@@ -119,7 +136,7 @@ def build_propagation_graph(vectors, k: int = 10, sigma=None) -> PropagationGrap
     rows = np.concatenate([lo, hi])
     cols = np.concatenate([hi, lo])
     weights = np.concatenate([w, w])
-    sort = np.lexsort((cols, rows))
+    sort = np.argsort(rows * n + cols, kind="stable")  # distinct keys: the lexsort order
     return PropagationGraph(n, k, sigma, rows[sort], cols[sort], weights[sort])
 
 
@@ -152,19 +169,16 @@ def propagate(
     if len(n_classes) != len(labels):
         raise ValueError(f"{len(labels)} label rows need {len(labels)} class counts, "
                          f"got {len(n_classes)}")
-    for row, count in zip(labels, n_classes):
-        bad = row[(row < -1) | (row >= count)]
-        if len(bad):
-            raise ValueError(f"label {bad[0]} outside [-1, {count}) (-1 marks unlabeled)")
+    bad = (labels < -1) | (labels >= np.asarray(n_classes)[:, None])
+    if bad.any():
+        row, node = np.argwhere(bad)[0]
+        raise ValueError(f"label {labels[row, node]} outside [-1, {n_classes[row]}) "
+                         "(-1 marks unlabeled)")
     labeled = labels[0] >= 0
     if ((labels[1:] >= 0) != labeled).any():
         raise ValueError("every label row must leave the same nodes unlabeled")
     if not labeled.any():
         raise ValueError("at least one labeled node is required")
-    seeds = labels[:, labeled]
-    warnings = [[f"class {c} has no labeled seed and cannot be predicted"
-                 for c in np.flatnonzero(np.bincount(row, minlength=count) == 0)]
-                for row, count in zip(seeds, n_classes)]
 
     # Only unlabeled rows with edges change. They come first in the node
     # order (pos maps a node to its place), so a sweep sums just their
@@ -179,42 +193,56 @@ def propagate(
     pos[np.concatenate([active, np.flatnonzero(~free)])] = np.arange(n)
     on_free = free[pg.rows]
     cols, scale = pos[pg.cols[on_free]], pg.transition[on_free]
-    starts = np.cumsum(pg.degree[active]) - pg.degree[active]
+    degree = pg.degree[active]
+    starts = np.cumsum(degree) - degree
     bounds = np.cumsum([0, *n_classes])
+    # the channel of every seed, attribute by attribute
+    channels = bounds[:-1, None] + labels.compress(labeled, axis=1)
     cur = np.zeros((bounds[-1], n), dtype=np.float64)
-    for first, row in zip(bounds, seeds):
-        cur[first + row, pos[labeled]] = 1.0  # clamped: never rewritten
+    cur[channels, pos[labeled]] = 1.0  # clamped: never rewritten
+    unseeded = np.flatnonzero(np.bincount(channels.ravel(), minlength=bounds[-1]) == 0)
+    warnings = [[f"class {c - lo} has no labeled seed and cannot be predicted"
+                 for c in unseeded if lo <= c < hi] for lo, hi in zip(bounds, bounds[1:])]
     nxt = cur.copy()
     gathered = np.empty((bounds[-1], len(cols)))
     diff = np.empty((bounds[-1], a))
 
     # Each attribute stops at its own first sweep with max change < tol;
     # later sweeps cover only the channels of the attributes still moving.
-    # Channels hold no cross terms, so every result is the 1-D call's.
+    # Channels hold no cross terms, so every result is the 1-D call's. A
+    # sweep makes one convergence reduction: the max change per channel,
+    # then per attribute over its channels (marks). The buffer views are
+    # rebuilt only when the set of moving attributes changes.
     k = len(labels)
-    delta = np.full(k, np.inf)
     moving = list(range(k))
     out = [None] * k
+    change, first, stale = np.full(k, np.inf), 0, True
     for _ in range(max_iters):
-        lo, hi = bounds[moving[0]], bounds[moving[-1] + 1]
-        g = gathered[lo:hi]
+        if stale:
+            first, last = moving[0], moving[-1] + 1
+            lo, hi = bounds[first], bounds[last]
+            g, d, marks = gathered[lo:hi], diff[lo:hi], bounds[first:last] - lo
+            here, there = (cur[lo:hi], cur[lo:hi, :a]), (nxt[lo:hi], nxt[lo:hi, :a])
+            stale = False
         # indices are in range by construction; "clip" skips the copy of out
-        np.multiply(np.take(cur[lo:hi], cols, axis=1, out=g, mode="clip"), scale, out=g)
-        np.add.reduceat(g, starts, axis=1, out=nxt[lo:hi, :a])
-        d = np.abs(np.subtract(nxt[lo:hi, :a], cur[lo:hi, :a], out=diff[lo:hi]), out=diff[lo:hi])
-        cur, nxt = nxt, cur
-        for i in moving:
-            delta[i] = d[bounds[i] - lo:bounds[i + 1] - lo].max(initial=0.0)
-            if delta[i] < tol:
-                out[i] = cur[bounds[i]:bounds[i + 1]].T[pos]
-        moving = [i for i in moving if out[i] is None]
-        if not moving:
-            break
+        np.multiply(np.take(here[0], cols, axis=1, out=g, mode="clip"), scale, out=g)
+        np.add.reduceat(g, starts, axis=1, out=there[1])
+        np.abs(np.subtract(there[1], here[1], out=d), out=d)
+        change = np.maximum.reduceat(d.max(axis=1, initial=0.0), marks)
+        cur, nxt, here, there = nxt, cur, there, here
+        if (change < tol).any():
+            for i in moving:
+                if change[i - first] < tol:
+                    out[i] = cur[bounds[i]:bounds[i + 1]].T[pos]
+            still = [i for i in moving if out[i] is None]
+            stale, moving = still != moving, still
+            if not moving:
+                break
     for i in moving:
         out[i] = cur[bounds[i]:bounds[i + 1]].T[pos]
         warnings[i].append(
             f"propagation did not converge in {max_iters} iterations "
-            f"(last max change {delta[i]:.3g}, tol {tol:g})"
+            f"(last max change {change[i - first]:.3g}, tol {tol:g})"
         )
 
     component = pg.components

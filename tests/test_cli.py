@@ -283,6 +283,22 @@ class TestWarnings:
             f"report written to {tmp_path / 'report.json'}",
         ]
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_eval_rejects_non_finite_embeddings(self, tmp_path, capsys, value):
+        self.eval_inputs(tmp_path)
+        lines = (tmp_path / "emb.txt").read_text().splitlines()
+        token, _, *rest = lines[3].split()
+        lines[3] = " ".join([token, value, *rest])
+        (tmp_path / "emb.txt").write_text("\n".join(lines) + "\n")
+        assert main([
+            "eval", "--embeddings", str(tmp_path / "emb.txt"), "--attrs",
+            str(tmp_path / "g.attrs"), "--sensitive", "block", "--folds", "2",
+            "--knn-k", "3", "--out", str(tmp_path / "report.json"),
+        ]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: row 2 of the vectors is not finite\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_run_prints_report_warnings_to_stderr(self, tmp_path, capsys, monkeypatch):
         report = SimpleNamespace(awareness=0.5, disparity=0.1, performance=0.7,
                                  warnings=["fold 0: propagation did not converge"])

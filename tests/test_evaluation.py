@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fairwalks import evaluation
 from fairwalks.evaluation import (
+    EvaluationReport,
     awareness,
     cross_validate,
     disparity,
@@ -14,6 +15,7 @@ from fairwalks.evaluation import (
     stratified_split,
 )
 from fairwalks.graph import GroupPartition, generate_sbm, partition_by
+from fairwalks.propagation import build_propagation_graph, predict, propagate
 from fairwalks.seeds import rng_for
 
 
@@ -127,6 +129,35 @@ class TestConfusionTable:
         want, want_flags = reference_per_group_macro_f1(pred, truth, sens, eval_set)
         assert macro.values.tobytes() == want.tobytes()
         assert macro.flags == want_flags
+
+
+class TestFoldAxis:
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1))
+    def test_stacked_folds_score_as_their_own_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 60))
+        groups = int(rng.integers(2, 5))
+        sens = partition(np.concatenate([np.arange(groups), rng.integers(0, groups, n - groups)]))
+        folds, m = int(rng.integers(1, 6)), int(rng.integers(1, n + 1))
+        # small eval sets miss whole groups and classes in some folds
+        eval_sets = np.stack([np.sort(rng.choice(n, m, replace=False)) for _ in range(folds)])
+        group_pred = rng.integers(0, groups, (folds, n))
+        # up to 12 classes: macro means over more than 8 present classes
+        classes = int(rng.integers(1, 13))
+        truth, pred = rng.integers(0, classes, n), rng.integers(0, classes, (folds, n))
+
+        stacked = per_group_f1(group_pred, sens.group_of, sens, eval_sets)
+        macro = per_group_macro_f1(pred, truth, sens, eval_sets)
+        assert stacked.values.shape == macro.values.shape == (folds, groups)
+        for f in range(folds):
+            want, want_flags = reference_per_group_f1(group_pred[f], sens.group_of, sens,
+                                                      eval_sets[f])
+            assert stacked.values[f].tobytes() == want.tobytes()
+            assert stacked.flags[f] == want_flags
+            want, want_flags = reference_per_group_macro_f1(pred[f], truth, sens, eval_sets[f])
+            assert macro.values[f].tobytes() == want.tobytes()
+            assert macro.flags[f] == want_flags
 
 
 class TestMetrics:
@@ -307,6 +338,18 @@ class TestCrossValidate:
             assert ((labels[0] >= 0) == (labels[1] >= 0)).all()
         assert report.qstar_folds.shape == (3, 3)
 
+    def test_short_sensitive_partition_rejected(self):
+        vectors, p = self.embedding_with_groups()
+        short = partition(p.group_of[:-2], attribute="cluster")
+        with pytest.raises(ValueError, match="'cluster' has 30 nodes, but there are 32 vectors"):
+            cross_validate(vectors, short, folds=1)
+
+    def test_long_control_partition_rejected(self):
+        vectors, p = self.embedding_with_groups()
+        control = partition(np.arange(40) % 2, attribute="parity")
+        with pytest.raises(ValueError, match="'parity' has 40 nodes, but there are 32 vectors"):
+            cross_validate(vectors, p, control, folds=1)
+
     @pytest.mark.parametrize("kwargs, match", [
         ({"folds": 0}, "folds must be >= 1, got 0"),
         ({"labeled_fraction": 1.5}, "labeled_fraction .* got 1.5"),
@@ -317,3 +360,82 @@ class TestCrossValidate:
         vectors, p = self.embedding_with_groups()
         with pytest.raises(ValueError, match=match):
             cross_validate(vectors, p, **kwargs)
+
+
+def reference_cross_validate(vectors, sensitive, control, folds, k, seed, labeled_fraction=0.5):
+    """One split, one propagate call and per-class scoring loops per fold."""
+    n = len(vectors)
+    pg = build_propagation_graph(vectors, k=k)
+    attributes = [sensitive] if control is None else [sensitive, control]
+    n_classes = [attribute.num_groups for attribute in attributes]
+    q_folds = np.zeros((folds, sensitive.num_groups))
+    qstar_folds = np.zeros((folds, sensitive.num_groups if control is not None else 0))
+    warnings = []
+    for f in range(folds):
+        labeled, unlabeled = stratified_split(sensitive, labeled_fraction, rng_for(seed, "fold", f))
+        seed_labels = np.full((len(attributes), n), -1, dtype=np.int64)
+        for row, attribute in zip(seed_labels, attributes):
+            row[labeled] = attribute.group_of[labeled]
+        results = propagate(pg, seed_labels, n_classes, 1000, 1e-6)
+        probs, warn = results[0]
+        q_folds[f], flags = reference_per_group_f1(predict(probs), sensitive.group_of,
+                                                   sensitive, unlabeled)
+        warnings.extend(f"fold {f}: {w}" for w in warn + flags)
+        if control is not None:
+            cprobs, cwarn = results[1]
+            qstar_folds[f], flags = reference_per_group_macro_f1(predict(cprobs), control.group_of,
+                                                                 sensitive, unlabeled)
+            warnings.extend(f"fold {f} (control): {w}" for w in cwarn + flags)
+    q_mean = q_folds.mean(axis=0)
+    qstar_mean = qstar_folds.mean(axis=0) if control is not None else np.zeros(0)
+    return EvaluationReport(
+        sensitive_attribute=sensitive.attribute,
+        control_attribute=control.attribute if control is not None else "",
+        group_labels=sensitive.group_labels,
+        group_sizes=[int(s) for s in sensitive.sizes()],
+        folds=folds,
+        q_folds=q_folds,
+        qstar_folds=qstar_folds,
+        q_mean=q_mean,
+        qstar_mean=qstar_mean,
+        awareness=awareness(q_mean),
+        disparity=disparity(q_mean),
+        performance=performance(qstar_mean) if control is not None else float("nan"),
+        warnings=warnings,
+        config={
+            "folds": folds,
+            "labeled_fraction": labeled_fraction,
+            "knn_k": k,
+            "sigma": pg.sigma,
+            "propagation_max_iters": 1000,
+            "propagation_tol": 1e-6,
+            "eval_seed": seed,
+            "f1_scheme": "one-vs-rest on unlabeled nodes; control macro-F1 per group",
+            "metric_aggregation": "metrics over fold-averaged scores",
+        },
+    )
+
+
+class TestCrossValidateMatchesPerFoldLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_report_bytes_equal_to_reference(self, seed, with_control):
+        # a few nodes per group, k small enough to cut the kNN graph and
+        # control classes of one node: folds warn of unseeded classes and
+        # of nodes no seed reaches
+        rng = np.random.default_rng(seed)
+        groups = int(rng.integers(2, 4))
+        sizes = rng.integers(2, 6, groups)
+        sens = partition(np.repeat(np.arange(groups), sizes), attribute="sens")
+        n = int(sizes.sum())
+        vectors = rng.normal(0, 1, (n, 2))
+        vectors[rng.random(n) < 0.2] = 0.0  # duplicate points
+        control = None
+        if with_control:
+            classes = int(rng.integers(2, 5))
+            ctl = np.concatenate([np.arange(classes), rng.integers(0, classes, n - classes)])
+            control = partition(rng.permutation(ctl), attribute="ctl")
+        folds, k = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        got = cross_validate(vectors, sens, control, folds=folds, k=k, seed=seed)
+        want = reference_cross_validate(vectors, sens, control, folds, k, seed)
+        assert got.to_json() == want.to_json()

@@ -113,6 +113,17 @@ def random_case(seed, n_classes):
     return pg, labels, n_classes, {}
 
 
+def long_rows_case(seed=7):
+    """k = 10 on 200 random points: union-kNN rows run past 20 entries, so
+    reduceat sums them in more than one block."""
+    rng = np.random.default_rng(seed)
+    pg = build_propagation_graph(rng.normal(0, 1, (200, 8)), k=10)
+    labels = np.full(200, -1)
+    seeds = rng.choice(200, 80, replace=False)
+    labels[seeds] = rng.integers(0, 3, 80)
+    return pg, labels, 3, {}
+
+
 # nodes 2 and 10 have no edges (mid-graph and trailing), row 6 has only
 # zero weights, and the component 8 - 9 can hold no seed
 SPECIAL = coo_graph(11, [(0, 1, 0.5), (1, 3, 2.0), (3, 4, 1.0), (4, 5, 0.25),
@@ -127,6 +138,7 @@ PARITY_CASES = {
     "one-free-node": (SPECIAL, [0, 1, 0, -1, 0, 1, 0, 1, 0, 1, 1], 2, {}),
     "max-iters-1": (SPECIAL, [0, -1, 1, -1, -1, 1, -1, 0, 1, -1, -1], 2, {"max_iters": 1}),
     "max-iters-1-random": (*random_case(5, 3)[:3], {"max_iters": 1}),
+    "long-rows-k10": long_rows_case(),
 }
 
 
@@ -204,6 +216,14 @@ class TestBuildPropagationGraph:
     def test_sigma_must_be_finite_and_positive(self, sigma):
         with pytest.raises(ValueError, match=f"sigma must be finite and positive, got {sigma}"):
             build_propagation_graph(np.arange(8.0).reshape(4, 2), k=1, sigma=sigma)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_vector_rejected(self, value):
+        vectors = np.random.default_rng(0).normal(0, 1, (40, 3))
+        vectors[17, 1] = value
+        vectors[30, 0] = value
+        with pytest.raises(ValueError, match="row 17 of the vectors is not finite"):
+            build_propagation_graph(vectors, k=3)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
@@ -303,6 +323,10 @@ class TestPropagate:
 
 
 class TestPropagateMatchesFullSweep:
+    def test_long_rows_case_has_long_rows(self):
+        pg = PARITY_CASES["long-rows-k10"][0]
+        assert pg.degree.max() >= 20
+
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
     def test_bitwise_equal_to_reference(self, case):
         pg, labels, n_classes, kwargs = PARITY_CASES[case]
