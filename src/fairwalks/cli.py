@@ -12,6 +12,7 @@ So the chain gen-sbm -> bias -> walk -> embed -> eval, given one
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -194,6 +195,7 @@ def cmd_eval(args):
     return 0
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairwalks",

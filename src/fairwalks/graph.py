@@ -13,6 +13,7 @@ File formats:
 """
 
 import contextlib
+import functools
 import itertools
 import os
 import shutil
@@ -127,6 +128,12 @@ class AttributedGraph:
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
+
+    @functools.cached_property
+    def walk_layout(self) -> "WalkLayout":
+        """Where the walk tables keep each node's rows, built on first use
+        and then shared by every walk over this graph."""
+        return WalkLayout(self)
 
     def __eq__(self, other):
         if not isinstance(other, AttributedGraph):
@@ -412,43 +419,141 @@ def _induced(graph: AttributedGraph, nodes):
     return AttributedGraph(len(nodes), edge_index, edge_weight, attributes, original_ids)
 
 
-def cumsum_by_row(values, indptr) -> np.ndarray:
-    """Running sums restarted at every CSR row, bitwise equal to ``np.cumsum``
-    of each row (a global cumsum minus row offsets is not). Rows of one
-    length are gathered into a dense (rows, length) block and summed along
-    it, one ``np.cumsum(axis=1)`` per distinct length, which adds each row
-    in order."""
-    out = np.array(values, dtype=np.float64)
-    lengths = np.diff(indptr)
-    order = np.argsort(lengths, kind="stable")
-    order = order[lengths[order] > 1]  # a row of 0 or 1 slots is its own sums
-    sizes, starts = lengths[order], indptr[order]
-    heads = np.flatnonzero(np.diff(sizes, prepend=0)).tolist()  # first row of each length
-    for a, b in zip(heads, heads[1:] + [len(order)]):
-        block = starts[a:b, None] + np.arange(sizes[a])
-        out[block] = out[block].cumsum(axis=1)
-    return out
+FILL_BLOCK_SLOTS = 1 << 14  # entries per block of the (p, q) edge codes' build and of a table fill
+MARK_CELLS = 1 << 22  # cells of the edge codes' mark buffer, in rows of n cells
 
 
-def draw_slots(cum, indptr, rows, draws) -> np.ndarray:
-    """Chosen CSR slot of every walker, each at a non-empty row ``rows[i]``
-    with a draw ``draws[i]`` in [0, 1), given ``cum = cumsum_by_row(scores,
-    indptr)``: the count of the row's running sums <= draws[i] * row total,
-    clamped to the row, bitwise the per-row ``np.searchsorted(cum, u *
-    cum[-1], "right")``. Scores need not be normalized. A vectorized
-    bisection: one O(walkers) round per bit of the longest row's length."""
-    starts = indptr[rows]
-    lengths = indptr[rows + 1] - starts
+class WalkLayout:
+    """The walk tables' layout over a graph: nodes in ascending degree
+    order (stable), so the nodes of one degree D form one dense slab.
+
+    The first-order table holds node v's D out-slots as one row, starting
+    at ``row_at[v]``; ``slots`` lists the CSR slots in that order, so a
+    slab of c nodes is a (c, D) block. The (p, q) edge table gives node
+    ``cur`` a D x D block starting at ``cell_at[cur]``: row i belongs to
+    the edge from cur's i-th neighbour into cur, column j is cur's j-th
+    neighbour, so a slab is a (c, D, D) block and the table holds
+    sum_v deg(v)**2 entries. ``slabs`` lists (D, c, first row, first
+    cell) for every degree D > 0.
+
+    ``span[e]`` is the first entry of CSR slot e's row and ``codes`` holds
+    one uint8 per entry: 2 where the column node is the edge's source (the
+    diagonal), 1 where it is a neighbour of the source, 0 otherwise. Both
+    are built on first use, so first-order walks never build them.
+    """
+
+    def __init__(self, graph: AttributedGraph):
+        # the CSR arrays, not the graph, which holds this layout
+        self.csr = graph.node_count, graph.indptr, graph.indices, graph.rows
+        indptr = graph.indptr
+        deg = np.diff(indptr)
+        order = np.argsort(deg, kind="stable")
+        sizes = deg[order]
+        row_end, cell_end = np.cumsum(sizes), np.cumsum(sizes * sizes)
+        self.row_at = np.empty(graph.node_count, dtype=np.int64)
+        self.row_at[order] = row_end - sizes
+        self.cell_at = np.empty(graph.node_count, dtype=np.int64)
+        self.cell_at[order] = cell_end - sizes * sizes
+        self.size = int(cell_end[-1]) if len(cell_end) else 0
+        heads = np.flatnonzero(np.diff(sizes, prepend=0)).tolist()  # first node of each degree > 0
+        self.slabs = [
+            (int(sizes[a]), b - a, int(row_end[a] - sizes[a]), int(cell_end[a] - sizes[a] ** 2))
+            for a, b in zip(heads, heads[1:] + [len(sizes)])
+        ]
+        self.slots = np.empty(len(graph.indices), dtype=np.int64)
+        own = np.arange(len(graph.indices))
+        self.slots[self.row_at[graph.rows] + own - indptr[graph.rows]] = own
+
+    @functools.cached_property
+    def span(self) -> np.ndarray:
+        n, indptr, cur, rows = self.csr
+        back = np.empty_like(cur)  # the slot of each edge's reverse: slots by (cur, prev)
+        back[np.argsort(cur * n + rows)] = np.arange(len(cur))
+        return self.cell_at[cur] + (back - indptr[cur]) * np.diff(indptr)[cur]
+
+    @functools.cached_property
+    def codes(self) -> np.ndarray:
+        return _edge_codes(self.csr, self.span, self.size)
+
+    def blocks(self):
+        """Cut the (p, q) table into blocks of at most ``FILL_BLOCK_SLOTS``
+        entries: whole nodes of one slab, or, where one node's D x D block
+        is larger, whole rows of it (one row at least). Yield each block's
+        first cell, the position of its first node's row in ``slots``, and
+        its shape (nodes, rows, D)."""
+        for d, count, row, cell in self.slabs:
+            per = FILL_BLOCK_SLOTS // (d * d)
+            if per:
+                for a in range(0, count, per):
+                    yield cell + a * d * d, row + a * d, (min(per, count - a), d, d)
+                continue
+            rows = max(1, FILL_BLOCK_SLOTS // d)
+            for v in range(count):
+                for a in range(0, d, rows):
+                    yield cell + (v * d + a) * d, row + v * d, (1, min(rows, d - a), d)
+
+
+def _edge_codes(csr, span, size) -> np.ndarray:
+    """The (p, q) factor code of every edge-table entry (see ``WalkLayout``).
+
+    Edges are taken in CSR order, in blocks of at most ``FILL_BLOCK_SLOTS``
+    entries (an edge with a longer row is a block alone). Because ``rows``
+    ascends, a block's sources are one range ``p0 <= prev < p1``, capped
+    at the ``min(n, MARK_CELLS // n)`` rows of a reused mark buffer. Row
+    ``prev - p0`` marks prev's neighbours 1 and prev itself 2, so the mark
+    at each entry's column node is its code; the marks are cleared again
+    after the block."""
+    n, indptr, indices, rows = csr
+    deg = np.diff(indptr)
+    start = np.concatenate(([0], np.cumsum(deg[indices])))  # the rows back to back in CSR order
+    codes = np.empty(size, dtype=np.uint8)
+    mark_rows = max(1, min(n, MARK_CELLS // n))
+    mark = np.zeros(mark_rows * n, dtype=np.uint8)
+    lo = 0
+    while lo < len(indices):
+        p0 = rows[lo]
+        last = np.searchsorted(start, start[lo] + FILL_BLOCK_SLOTS, "right") - 1
+        hi = max(lo + 1, min(int(last), int(indptr[min(p0 + mark_rows, n)])))
+        p1 = rows[hi - 1] + 1
+        near = slice(indptr[p0], indptr[p1])  # the edges out of the block's sources
+        cells = (rows[near] - p0) * n + indices[near]
+        own = np.arange(p1 - p0) * (n + 1) + p0
+        targets = indices[lo:hi]
+        lengths = deg[targets]
+        local = start[lo:hi + 1] - start[lo]
+        at = np.repeat(indptr[targets] - local[:-1], lengths)
+        at += np.arange(local[-1])  # the targets' CSR slots, one row after another
+        at = indices[at]
+        at += np.repeat((rows[lo:hi] - p0) * n, lengths)  # each column's cell in its mark row
+        dest = np.repeat(span[lo:hi] - local[:-1], lengths)
+        dest += np.arange(local[-1])
+        mark[cells] = 1
+        mark[own] = 2
+        codes[dest] = mark[at]
+        mark[cells] = 0
+        mark[own] = 0
+        lo = hi
+    return codes
+
+
+def draw_slots(cum, starts, lengths, draws) -> np.ndarray:
+    """Chosen offset into the row of every walker: row i is
+    ``cum[starts[i]:starts[i] + lengths[i]]``, non-empty, the running sums
+    of its scores, and ``draws[i]`` is in [0, 1). The offset is the count
+    of the row's sums <= draws[i] * row total, clamped to the row, bitwise
+    the per-row ``np.searchsorted(row, u * row[-1], "right")``. Scores need
+    not be normalized. A vectorized bisection: one O(walkers) round per bit
+    of the longest row's length."""
     before = starts - 1
     target = draws * cum[before + lengths]
-    count = np.zeros(len(rows), dtype=np.int64)
+    count = np.zeros(len(starts), dtype=np.int64)
     for bit in reversed(range(int(lengths.max(initial=0)).bit_length())):
         # grow the count by 2**bit where the sum ending there is still <= target;
         # past the row's end the row total stands in: it fits only when every
         # sum does, and then the clamp picks the last slot either way
         probe = count + (1 << bit)
         np.copyto(count, probe, where=cum[before + np.minimum(probe, lengths)] <= target)
-    return starts + np.minimum(count, lengths - 1)
+    return np.minimum(count, lengths - 1)
 
 
 def component_labels(node_count: int, src, dst) -> np.ndarray:

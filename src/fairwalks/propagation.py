@@ -108,9 +108,10 @@ def build_propagation_graph(vectors, k: int = 10, sigma=None) -> PropagationGrap
 
     sq_norm = np.einsum("ij,ij->i", vectors, vectors)
     if not np.isfinite(sq_norm).all():
-        finite = np.isfinite(vectors).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"row {np.argmin(finite)} of the vectors is not finite")
+        row = int(np.argmin(np.isfinite(sq_norm)))
+        if np.isfinite(vectors[row]).all():
+            raise ValueError(f"row {row} of the vectors has a squared norm that overflows")
+        raise ValueError(f"row {row} of the vectors is not finite")
     b = max(1, KNN_BLOCK_CELLS // n)
     kth = np.empty(n)
     src, dst, dist = [], [], []

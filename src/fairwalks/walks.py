@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fairwalks.graph import AttributedGraph, atomic_writer, cumsum_by_row, draw_slots
+from fairwalks.graph import AttributedGraph, atomic_writer, draw_slots
 from fairwalks.seeds import rng_for
 
 
@@ -128,55 +128,38 @@ def transition_distribution(weights: TransitionWeights, prev, cur: int, p: float
     return nbrs, scores / scores.sum()
 
 
-FILL_BLOCK_SLOTS = 1 << 14  # candidate slots per fill block of the (p, q) edge table
-MARK_CELLS = 1 << 22  # cells of the edge table's mark buffer, in rows of n cells
+def _row_sums(weights: TransitionWeights) -> np.ndarray:
+    """The first-order running sums of every node's row, laid out by
+    ``graph.walk_layout``: one ``cumsum(axis=1)`` per (c, D) slab."""
+    layout = weights.graph.walk_layout
+    probs = weights.probs[layout.slots]
+    cum = np.empty_like(probs)
+    for d, count, row, _ in layout.slabs:
+        block = slice(row, row + count * d)
+        np.cumsum(probs[block].reshape(count, d), axis=1, out=cum[block].reshape(count, d))
+    return cum
 
 
-def _edge_table(weights: TransitionWeights, p: float, q: float):
-    """The (p, q) running sums of every directed edge (see ``generate_walks``)
-    as ``(table, start)``: CSR slot e owns ``table[start[e]:start[e + 1]]``.
-
-    Edges are filled in CSR order, in blocks of at most ``FILL_BLOCK_SLOTS``
-    candidate slots (an edge with a longer span fills alone), so a block's
-    spans are one slice of the table. Because ``rows`` ascends, a block's
-    previous nodes (its edges' sources) are one range ``p0 <= prev < p1``,
-    capped at the ``min(n, MARK_CELLS // n)`` rows of a reused mark buffer.
-    Row ``prev - p0`` marks prev's neighbors 1 and prev itself 2, so the
-    mark at each candidate indexes its factor (0 is further away); the
-    marks are cleared again after the block."""
-    n, indptr, indices = weights.node_count, weights.indptr, weights.indices
-    rows = weights.graph.rows
-    deg = np.diff(indptr)
-    start = np.concatenate(([0], np.cumsum(deg[indices])))
-    table = np.empty(start[-1])
-    factors = np.array([1.0 / q, 1.0, 1.0 / p])  # by mark
-    mark_rows = max(1, min(n, MARK_CELLS // n))
-    mark = np.zeros(mark_rows * n, dtype=np.uint8)
-    lo = 0
-    while lo < len(indices):
-        p0 = rows[lo]
-        last = np.searchsorted(start, start[lo] + FILL_BLOCK_SLOTS, "right") - 1
-        hi = max(lo + 1, min(int(last), int(indptr[min(p0 + mark_rows, n)])))
-        p1 = rows[hi - 1] + 1
-        near = slice(indptr[p0], indptr[p1])  # the edges out of the block's previous nodes
-        cells = (rows[near] - p0) * n + indices[near]
-        own = np.arange(p1 - p0) * (n + 1) + p0
-        targets = indices[lo:hi]
-        lengths = deg[targets]
-        local = start[lo:hi + 1] - start[lo]
-        slots = np.repeat(indptr[targets] - local[:-1], lengths)
-        slots += np.arange(local[-1])  # the targets' rows, one span after another
-        at = np.repeat((rows[lo:hi] - p0) * n, lengths)
-        at += indices[slots]  # each candidate's cell in its previous node's mark row
-        mark[cells] = 1
-        mark[own] = 2
-        scores = weights.probs[slots]
-        scores *= factors[mark[at]]
-        mark[cells] = 0
-        mark[own] = 0
-        table[start[lo]:start[hi]] = cumsum_by_row(scores, local)
-        lo = hi
-    return table, start
+def _edge_table(weights: TransitionWeights, p: float, q: float) -> np.ndarray:
+    """The (p, q) running sums of every directed edge (see ``generate_walks``),
+    laid out by ``graph.walk_layout``: CSR slot e's row starts at
+    ``span[e]``. Each block of the layout is three passes: the factors
+    picked by the codes, times the probabilities of the block's rows,
+    then summed along each row."""
+    layout = weights.graph.walk_layout
+    codes = layout.codes
+    probs = weights.probs[layout.slots]
+    factors = np.array([1.0 / q, 1.0, 1.0 / p])  # by code
+    table = np.empty(layout.size)
+    blocks = list(layout.blocks())
+    work = np.empty(max((np.prod(shape) for *_, shape in blocks), default=0))
+    for cell, row, (count, rows, d) in blocks:
+        size = count * rows * d
+        block = work[:size].reshape(count, rows, d)
+        np.take(factors, codes[cell:cell + size].reshape(count, rows, d), out=block, mode="clip")
+        block *= probs[row:row + count * d].reshape(count, 1, d)
+        np.cumsum(block, axis=2, out=table[cell:cell + size].reshape(count, rows, d))
+    return table
 
 
 def generate_walks(weights: TransitionWeights, config: WalkConfig) -> WalkCorpus:
@@ -194,17 +177,22 @@ def generate_walks(weights: TransitionWeights, config: WalkConfig) -> WalkCorpus
     All walks advance together. First-order steps (the first, and every
     one when p = q = 1) bisect running sums taken once per call.
 
-    A later (p, q) step depends only on the directed edge the walker just
-    crossed, CSR slot e from ``rows[e]`` to ``indices[e]``. Each edge owns
-    the span ``table[start[e]:start[e + 1]]`` of one float64 table, with
-    ``start`` the running total of ``deg[indices]``, so the table holds
-    sum_v deg(v)**2 entries. A span holds the running sums of the target's
-    row reweighted by the (p, q) factors after ``rows[e]``. ``_edge_table``
-    fills every span once per call, before the first (p, q) step, in CSR
-    order, reading the factors from rows of neighbor marks; each such step
-    is then one ``draw_slots`` over the table. The fill pays for every
-    edge, so it saves most when walkers cross each edge often: live
-    walkers x (walk_length - 1) / 2m times on average.
+    Both tables follow ``graph.walk_layout``, built once per graph and
+    shared by every call over it: nodes in ascending degree order, so
+    the nodes of one degree D form one slab. The first-order sums are one
+    (c, D) ``cumsum(axis=1)`` per slab. A later (p, q) step depends only
+    on the directed edge the walker just crossed, CSR slot e from
+    ``rows[e]`` to ``indices[e]``: its row, at ``span[e]`` in one float64
+    table of sum_v deg(v)**2 entries, holds the running sums of the
+    target's row reweighted by the (p, q) factors after ``rows[e]``. The
+    layout's uint8 ``codes`` name each entry's factor; they are built once
+    per graph, at its first (p, q) call. ``_edge_table`` fills the whole
+    table once per call, before the first (p, q) step, slab by slab in
+    three passes (factors by code, times the target rows, summed along
+    each row); each such step is then one ``draw_slots`` over the table.
+    The fill pays for every edge, so it saves most when walkers cross
+    each edge often: live walkers x (walk_length - 1) / 2m times on
+    average.
     """
     n = weights.node_count
     if n == 0:
@@ -217,18 +205,16 @@ def generate_walks(weights: TransitionWeights, config: WalkConfig) -> WalkCorpus
     paths[:, 0] = roots
     live = np.flatnonzero(np.diff(indptr)[roots] > 0)
 
-    cum = cumsum_by_row(weights.probs, indptr)  # first-order running sums
-    slots = draw_slots(cum, indptr, roots[live], rng.random(len(live)))
+    deg, layout = np.diff(indptr), weights.graph.walk_layout
+    cum, span, cur = _row_sums(weights), None, roots[live]
+    slots = indptr[cur] + draw_slots(cum, layout.row_at[cur], deg[cur], rng.random(len(live)))
     paths[live, 1] = indices[slots]
-    second_order = (p != 1.0 or q != 1.0) and length > 1
-    if second_order:
-        table, start = _edge_table(weights, p, q)
+    if (p != 1.0 or q != 1.0) and length > 1:
+        cum, span = _edge_table(weights, p, q), layout.span
     for step in range(1, length):
         edge, cur, u = slots, indices[slots], rng.random(len(live))
-        if second_order:
-            slots = indptr[cur] + draw_slots(table, start, edge, u) - start[edge]
-        else:
-            slots = draw_slots(cum, indptr, cur, u)
+        starts = layout.row_at[cur] if span is None else span[edge]
+        slots = indptr[cur] + draw_slots(cum, starts, deg[cur], u)
         paths[live, step + 1] = indices[slots]
     return WalkCorpus(paths)
 

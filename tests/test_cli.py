@@ -186,6 +186,30 @@ def _write_mixed_id_graph(tmp_path):
     return dict(edges_path=str(tmp_path / "g.edges"), attrs_path=str(tmp_path / "g.attrs"))
 
 
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_parse_independently(self, tmp_path, monkeypatch):
+        # the shared parser gives each call what a parser of its own would
+        parser, parsed = cli.build_parser(), []
+        parse = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda argv: parsed.append(parse(argv)) or parsed[-1])
+        gen = ["gen-sbm", "--block-sizes", "6,6", "--p-intra", "0.5", "--p-inter", "0.1",
+               "--out-edges", str(tmp_path / "g.edges"), "--out-attrs", str(tmp_path / "g.attrs")]
+        calls = [
+            gen + ["--seed", "4", "--control-classes", "2", "--summary", str(tmp_path / "s.json")],
+            ["summarize", "--table", str(tmp_path / "missing.csv"), "--buckets", "5"],
+            gen,
+        ]
+        assert [main(argv) for argv in calls] == [0, 1, 0]
+        fresh = [vars(cli.build_parser.__wrapped__().parse_args(argv)) for argv in calls]
+        assert [vars(args) for args in parsed] == fresh
+        assert (fresh[0]["seed"], fresh[0]["sbm_control_classes"]) == (4, 2)
+        assert (fresh[2]["seed"], fresh[2]["sbm_control_classes"], fresh[2]["summary"]) == (None,) * 3
+        assert fresh[1]["buckets"] == 5 and "seed" not in fresh[1]
+
+
 class TestStageChain:
     @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
     def test_chain_reproduces_run(self, tmp_path, case):
@@ -297,6 +321,21 @@ class TestWarnings:
         ]) == 1
         out, err = capsys.readouterr()
         assert err == "error: row 2 of the vectors is not finite\n"
+        assert not (tmp_path / "report.json").exists()
+
+    def test_eval_rejects_embeddings_whose_squared_norm_overflows(self, tmp_path, capsys):
+        self.eval_inputs(tmp_path)
+        lines = (tmp_path / "emb.txt").read_text().splitlines()
+        token, *values = lines[3].split()
+        lines[3] = " ".join([token, *(repr(float(v) * 1e160) for v in values)])
+        (tmp_path / "emb.txt").write_text("\n".join(lines) + "\n")
+        assert main([
+            "eval", "--embeddings", str(tmp_path / "emb.txt"), "--attrs",
+            str(tmp_path / "g.attrs"), "--sensitive", "block", "--folds", "2",
+            "--knn-k", "3", "--out", str(tmp_path / "report.json"),
+        ]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: row 2 of the vectors has a squared norm that overflows\n"
         assert not (tmp_path / "report.json").exists()
 
     def test_run_prints_report_warnings_to_stderr(self, tmp_path, capsys, monkeypatch):

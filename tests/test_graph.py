@@ -15,7 +15,6 @@ from fairwalks.graph import (
     bin_age,
     bin_age_attribute,
     component_labels,
-    cumsum_by_row,
     draw_slots,
     generate_sbm,
     load_graph,
@@ -23,6 +22,7 @@ from fairwalks.graph import (
     save_graph,
     select_subgraph,
 )
+from fairwalks.walks import TransitionWeights, _row_sums
 
 
 def write_dataset(tmp_path, edge_lines, attr_lines, prefix="g"):
@@ -601,31 +601,46 @@ class TestCsrHelpers:
             expected = [find(v) for v in range(n)]
             assert component_labels(n, src, dst).tolist() == expected
 
-    def test_cumsum_by_row_bitwise_per_row(self):
-        rng = np.random.default_rng(5)
-        # hub rows of 3,000+ slots and runs of equal-length rows share one dense block
-        lengths = np.concatenate([rng.integers(0, 300, 40), [3_000, 7, 4_100, 7, 3_000, 0, 7]])
-        lengths = rng.permutation(lengths)
-        indptr = np.concatenate([[0], np.cumsum(lengths)])
-        values = rng.random(indptr[-1]) * 10.0 ** rng.integers(-8, 8, indptr[-1])
-        expected = [np.cumsum(values[a:b]) for a, b in zip(indptr[:-1], indptr[1:])]
-        np.testing.assert_array_equal(cumsum_by_row(values, indptr), np.concatenate(expected))
-        assert cumsum_by_row(np.empty(0), np.zeros(1, dtype=np.int64)).tolist() == []
+    @staticmethod
+    def random_graph(rng, n, m, hubs=()):
+        """m random pairs over nodes len(hubs)..n-2, each hub joined to that
+        many distinct nodes of the same range; node n - 1 is isolated."""
+        u, v = rng.integers(len(hubs), n - 1, m), rng.integers(len(hubs), n - 1, m)
+        for hub, size in enumerate(hubs):
+            leaves = rng.choice(np.arange(len(hubs), n - 1), size, replace=False)
+            u, v = np.concatenate([u, np.full(size, hub)]), np.concatenate([v, leaves])
+        pairs = np.unique(np.sort(np.stack([u, v], axis=1)[u != v], axis=1), axis=0)
+        return AttributedGraph(n, pairs, np.ones(len(pairs)), {}, [str(i) for i in range(n)])
 
-    def test_cumsum_by_row_draws_per_row_searchsorted(self):
+    def test_row_sums_bitwise_per_row(self):
+        rng = np.random.default_rng(5)
+        # hub rows of 3,000+ slots, and leaf rows of one length share one dense slab
+        g = self.random_graph(rng, 4_300, 600, hubs=(3_000, 4_100, 3_000))
+        values = rng.random(len(g.indices)) * 10.0 ** rng.integers(-8, 8, len(g.indices))
+        cum, layout = _row_sums(TransitionWeights(g, values)), g.walk_layout
+        assert len(cum) == len(values)
+        for v in range(g.node_count):
+            a, b, row = g.indptr[v], g.indptr[v + 1], layout.row_at[v]
+            np.testing.assert_array_equal(cum[row:row + b - a], np.cumsum(values[a:b]))
+        empty = AttributedGraph(3, np.empty((0, 2)), np.empty(0), {}, ["a", "b", "c"])
+        assert _row_sums(TransitionWeights(empty, np.empty(0))).tolist() == []
+
+    def test_row_sums_draw_per_row_searchsorted(self):
         rng = np.random.default_rng(8)
-        lengths = rng.integers(1, 60, 30)
-        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        g = self.random_graph(rng, 31, 200)
+        indptr, deg = g.indptr, np.diff(g.indptr)
         scores = rng.random(indptr[-1]) * rng.choice([0.0, 1e-3, 1.0, 1e3], indptr[-1])
         scores[indptr[3]:indptr[4]] = 0.0  # an all-zero row clamps to its last slot
-        rows = rng.integers(0, 30, 2000)
+        rows = rng.choice(np.flatnonzero(deg), 2000)
         draws = np.concatenate([[0.0, 0.5], rng.random(1998)])
         expected = []
         for row, u in zip(rows, draws):
             a, b = indptr[row], indptr[row + 1]
             cum = np.cumsum(scores[a:b])
             expected.append(a + min(np.searchsorted(cum, u * cum[-1], "right"), b - a - 1))
-        assert draw_slots(cumsum_by_row(scores, indptr), indptr, rows, draws).tolist() == expected
+        cum = _row_sums(TransitionWeights(g, scores))
+        got = indptr[rows] + draw_slots(cum, g.walk_layout.row_at[rows], deg[rows], draws)
+        assert got.tolist() == expected
 
     def test_draw_slots_bisect_like_per_row_searchsorted(self):
         rng = np.random.default_rng(13)
@@ -637,13 +652,14 @@ class TestCsrHelpers:
         edge = [0.0, 1.0 - 2.0**-53]
         rows = np.concatenate([np.repeat(np.arange(len(lengths)), 2), rng.integers(0, 28, 3000)])
         draws = np.concatenate([np.tile(edge, len(lengths)), rng.random(3000)])
-        cum = cumsum_by_row(scores, indptr)
+        cum = np.concatenate([np.cumsum(scores[a:b]) for a, b in zip(indptr[:-1], indptr[1:])])
         expected = []
         for row, u in zip(rows, draws):
             a, b = indptr[row], indptr[row + 1]
             row_cum = np.cumsum(scores[a:b])
             expected.append(a + min(np.searchsorted(row_cum, u * row_cum[-1], "right"), b - a - 1))
-        assert draw_slots(cum, indptr, rows, draws).tolist() == expected
+        got = indptr[rows] + draw_slots(cum, indptr[rows], lengths[rows], draws)
+        assert got.tolist() == expected
 
     def test_csr_rows_match_edges(self, graph_factory):
         g = graph_factory([(0, 1, 2.0), (1, 2, 3.0), (0, 3, 0.5)], n=5)

@@ -225,6 +225,15 @@ class TestBuildPropagationGraph:
         with pytest.raises(ValueError, match="row 17 of the vectors is not finite"):
             build_propagation_graph(vectors, k=3)
 
+    def test_overflowing_squared_norm_rejected(self):
+        # finite values whose squared norm overflows would make sigma inf and weights NaN
+        vectors = np.random.default_rng(0).normal(0, 1, (40, 3))
+        vectors[17] *= 1e160
+        vectors[30, 0] = float("nan")
+        assert np.isfinite(vectors[17]).all()
+        with pytest.raises(ValueError, match="row 17 of the vectors has a squared norm that overflows"):
+            build_propagation_graph(vectors, k=3)
+
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             build_propagation_graph(np.zeros((1, 2)), k=1)

@@ -35,10 +35,14 @@ def test_measure_peak_rss_reports_memory_and_stages():
     out = json.loads(result.stdout)
     assert 0 < out["nodes"] <= 120 and out["edges"] > 0
     assert out["ru_maxrss_mb"] >= out["ru_maxrss_import_mb"] > 0
-    assert set(out["stage_s"]) == {
+    assert set(out["stage_s"]) == set(out["stage_peak_mb"]) == {
         "dataset", "closeness", "reweight", "walks", "train", "knn_graph", "propagate",
         "evaluate",
     }
+    # live traced bytes: each stage's peak is within the run's, a nested stage's within its caller's
+    peaks = out["stage_peak_mb"]
+    assert 0 < max(peaks.values()) <= out["tracemalloc_peak_mb"] < out["ru_maxrss_mb"]
+    assert max(peaks["knn_graph"], peaks["propagate"]) <= peaks["evaluate"]
 
 
 def test_measure_peak_rss_takes_p_and_q():

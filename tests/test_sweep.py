@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import fairwalks.graph as graph_mod
 import fairwalks.pipeline as pl
 from fairwalks import crosswalk
 from fairwalks.evaluation import EvaluationReport
@@ -383,6 +384,32 @@ class TestSharedDataset:
         assert all(r["error"].startswith("stage 'dataset' failed: ") for r in rows)
         with open(csv_path) as f:
             assert f.read() == self.separate_rows(plans)
+
+
+class TestEdgeCodes:
+    """The (p, q) edge codes live on the graph, so a sweep builds them once."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        original = graph_mod._edge_codes
+        monkeypatch.setattr(graph_mod, "_edge_codes", lambda *a: built.append(1) or original(*a))
+        return built
+
+    def test_twelve_runs_build_the_codes_once(self, tmp_path, built):
+        spec = SweepSpec(alphas=[0.25, 0.75], betas=[2], ps=[0.5, 1], qs=[1, 2])
+        csv_path, plans, executed = run_sweep(spec, base_config(), tmp_path)
+        assert executed == len(plans) == 12
+        assert sum((cfg.p, cfg.q) != (1, 1) for cfg in plans) == 9
+        assert [r["status"] for r in read_sweep_table(csv_path)] == ["ok"] * 12
+        assert built == [1]
+
+    @pytest.mark.parametrize("crosswalk", [{}, dict(intervention="crosswalk", alpha=0.5, beta=2.0)],
+                             ids=["baseline", "crosswalk"])
+    def test_a_first_order_run_builds_no_codes(self, crosswalk, built):
+        result = pl.execute(base_config(**crosswalk))
+        assert built == []
+        assert "codes" not in vars(result.dataset.graph.walk_layout)
 
 
 class TestCsvQuoting:

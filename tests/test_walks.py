@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairwalks import walks
+from fairwalks import graph as graph_mod
 from fairwalks.graph import draw_slots, generate_sbm
 from fairwalks.seeds import rng_for
 from fairwalks.walks import (
@@ -78,6 +78,80 @@ REFERENCE_GRAPHS = {
         [(0, v, 1.0 + v % 7) for v in range(1, 41)] + [(v, v + 1, 0.5) for v in range(1, 40)]
     ),
 }
+
+
+def assert_edge_rows_bitwise(tw, p, q):
+    """Every directed edge's row of the (p, q) table is ``np.cumsum`` of its
+    target's probabilities times the node2vec factors after its source, bit
+    for bit, and the rows tile the table with no gap or overlap."""
+    table, layout = _edge_table(tw, p, q), tw.graph.walk_layout
+    span, lengths = layout.span, np.diff(tw.indptr)[tw.indices]
+    order = np.argsort(span, kind="stable")
+    starts = [0] + (span[order] + lengths[order]).tolist()  # each row starts where one ends
+    assert span[order].tolist() == starts[:-1]
+    assert len(table) == layout.size == starts[-1] == lengths.sum()
+    for e, (prev, cur) in enumerate(zip(tw.graph.rows.tolist(), tw.indices.tolist())):
+        nbrs, probs = tw.out_distribution(cur)
+        near = np.isin(nbrs, tw.graph.neighbors(prev))
+        factor = np.where(nbrs == prev, 1.0 / p, np.where(near, 1.0, 1.0 / q))
+        assert table[span[e]:span[e] + len(nbrs)].tolist() == np.cumsum(probs * factor).tolist()
+
+
+@st.composite
+def walk_graphs(draw):
+    """Random weighted graphs: random pairs, a star with a few extra edges,
+    or disjoint k-cliques (every node of degree k - 1), plus isolated nodes."""
+    kind = draw(st.sampled_from(["random", "hub", "cliques"]))
+    n = draw(st.integers(2, 24))
+    node = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(node, node), max_size=60 if kind == "random" else 8))
+    if kind == "hub":
+        extra += [(0, v) for v in range(1, n)]
+    elif kind == "cliques":
+        k = draw(st.integers(2, 5))
+        extra = [(a + i, a + j) for a in range(0, n - k + 1, k) for i in range(k) for j in range(i)]
+    pairs = sorted({(min(u, v), max(u, v)) for u, v in extra if u != v})
+    weights = draw(st.lists(st.floats(0.01, 100.0), min_size=len(pairs), max_size=len(pairs)))
+    isolated = draw(st.integers(0, 3))
+    return make_graph([(u, v, w) for (u, v), w in zip(pairs, weights)], n=n + isolated)
+
+
+class TestWalkLayout:
+    @given(graph=walk_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_edge_rows_bitwise(self, graph):
+        tw = TransitionWeights.from_graph(graph)
+        for p, q in [(0.5, 2.0), (4.0, 0.25), (1.0, 2.0)]:
+            assert_edge_rows_bitwise(tw, p, q)
+
+    @given(graph=walk_graphs())
+    @settings(max_examples=30, deadline=None)
+    def test_slabs_hold_the_nodes_by_degree(self, graph):
+        layout, deg = graph.walk_layout, np.diff(graph.indptr)
+        covered = []
+        for d, count, row, cell in layout.slabs:
+            nodes = np.flatnonzero(deg == d)
+            assert len(nodes) == count
+            assert layout.row_at[nodes].tolist() == list(range(row, row + count * d, d))
+            assert layout.cell_at[nodes].tolist() == list(range(cell, cell + count * d * d, d * d))
+            covered += nodes.tolist()
+        assert sorted(covered) == np.flatnonzero(deg).tolist()
+        assert sorted(layout.slots.tolist()) == list(range(len(graph.indices)))
+        for v in covered:
+            row = layout.row_at[v]
+            assert layout.slots[row:row + deg[v]].tolist() == list(range(*graph.indptr[v:v + 2]))
+
+    def test_codes_are_built_once_and_only_for_second_order(self, monkeypatch):
+        built = []
+        original = graph_mod._edge_codes
+        monkeypatch.setattr(graph_mod, "_edge_codes", lambda *a: built.append(1) or original(*a))
+        tw = TransitionWeights.from_graph(REFERENCE_GRAPHS["hub"]())
+        generate_walks(tw, WalkConfig(walks_per_node=2, walk_length=6, seed=1))
+        generate_walks(tw, WalkConfig(p=0.5, q=2.0, walks_per_node=2, walk_length=1, seed=1))
+        assert built == [] and "codes" not in vars(tw.graph.walk_layout)
+        generate_walks(tw, WalkConfig(p=0.5, q=2.0, walks_per_node=2, walk_length=6, seed=1))
+        generate_walks(tw, WalkConfig(p=4.0, q=0.25, walks_per_node=2, walk_length=6, seed=1))
+        assert built == [1]
 
 
 class TestTransitionWeights:
@@ -228,12 +302,12 @@ class TestGenerateWalks:
         tw = weights_for([(0, 1), (1, 2), (1, 3), (0, 2)])
         p, q = 0.5, 2.0
         nbrs, probs = transition_distribution(tw, prev=0, cur=1, p=p, q=q)
-        table, start = _edge_table(tw, p, q)
+        table, span = _edge_table(tw, p, q), tw.graph.walk_layout.span
         edge = tw.indptr[0] + tw.graph.neighbors(0).tolist().index(1)  # the slot of 0 -> 1
         n_walkers = 100_000
-        edges = np.full(n_walkers, edge)
+        starts, lengths = np.full(n_walkers, span[edge]), np.full(n_walkers, tw.graph.degree(1))
         draws = np.random.default_rng(17).random(n_walkers)
-        slots = tw.indptr[1] + draw_slots(table, start, edges, draws) - start[edges]
+        slots = tw.indptr[1] + draw_slots(table, starts, lengths, draws)
         freq = np.bincount(tw.indices[slots], minlength=tw.node_count)[nbrs] / n_walkers
         tv = 0.5 * np.abs(freq - probs).sum()
         assert tv <= 0.01
@@ -241,40 +315,36 @@ class TestGenerateWalks:
     @pytest.mark.parametrize("graph", ["hub", "sbm_three_blocks"])
     @pytest.mark.parametrize("p, q", [(0.5, 2.0), (4.0, 0.25)])
     def test_edge_table_spans_bitwise(self, graph, p, q):
-        # every edge's span is the running sums of its target's row times the
+        # every edge's row is the running sums of its target's row times the
         # node2vec factors after its source, summed in row order
         tw = TransitionWeights.from_graph(REFERENCE_GRAPHS[graph]())
-        table, start = _edge_table(tw, p, q)
-        deg = np.diff(tw.indptr)
-        assert start.tolist() == [0] + np.cumsum(deg[tw.indices]).tolist()
-        for e, (prev, cur) in enumerate(zip(tw.graph.rows.tolist(), tw.indices.tolist())):
-            nbrs, probs = tw.out_distribution(cur)
-            near = np.isin(nbrs, tw.graph.neighbors(prev))
-            factor = np.where(nbrs == prev, 1.0 / p, np.where(near, 1.0, 1.0 / q))
-            expected = np.cumsum(probs * factor)
-            assert table[start[e]:start[e + 1]].tolist() == expected.tolist()
+        assert_edge_rows_bitwise(tw, p, q)
 
     @pytest.mark.parametrize("graph", ["hub", "sbm_three_blocks"])
     @pytest.mark.parametrize("block_slots", [1, 41])
     def test_small_fill_blocks_match(self, graph, block_slots, monkeypatch):
-        # 1 fills every edge alone; 41 packs leaf spans and fills each hub span alone
-        tw = TransitionWeights.from_graph(REFERENCE_GRAPHS[graph]())
+        # 1 builds the codes edge by edge and fills the table row by row; 41
+        # packs leaf rows and cuts the hub's 40 x 40 block into single rows
         config = WalkConfig(p=0.5, q=2.0, walks_per_node=3, walk_length=15, seed=11)
-        expected = generate_walks(tw, config).walks
-        monkeypatch.setattr(walks, "FILL_BLOCK_SLOTS", block_slots)
+        tw = TransitionWeights.from_graph(REFERENCE_GRAPHS[graph]())
+        expected, expected_table = generate_walks(tw, config).walks, _edge_table(tw, 0.5, 2.0)
+        monkeypatch.setattr(graph_mod, "FILL_BLOCK_SLOTS", block_slots)
+        tw = TransitionWeights.from_graph(REFERENCE_GRAPHS[graph]())  # a fresh layout
         assert generate_walks(tw, config).walks == expected
+        assert _edge_table(tw, 0.5, 2.0).tolist() == expected_table.tolist()
 
     @pytest.mark.parametrize("graph", ["hub", "sbm_three_blocks"])
     @pytest.mark.parametrize("mark_rows", [1, 2])
     def test_few_mark_rows_match(self, graph, mark_rows, monkeypatch):
         # a block holds at most mark_rows previous nodes, so it ends at every
         # (or every other) change of source
-        tw = TransitionWeights.from_graph(REFERENCE_GRAPHS[graph]())
         config = WalkConfig(p=0.5, q=2.0, walks_per_node=3, walk_length=15, seed=11)
-        expected, expected_table = generate_walks(tw, config).walks, _edge_table(tw, 0.5, 2.0)[0]
-        monkeypatch.setattr(walks, "MARK_CELLS", mark_rows * tw.node_count)
+        tw = TransitionWeights.from_graph(REFERENCE_GRAPHS[graph]())
+        expected, expected_table = generate_walks(tw, config).walks, _edge_table(tw, 0.5, 2.0)
+        monkeypatch.setattr(graph_mod, "MARK_CELLS", mark_rows * tw.node_count)
+        tw = TransitionWeights.from_graph(REFERENCE_GRAPHS[graph]())  # a fresh layout
         assert generate_walks(tw, config).walks == expected
-        assert _edge_table(tw, 0.5, 2.0)[0].tolist() == expected_table.tolist()
+        assert _edge_table(tw, 0.5, 2.0).tolist() == expected_table.tolist()
 
 
 class TestPaddedCorpus:
