@@ -213,9 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="grid of runs with a resumable CSV table")
     sweep.add_argument("--config", required=True, help="base config JSON")
-    sweep.add_argument("--grid", help="grid definition JSON")
-    sweep.add_argument("--reference-grid", action="store_true",
-                       help="use the full reference grid (875 + 25 runs)")
+    grid = sweep.add_mutually_exclusive_group()
+    grid.add_argument("--grid", help="grid definition JSON")
+    grid.add_argument("--reference-grid", action="store_true",
+                      help="use the full reference grid (875 + 25 runs)")
     sweep.add_argument("--out-dir", required=True)
     sweep.add_argument("--dry-run", action="store_true",
                        help="list the expansion without executing")

@@ -53,8 +53,11 @@ def estimate_closeness(
     return values
 
 
-def check_beta(beta):
-    """Raise unless beta is finite and >= 0: a NaN passes ``< 0``."""
+def check_bias(alpha, beta):
+    """Raise unless 0 < alpha < 1 and beta is finite and >= 0: a NaN
+    passes ``< 0``."""
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie strictly between 0 and 1")
     if not (np.isfinite(beta) and beta >= 0):
         raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
 
@@ -79,9 +82,7 @@ def reweight(
     the foreign groups equally. Every share is one (node, neighbor group)
     segment of the CSR slots, summed by ``np.bincount``.
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    check_beta(beta)
+    check_bias(alpha, beta)
     n, c = graph.node_count, partition.num_groups
     closeness = np.asarray(closeness, dtype=np.float64)
     if closeness.shape != (n,) or not np.all((closeness >= 0) & (closeness <= 1)):

@@ -379,12 +379,10 @@ def train(
     return EmbeddingMatrix(trainer.w_in, trainer.w_out, meta)
 
 
-def save_embeddings(vectors, path, tokens=None):
+def save_embeddings(vectors, path, tokens):
     """Text matrix of the (n, dim) ``vectors``: header ``n dim``, then
-    ``token v1 ... v_dim`` rows."""
+    ``token v1 ... v_dim`` rows, one token per row."""
     n, dim = vectors.shape
-    if tokens is None:
-        tokens = [str(i) for i in range(n)]
     with atomic_writer(path) as f:
         f.write(f"{n} {dim}\n")
         for tok, row in zip(tokens, vectors.tolist()):

@@ -182,18 +182,6 @@ def _labeled_mask(members, base, n: int, rng) -> np.ndarray:
     return mask
 
 
-def stratified_split(partition: GroupPartition, labeled_fraction: float, rng):
-    """Random labeled/unlabeled node split, stratified by group.
-
-    The labeled set has exactly ceil(n * fraction) nodes; per-group quotas
-    follow largest-remainder rounding, clamped so every group keeps at
-    least one node on each side. Groups smaller than 2 cannot be split.
-    """
-    members, base = _split_quotas(partition, labeled_fraction)
-    mask = _labeled_mask(members, base, len(partition.group_of), rng)
-    return np.flatnonzero(mask), np.flatnonzero(~mask)
-
-
 @dataclass
 class EvaluationReport:
     """Cross-validated group scores plus the three aggregate metrics."""

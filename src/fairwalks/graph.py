@@ -122,10 +122,6 @@ class AttributedGraph:
         """Neighbor IDs of v, sorted ascending."""
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def neighbor_weights(self, v: int) -> np.ndarray:
-        """Weights aligned with ``neighbors(v)``."""
-        return self.weights[self.indptr[v]:self.indptr[v + 1]]
-
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
 
@@ -482,15 +478,12 @@ class WalkLayout:
         first cell, the position of its first node's row in ``slots``, and
         its shape (nodes, rows, D)."""
         for d, count, row, cell in self.slabs:
-            per = FILL_BLOCK_SLOTS // (d * d)
-            if per:
-                for a in range(0, count, per):
-                    yield cell + a * d * d, row + a * d, (min(per, count - a), d, d)
-                continue
-            rows = max(1, FILL_BLOCK_SLOTS // d)
-            for v in range(count):
+            per = max(1, FILL_BLOCK_SLOTS // (d * d))
+            rows = d if d * d <= FILL_BLOCK_SLOTS else max(1, FILL_BLOCK_SLOTS // d)
+            for v in range(0, count, per):
                 for a in range(0, d, rows):
-                    yield cell + (v * d + a) * d, row + v * d, (1, min(rows, d - a), d)
+                    shape = (min(per, count - v), min(rows, d - a), d)
+                    yield cell + (v * d + a) * d, row + v * d, shape
 
 
 def _edge_codes(csr, span, size) -> np.ndarray:
@@ -626,17 +619,18 @@ def generate_sbm(
     *,
     seed: int,
     control: ControlAttributeSpec = None,
-    block_attribute: str = "block",
 ):
     """Sample a stochastic block model with planted attributes.
 
-    The block index becomes a categorical attribute (the location-like
-    grouping). Isolated nodes are removed and counted in the summary.
-    Pairs are drawn in row blocks of about ``SBM_BLOCK_CELLS`` entries (one
-    row when n is larger), never as one n x n array. Returns (graph,
-    summary dict).
+    The block index becomes the categorical attribute ``block`` (the
+    location-like grouping). Isolated nodes are removed and counted in the
+    summary. Pairs are drawn in row blocks of about ``SBM_BLOCK_CELLS``
+    entries (one row when n is larger), never as one n x n array. Returns
+    (graph, summary dict).
     """
     block_sizes = [int(s) for s in block_sizes]
+    if not block_sizes:
+        raise ValueError("an SBM needs at least one block")
     if any(s < 1 for s in block_sizes):
         raise ValueError("block sizes must be >= 1")
     if not 0 <= p_inter <= p_intra <= 1:
@@ -646,7 +640,7 @@ def generate_sbm(
     block = np.repeat(np.arange(k), block_sizes)
     rng = np.random.default_rng(seed)
 
-    attributes = {block_attribute: [f"block{b}" for b in block]}
+    attributes = {"block": [f"block{b}" for b in block]}
     if control is not None:
         if control.classes < 2:
             raise ValueError("control attribute needs >= 2 classes")

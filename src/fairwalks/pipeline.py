@@ -183,9 +183,7 @@ class ExperimentConfig:
         else:
             if self.alpha is None or self.beta is None:
                 raise ValueError("crosswalk runs require alpha and beta")
-            if not 0 < self.alpha < 1:
-                raise ValueError("alpha must lie strictly between 0 and 1")
-            crosswalk.check_beta(self.beta)
+            crosswalk.check_bias(self.alpha, self.beta)
         if self.control_attribute == self.sensitive_attribute:
             raise ValueError("sensitive and control attribute must differ")
         walks.WalkConfig(self.p, self.q, self.walks_per_node, self.walk_length)

@@ -44,10 +44,8 @@ class AliasTable:
         self.alias = alias
         self.n = k
 
-    def draw(self, rng: np.random.Generator, size=None):
-        """Sample indices; scalar when size is None, else ndarray."""
+    def draw(self, rng: np.random.Generator, size):
+        """An ndarray of ``size`` sampled indices."""
         idx = rng.integers(0, self.n, size=size)
         toss = rng.random(size=size)
-        if size is None:
-            return int(idx) if toss < self.accept[idx] else int(self.alias[idx])
         return np.where(toss < self.accept[idx], idx, self.alias[idx])

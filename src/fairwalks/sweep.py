@@ -71,6 +71,9 @@ class SweepSpec:
         if self.alphas or self.betas:
             alphas = self.alphas or [base.alpha]
             betas = self.betas or [base.beta]
+            for name, values in (("alphas", alphas), ("betas", betas)):
+                if None in values:
+                    raise ValueError(f"the grid lists no {name}, nor does the base config")
             if self.cartesian:
                 pairs = list(product(alphas, betas))
             else:
@@ -125,7 +128,9 @@ def run_sweep(
     A run's evaluation warnings go to stderr as ``warning: <run_id>:
     <text>``; the table has no column for them. Runs are serial whatever
     ``workers`` is: the sweep's work holds the interpreter lock, and
-    threads measured slower than one worker.
+    threads measured slower than one worker. ``workers`` stays only
+    because ``perfbench/workloads.py`` passes it; ROADMAP item 3 decides
+    its fate.
 
     The runs differ only in ``SWEPT_FIELDS``, so the default runner builds
     one ``Dataset`` (which estimates the boundary closeness once) at the

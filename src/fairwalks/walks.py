@@ -52,16 +52,11 @@ class WalkCorpus:
     @property
     def walks(self) -> list:
         """Each walk as a list of node IDs, padding trimmed."""
-        return list(_trimmed(self.paths))
-
-
-def _trimmed(paths):
-    """Yield the rows of ``paths`` one at a time as lists without ``PAD``."""
-    for row in paths:
-        walk = row.tolist()
-        if walk[-1] == PAD:
-            del walk[walk.index(PAD):]
-        yield walk
+        walks = self.paths.tolist()
+        for walk in walks:
+            if walk[-1] == PAD:
+                del walk[walk.index(PAD):]
+        return walks
 
 
 def pad_walks(walks) -> np.ndarray:
@@ -92,22 +87,11 @@ class TransitionWeights:
         totals = np.bincount(graph.rows, weights=graph.weights, minlength=graph.node_count)
         return cls(graph, graph.weights / totals[graph.rows])
 
-    @property
-    def indptr(self) -> np.ndarray:
-        return self.graph.indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self.graph.indices
-
-    @property
-    def node_count(self) -> int:
-        return self.graph.node_count
-
     def out_distribution(self, v: int):
         """(neighbor IDs, probabilities) of node v's outgoing row."""
-        row = slice(self.indptr[v], self.indptr[v + 1])
-        return self.indices[row], self.probs[row]
+        g = self.graph
+        row = slice(g.indptr[v], g.indptr[v + 1])
+        return g.indices[row], self.probs[row]
 
 
 def transition_distribution(weights: TransitionWeights, prev, cur: int, p: float, q: float):
@@ -194,18 +178,19 @@ def generate_walks(weights: TransitionWeights, config: WalkConfig) -> WalkCorpus
     each edge often: live walkers x (walk_length - 1) / 2m times on
     average.
     """
-    n = weights.node_count
+    graph = weights.graph
+    n = graph.node_count
     if n == 0:
         raise ValueError("empty graph")
     length, p, q = config.walk_length, config.p, config.q
     rng = rng_for(config.seed, "walks")
     roots = np.concatenate([rng.permutation(n) for _ in range(config.walks_per_node)])
-    indptr, indices = weights.indptr, weights.indices
+    indptr, indices = graph.indptr, graph.indices
     paths = np.full((len(roots), length + 1), PAD, dtype=np.int64)
     paths[:, 0] = roots
     live = np.flatnonzero(np.diff(indptr)[roots] > 0)
 
-    deg, layout = np.diff(indptr), weights.graph.walk_layout
+    deg, layout = np.diff(indptr), graph.walk_layout
     cum, span, cur = _row_sums(weights), None, roots[live]
     slots = indptr[cur] + draw_slots(cum, layout.row_at[cur], deg[cur], rng.random(len(live)))
     paths[live, 1] = indices[slots]

@@ -485,6 +485,34 @@ class TestSweepVerb:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "medium_awareness" in err
 
+    def test_grid_without_betas_over_a_baseline_base_is_an_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "sbm_block_sizes": [5, 5], "sbm_p_intra": 0.5, "sbm_p_inter": 0.1,
+        }))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"alphas": [0.5]}))
+        assert main([
+            "sweep", "--config", str(config), "--grid", str(grid),
+            "--out-dir", str(tmp_path / "sweep"), "--dry-run",
+        ]) == 1
+        _assert_one_error_line(capsys, "betas")
+
+    def test_grid_and_reference_grid_exclude_each_other(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "sbm_block_sizes": [5, 5], "sbm_p_intra": 0.5, "sbm_p_inter": 0.1,
+        }))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"ps": [1.0, 2.0], "include_baseline": False}))
+        monkeypatch.setattr(cli, "run_sweep", lambda *args: pytest.fail("the sweep ran"))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--config", str(config), "--grid", str(grid), "--reference-grid",
+                  "--out-dir", str(tmp_path / "sweep")])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage:") and "not allowed with argument" in err
+
     def test_sweep_and_summarize(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({

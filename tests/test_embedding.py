@@ -656,7 +656,7 @@ class TestEmbeddingIO:
     def test_bytes_match_per_element_formatter(self, tmp_path):
         vectors = np.array([[-0.0, 1e-300, 3.0], [2.0, -5e-324, 0.1], [1e16, -7.0, 2.5e-8]])
         path = tmp_path / "emb.txt"
-        save_embeddings(vectors, path)
+        save_embeddings(vectors, path, [str(i) for i in range(len(vectors))])
         want = "3 3\n" + "".join(
             f"{i} " + " ".join(repr(float(x)) for x in row) + "\n" for i, row in enumerate(vectors)
         )

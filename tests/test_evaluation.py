@@ -12,11 +12,18 @@ from fairwalks.evaluation import (
     per_group_f1,
     per_group_macro_f1,
     performance,
-    stratified_split,
 )
 from fairwalks.graph import GroupPartition, generate_sbm, partition_by
 from fairwalks.propagation import build_propagation_graph, predict, propagate
 from fairwalks.seeds import rng_for
+
+
+def labeled_split(partition, labeled_fraction, rng):
+    """(labeled, unlabeled) node IDs of one split, drawn by the quotas and
+    mask that ``cross_validate`` draws each fold's split with."""
+    members, base = evaluation._split_quotas(partition, labeled_fraction)
+    mask = evaluation._labeled_mask(members, base, len(partition.group_of), rng)
+    return np.flatnonzero(mask), np.flatnonzero(~mask)
 
 
 def partition(groups, attribute="loc", labels=None):
@@ -219,7 +226,7 @@ class TestMetrics:
 class TestStratifiedSplit:
     def test_exact_half_and_stratified(self):
         p = partition([0] * 7 + [1] * 6 + [2] * 4)
-        labeled, unlabeled = stratified_split(p, 0.5, rng_for(1, "s"))
+        labeled, unlabeled = labeled_split(p, 0.5, rng_for(1, "s"))
         assert len(labeled) == int(np.ceil(17 / 2))
         assert len(labeled) + len(unlabeled) == 17
         for g in range(3):
@@ -230,7 +237,7 @@ class TestStratifiedSplit:
     def test_tiny_group_rejected(self):
         p = partition([0, 0, 0, 1])
         with pytest.raises(ValueError, match="g1"):
-            stratified_split(p, 0.5, rng_for(0, "s"))
+            labeled_split(p, 0.5, rng_for(0, "s"))
 
     @given(st.integers(0, 2**16))
     @settings(max_examples=25)
@@ -239,7 +246,7 @@ class TestStratifiedSplit:
         sizes = rng.integers(2, 9, size=rng.integers(2, 5))
         groups = np.repeat(np.arange(len(sizes)), sizes)
         p = partition(groups)
-        labeled, unlabeled = stratified_split(p, 0.5, rng_for(seed, "s"))
+        labeled, unlabeled = labeled_split(p, 0.5, rng_for(seed, "s"))
         assert len(labeled) == int(np.ceil(len(groups) / 2))
         assert sorted(labeled.tolist() + unlabeled.tolist()) == list(range(len(groups)))
 
@@ -372,7 +379,7 @@ def reference_cross_validate(vectors, sensitive, control, folds, k, seed, labele
     qstar_folds = np.zeros((folds, sensitive.num_groups if control is not None else 0))
     warnings = []
     for f in range(folds):
-        labeled, unlabeled = stratified_split(sensitive, labeled_fraction, rng_for(seed, "fold", f))
+        labeled, unlabeled = labeled_split(sensitive, labeled_fraction, rng_for(seed, "fold", f))
         seed_labels = np.full((len(attributes), n), -1, dtype=np.int64)
         for row, attribute in zip(seed_labels, attributes):
             row[labeled] = attribute.group_of[labeled]

@@ -487,6 +487,10 @@ class TestGenerateSbm:
         with pytest.raises(ValueError):
             generate_sbm([5], 0.2, 0.5, seed=1)
 
+    def test_no_blocks_rejected(self):
+        with pytest.raises(ValueError, match="at least one block"):
+            generate_sbm([], 0.5, 0.1, seed=1)
+
 
 def reference_sbm(block_sizes, p_intra, p_inter, seed, control=None):
     """The single (n, n) draw that ``generate_sbm`` replaced by row blocks."""

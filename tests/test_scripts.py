@@ -89,3 +89,31 @@ def test_time_sweep_builds_the_dataset_once():
     assert set(out["stage_median_s"]) == {
         "dataset", "closeness", "reweight", "walks", "train", "evaluate",
     }
+
+
+# runs hash_outputs.py's workloads at toy size into two roots and prints both
+# digest lists; a subprocess, since the script sets BLAS variables and
+# sys.path when it loads
+HASH_TWICE = """
+import contextlib, io, json, runpy, sys
+from pathlib import Path
+script = runpy.run_path(sys.argv[1])
+passes = []
+for root in map(Path, sys.argv[2:]):
+    for name, cls in script["WORKLOADS"].items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            script["run_workload"](cls(1, toy=True), root / name)
+    passes.append(script["digests"](root))
+print(json.dumps(passes))
+"""
+
+
+def test_hash_outputs_gives_the_same_digests_twice(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", HASH_TWICE, str(ROOT / "scripts" / "hash_outputs.py"),
+         str(tmp_path / "first"), str(tmp_path / "second")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    first, second = json.loads(result.stdout)
+    assert first and first == second

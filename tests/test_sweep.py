@@ -126,6 +126,17 @@ class TestExpand:
                          include_baseline=False, cap=2)
         assert len(spec.expand(base_config())) == 2
 
+    @pytest.mark.parametrize("grid, missing", [({"alphas": [0.5]}, "betas"),
+                                               ({"betas": [2.0]}, "alphas")])
+    def test_a_half_grid_over_a_baseline_base_names_the_missing_list(self, grid, missing):
+        with pytest.raises(ValueError, match=f"lists no {missing}"):
+            SweepSpec(**grid).expand(base_config())
+
+    def test_a_half_grid_takes_the_other_value_from_the_base(self):
+        base = base_config(intervention="crosswalk", alpha=0.25, beta=3.0)
+        plans = SweepSpec(alphas=[0.5, 0.75], include_baseline=False).expand(base)
+        assert [(c.alpha, c.beta) for c in plans] == [(0.5, 3.0), (0.75, 3.0)]
+
     def test_unknown_preset_names_the_choices(self):
         spec = SweepSpec(presets=["medium_awareness"])
         with pytest.raises(ValueError, match=r"'medium_awareness'.*high_awareness.*low_awareness"):

@@ -32,8 +32,8 @@ def reference_walk(weights, root, length, p, q, draws):
     cur = root
     for step in range(length):
         if prev is None or (p == 1.0 and q == 1.0):
-            row = slice(weights.indptr[cur], weights.indptr[cur + 1])
-            nbrs, cum = weights.indices[row], np.cumsum(weights.probs[row])
+            row = slice(weights.graph.indptr[cur], weights.graph.indptr[cur + 1])
+            nbrs, cum = weights.graph.indices[row], np.cumsum(weights.probs[row])
         else:
             nbrs, probs = transition_distribution(weights, prev, cur, p, q)
             cum = np.cumsum(probs)
@@ -54,7 +54,7 @@ def reference_walks(weights, config):
     rng = rng_for(config.seed, "walks")
     roots = []
     for _ in range(config.walks_per_node):
-        roots += rng.permutation(weights.node_count).tolist()
+        roots += rng.permutation(weights.graph.node_count).tolist()
     live = [i for i, root in enumerate(roots) if weights.graph.degree(root) > 0]
     draws = {i: [] for i in live}
     for _ in range(config.walk_length):
@@ -85,12 +85,12 @@ def assert_edge_rows_bitwise(tw, p, q):
     target's probabilities times the node2vec factors after its source, bit
     for bit, and the rows tile the table with no gap or overlap."""
     table, layout = _edge_table(tw, p, q), tw.graph.walk_layout
-    span, lengths = layout.span, np.diff(tw.indptr)[tw.indices]
+    span, lengths = layout.span, np.diff(tw.graph.indptr)[tw.graph.indices]
     order = np.argsort(span, kind="stable")
     starts = [0] + (span[order] + lengths[order]).tolist()  # each row starts where one ends
     assert span[order].tolist() == starts[:-1]
     assert len(table) == layout.size == starts[-1] == lengths.sum()
-    for e, (prev, cur) in enumerate(zip(tw.graph.rows.tolist(), tw.indices.tolist())):
+    for e, (prev, cur) in enumerate(zip(tw.graph.rows.tolist(), tw.graph.indices.tolist())):
         nbrs, probs = tw.out_distribution(cur)
         near = np.isin(nbrs, tw.graph.neighbors(prev))
         factor = np.where(nbrs == prev, 1.0 / p, np.where(near, 1.0, 1.0 / q))
@@ -141,6 +141,27 @@ class TestWalkLayout:
             row = layout.row_at[v]
             assert layout.slots[row:row + deg[v]].tolist() == list(range(*graph.indptr[v:v + 2]))
 
+    def test_blocks_tile_the_table(self, monkeypatch):
+        monkeypatch.setattr(graph_mod, "FILL_BLOCK_SLOTS", 16)
+        cliques = [range(0, 4), range(4, 9), range(9, 15)]  # degrees 3, 4 and 5
+        edges = [(u, v) for c in cliques for u in c for v in c if u < v]
+        edges += [(15, v) for v in range(16, 33)]  # a hub of degree 17 and 17 leaves
+        graph = make_graph(edges)
+        layout, deg = graph.walk_layout, np.diff(graph.indptr)
+        end, shapes = 0, set()
+        for cell, row, (count, rows, d) in layout.blocks():
+            assert cell == end  # disjoint, ascending and without gaps
+            end += count * rows * d
+            assert count * rows * d <= 16 or (count, rows) == (1, 1)
+            # the block starts at a row boundary of its first node, whose row it names
+            v = np.flatnonzero((layout.cell_at <= cell) & (cell < layout.cell_at + deg**2))
+            assert deg[v].tolist() == [d] and layout.row_at[v].tolist() == [row]
+            assert (cell - layout.cell_at[v[0]]) % d == 0
+            shapes.add((count, rows, d))
+        assert end == layout.size
+        assert {(16, 1, 1), (1, 1, 1), (1, 3, 3), (1, 4, 4), (1, 3, 5), (1, 2, 5),
+                (1, 1, 17)} == shapes
+
     def test_codes_are_built_once_and_only_for_second_order(self, monkeypatch):
         built = []
         original = graph_mod._edge_codes
@@ -164,7 +185,7 @@ class TestTransitionWeights:
         tw = TransitionWeights.from_graph(g)
         for v in range(g.node_count):
             nbrs, probs = tw.out_distribution(v)
-            w = g.neighbor_weights(v)
+            w = g.weights[g.indptr[v]:g.indptr[v + 1]]
             assert nbrs.tolist() == g.neighbors(v).tolist()
             np.testing.assert_allclose(probs, w / w.sum(), rtol=1e-12)
         assert len(tw.out_distribution(10)[1]) == 0
@@ -173,7 +194,8 @@ class TestTransitionWeights:
         g = make_graph([(0, 1, 3.0), (0, 2, 1.0), (1, 2, 1.0)])
         tw = TransitionWeights.from_graph(g)
         assert tw.alpha is None and tw.beta is None
-        assert tw.node_count == 3 and tw.indptr is g.indptr and tw.indices is g.indices
+        assert tw.graph.node_count == 3
+        assert tw.graph.indptr is g.indptr and tw.graph.indices is g.indices
         nbrs, probs = tw.out_distribution(0)
         assert nbrs.tolist() == [1, 2] and probs.tolist() == [0.75, 0.25]
 
@@ -211,7 +233,7 @@ class TestTransitionDistribution:
     def test_monte_carlo_matches_analytic(self):
         g, _ = generate_sbm([6, 6], 0.8, 0.4, seed=13)
         tw = TransitionWeights.from_graph(g)
-        prev, cur = int(tw.indices[tw.indptr[0]]), 0
+        prev, cur = int(tw.graph.indices[tw.graph.indptr[0]]), 0
         p, q = 0.5, 2.0
         nbrs, probs = transition_distribution(tw, prev, cur, p, q)
         rng = np.random.default_rng(99)
@@ -303,12 +325,12 @@ class TestGenerateWalks:
         p, q = 0.5, 2.0
         nbrs, probs = transition_distribution(tw, prev=0, cur=1, p=p, q=q)
         table, span = _edge_table(tw, p, q), tw.graph.walk_layout.span
-        edge = tw.indptr[0] + tw.graph.neighbors(0).tolist().index(1)  # the slot of 0 -> 1
+        edge = tw.graph.indptr[0] + tw.graph.neighbors(0).tolist().index(1)  # the slot of 0 -> 1
         n_walkers = 100_000
         starts, lengths = np.full(n_walkers, span[edge]), np.full(n_walkers, tw.graph.degree(1))
         draws = np.random.default_rng(17).random(n_walkers)
-        slots = tw.indptr[1] + draw_slots(table, starts, lengths, draws)
-        freq = np.bincount(tw.indices[slots], minlength=tw.node_count)[nbrs] / n_walkers
+        slots = tw.graph.indptr[1] + draw_slots(table, starts, lengths, draws)
+        freq = np.bincount(tw.graph.indices[slots], minlength=tw.graph.node_count)[nbrs] / n_walkers
         tv = 0.5 * np.abs(freq - probs).sum()
         assert tv <= 0.01
 
@@ -341,7 +363,7 @@ class TestGenerateWalks:
         config = WalkConfig(p=0.5, q=2.0, walks_per_node=3, walk_length=15, seed=11)
         tw = TransitionWeights.from_graph(REFERENCE_GRAPHS[graph]())
         expected, expected_table = generate_walks(tw, config).walks, _edge_table(tw, 0.5, 2.0)
-        monkeypatch.setattr(graph_mod, "MARK_CELLS", mark_rows * tw.node_count)
+        monkeypatch.setattr(graph_mod, "MARK_CELLS", mark_rows * tw.graph.node_count)
         tw = TransitionWeights.from_graph(REFERENCE_GRAPHS[graph]())  # a fresh layout
         assert generate_walks(tw, config).walks == expected
         assert _edge_table(tw, 0.5, 2.0).tolist() == expected_table.tolist()
