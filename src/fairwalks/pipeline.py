@@ -9,11 +9,15 @@ its call, seed included, is one function here (``synthesize_sbm``,
 ``execute`` and the CLI stage verbs share. One stage output is cached on
 disk: the embedding, keyed by the graph and every config field outside
 ``EVALUATION_FIELDS``. A cached embedding needs nothing upstream of it,
-so a warm run reads that one file. Walk corpora are not kept. The
-dataset stage is one ``Dataset`` value (the graph and its partitions),
-built by ``prepare_dataset``, which derives the graph key and the boundary
-closeness on first use. Runs that differ from its config only in
-``SWEPT_FIELDS``, as a sweep's do, can share it.
+so a warm ``execute`` reads that one file. ``run_experiment`` keeps the
+embedding's two text artifacts under the same key, ``<key>.emb.v1.txt``
+and ``<key>.pca.v1.csv``: the key fixes every byte of both (the vectors,
+the node ids and the sensitive labels), and a change to either writer's
+bytes bumps the version in its suffix. A warm run copies them. Walk
+corpora are not kept. The dataset stage is one ``Dataset`` value (the
+graph and its partitions), built by ``prepare_dataset``, which derives the
+graph key and the boundary closeness on first use. Runs that differ from
+its config only in ``SWEPT_FIELDS``, as a sweep's do, can share it.
 """
 
 import contextlib
@@ -397,6 +401,7 @@ class PipelineResult:
     report: evaluation.EvaluationReport
     dataset: Dataset
     vectors: np.ndarray
+    key: str  # the embedding's cache key
 
 
 def execute(config: ExperimentConfig, cache_dir=None, dataset: Dataset = None) -> PipelineResult:
@@ -437,7 +442,7 @@ def execute(config: ExperimentConfig, cache_dir=None, dataset: Dataset = None) -
             "embedding_meta": embedding.embedding_meta(**_training_args(config))}
     with _stage("evaluate"):
         report = evaluate(config, vectors, dataset.sensitive, dataset.control, config_echo=echo)
-    return PipelineResult(report, dataset, vectors)
+    return PipelineResult(report, dataset, vectors, key)
 
 
 # one CSV row format for report_row.csv and for sweep tables (results.csv)
@@ -509,24 +514,59 @@ def report_csv_line(config: ExperimentConfig, report, error=None) -> str:
     return _row_line(values)
 
 
+# (out_dir name, cache suffix) of the embedding's text artifacts; the key
+# covers the vectors, ids and sensitive labels that fix their bytes, so a
+# change to either writer's bytes must bump its suffix's version
+TEXT_ENTRIES = (("embeddings.txt", "emb.v1.txt"), ("pca.csv", "pca.v1.csv"))
+
+
+def _copy_file(src, dst):
+    # one read: shutil.copyfileobj's 64 KiB chunks raised acceptance_run's peak RSS
+    with open(src, "rb") as f, atomic_writer(dst, "wb") as out:
+        out.write(f.read())
+
+
 def run_experiment(config: ExperimentConfig, out_dir, cache_dir=None):
     """Execute the pipeline and write the result artifacts.
 
     Writes report.json, report_row.csv, embeddings.txt, and pca.csv under
-    ``out_dir``, each through ``atomic_writer`` once every artifact has been
-    computed. On failure a StageError naming the failed stage propagates,
-    and each file is either as it was before or complete.
+    ``out_dir``, each through ``atomic_writer``. With a cache, the last two
+    are copied from the entries ``<key>.emb.v1.txt`` and ``<key>.pca.v1.csv``
+    beside the embedding's ``<key>.emb.npy`` (see ``TEXT_ENTRIES``); an
+    entry the cache lacks is rendered into it first, so a warm run formats
+    neither file. Every entry is rendered, and the projection computed,
+    before the first ``out_dir`` file is written. On failure a StageError
+    naming the failed stage propagates, and each file is either as it was
+    before or complete.
     """
     result = execute(config, cache_dir=cache_dir)
     os.makedirs(out_dir, exist_ok=True)
+    cache = ArtifactCache(cache_dir)
     ids, sensitive = result.dataset.graph.original_ids, result.dataset.sensitive
     with _stage("artifacts"):
-        coords = projection.pca_2d(result.vectors)
-        groups = [sensitive.group_labels[i] for i in sensitive.group_of]
+        entries = {name: cache.path(result.key, suffix) for name, suffix in TEXT_ENTRIES}
+        missing = [name for name, path in entries.items()
+                   if path is None or not os.path.exists(path)]
+        if "pca.csv" in missing:
+            coords = projection.pca_2d(result.vectors)
+            groups = [sensitive.group_labels[i] for i in sensitive.group_of]
+
+        def render(name, path):
+            if name == "embeddings.txt":
+                embedding.save_embeddings(result.vectors, path, ids)
+            else:
+                projection.write_projection_csv(path, ids, coords, groups)
+
+        for name in missing:
+            if entries[name] is not None:
+                render(name, entries[name])
         row = csv_header_line() + report_csv_line(config, result.report)
         for name, text in (("report.json", result.report.to_json()), ("report_row.csv", row)):
             with atomic_writer(os.path.join(out_dir, name)) as f:
                 f.write(text)
-        embedding.save_embeddings(result.vectors, os.path.join(out_dir, "embeddings.txt"), ids)
-        projection.write_projection_csv(os.path.join(out_dir, "pca.csv"), ids, coords, groups)
+        for name, entry in entries.items():
+            if entry is None:
+                render(name, os.path.join(out_dir, name))
+            else:
+                _copy_file(entry, os.path.join(out_dir, name))
     return result.report

@@ -26,8 +26,8 @@ def pca_2d(vectors) -> np.ndarray:
 
 def write_projection_csv(path, tokens, coords, groups):
     """CSV ``node_id,x,y,group`` for external plotting, fields quoted as needed."""
+    xs, ys = (np.asarray(coords)[:, j].tolist() for j in (0, 1))
     with atomic_writer(path) as f:
         out = csv.writer(f, lineterminator="\n")
         out.writerow(("node_id", "x", "y", "group"))
-        for tok, (x, y), grp in zip(tokens, coords, groups):
-            out.writerow((tok, repr(float(x)), repr(float(y)), grp))
+        out.writerows(zip(tokens, map(repr, xs), map(repr, ys), groups))

@@ -55,9 +55,11 @@ class SweepSpec:
     def expand(self, base: ExperimentConfig):
         """All distinct run configs, baselines first. Honors the cartesian flag.
 
-        A config that comes up twice (a preset whose (alpha, beta) is also
-        on the grid) is kept once, in its first place; ``cap`` counts the
-        distinct configs.
+        A grid with no alphas, betas or presets over a CrossWalk base config
+        plans the base's own (alpha, beta) over the (p, q) grid. A config
+        that comes up twice (a preset whose (alpha, beta) is also on the
+        grid) is kept once, in its first place; ``cap`` counts the distinct
+        configs.
         """
         ps = self.ps or [base.p]
         qs = self.qs or [base.q]
@@ -80,6 +82,8 @@ class SweepSpec:
                 if len(alphas) != len(betas):
                     raise ValueError("non-cartesian sweeps need aligned alpha/beta lists")
                 pairs = list(zip(alphas, betas))
+        elif not self.presets and base.intervention == "crosswalk":
+            pairs = [(base.alpha, base.beta)]
         for name in self.presets:
             preset = base.with_preset(name)
             pairs.append((preset.alpha, preset.beta))

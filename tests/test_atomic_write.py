@@ -4,6 +4,7 @@ mode plain ``open`` gives it, and a symlinked target keeps its link."""
 
 import importlib.util
 import os
+import shutil
 import stat
 import sys
 from pathlib import Path
@@ -34,12 +35,14 @@ def inputs(tmp_path_factory):
     corpus = walks.generate_walks(weights, walks.WalkConfig(walks_per_node=2, walk_length=5))
     vectors = np.random.default_rng(0).normal(size=(g.node_count, 4))
     cache = tmp_path_factory.mktemp("cache")
-    execute(sbm_config(), cache_dir=cache)  # warm: run_experiment then stores no entry
+    # warm, text entries included: run_experiment then writes only its out_dir files
+    run_experiment(sbm_config(), tmp_path_factory.mktemp("warm"), cache_dir=cache)
     return SimpleNamespace(
         graph=g, weights=weights, corpus=corpus,
         vectors=vectors,
         groups=[str(b) for b in g.attributes["block"]],
         cache=cache,
+        key=execute(sbm_config(), cache_dir=cache).key,
     )
 
 
@@ -88,7 +91,18 @@ def experiment(d, inputs):
     run_experiment(sbm_config(), d, cache_dir=inputs.cache)
 
 
-# (target file name, atomic writes let through before the one interrupted, writer)
+def experiment_miss(d, inputs):
+    """A cache in ``d`` that holds only the embedding, as one written before
+    the text entries existed: the run renders both entries before any other write."""
+    shutil.copy(inputs.cache / f"{inputs.key}.emb.npy", d)
+    run_experiment(sbm_config(), d / "out", cache_dir=d)
+
+
+# cache entries: one that exists is a hit, which writes nothing, so only their new case runs
+ENTRIES = {"run_experiment emb.v1.txt entry", "run_experiment pca.v1.csv entry"}
+
+# (target file name, atomic writes let through before the one interrupted, writer);
+# {key} in a name is the embedding's cache key
 WRITERS = {
     "save_graph edges": ("g.edges", 0, lambda d, i: graph.save_graph(
         i.graph, d / "g.edges", d / "g.attrs")),
@@ -110,6 +124,8 @@ WRITERS = {
     "run_experiment report_row.csv": ("report_row.csv", 1, experiment),
     "run_experiment embeddings.txt": ("embeddings.txt", 2, experiment),
     "run_experiment pca.csv": ("pca.csv", 3, experiment),
+    "run_experiment emb.v1.txt entry": ("{key}.emb.v1.txt", 0, experiment_miss),
+    "run_experiment pca.v1.csv entry": ("{key}.pca.v1.csv", 1, experiment_miss),
     "run_sweep results.csv": ("results.csv", 0, lambda d, i: run_sweep(
         SweepSpec(alphas=[0.5], betas=[1.0]), base_config(), d, runner=RecordingRunner())),
     "cli walk": ("corpus.txt", 2, cli_walk),
@@ -157,11 +173,13 @@ def temp_files(d):
     return sorted(p.name for p in Path(d).rglob("*.tmp"))
 
 
-@pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
-@pytest.mark.parametrize("case", list(WRITERS))
+@pytest.mark.parametrize("case, existing", [
+    pytest.param(case, existing, id=f"{case}-{'existing' if existing else 'new'}")
+    for existing in (True, False) for case in WRITERS if not (existing and case in ENTRIES)
+])
 def test_interrupted_write_leaves_old_target(case, existing, inputs, tmp_path, monkeypatch):
     name, skip, write = WRITERS[case]
-    target = tmp_path / name
+    target = tmp_path / name.format(key=inputs.key)
     if existing:
         target.write_bytes(OLD)
     interrupt_write(monkeypatch, skip)
@@ -180,8 +198,9 @@ def test_writer_renames_new_bytes_over_target(case, inputs, tmp_path, monkeypatc
     """Each writer goes through ``atomic_writer``, and its target is the
     write after ``skip`` others, so the interruption above hit the target."""
     name, skip, write = WRITERS[case]
-    target = tmp_path / name
-    target.write_bytes(OLD)
+    target = tmp_path / name.format(key=inputs.key)
+    if case not in ENTRIES:
+        target.write_bytes(OLD)
     real_replace = os.replace
     replaced = []
 

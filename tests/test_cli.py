@@ -498,6 +498,27 @@ class TestSweepVerb:
         ]) == 1
         _assert_one_error_line(capsys, "betas")
 
+    @pytest.mark.parametrize("grid, runs", [
+        (None, ["baseline_p1_q1", "crosswalk_a0.5_b2_p1_q1"]),
+        ({"ps": [0.5]}, ["baseline_p0.5_q1", "crosswalk_a0.5_b2_p0.5_q1"]),
+    ])
+    def test_dry_run_over_a_crosswalk_base_plans_its_run(self, tmp_path, capsys, grid, runs):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "sbm_block_sizes": [5, 5], "sbm_p_intra": 0.5, "sbm_p_inter": 0.1,
+            "intervention": "crosswalk", "alpha": 0.5, "beta": 2,
+        }))
+        argv = ["sweep", "--config", str(config), "--out-dir", str(tmp_path / "sweep"),
+                "--dry-run"]
+        if grid is not None:
+            (tmp_path / "grid.json").write_text(json.dumps(grid))
+            argv += ["--grid", str(tmp_path / "grid.json")]
+        assert main(argv) == 0
+        summary, *ids = capsys.readouterr().out.splitlines()
+        assert "2 runs (1 crosswalk, 1 baseline)" in summary
+        assert [line.strip() for line in ids] == runs
+        assert not (tmp_path / "sweep").exists()
+
     def test_grid_and_reference_grid_exclude_each_other(self, tmp_path, capsys, monkeypatch):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({

@@ -604,6 +604,97 @@ class TestRunExperiment:
             run_experiment(sbm_config(), out)
         assert not any(out.iterdir())
 
+    def test_failure_with_a_cache_leaves_no_artifacts(self, tmp_path, monkeypatch):
+        # a cold cache: the embedding's text entry is rendered, the projection fails
+        out, cache = tmp_path / "out", tmp_path / "cache"
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("projection exploded")
+
+        monkeypatch.setattr(pl.projection, "pca_2d", boom)
+        with pytest.raises(StageError, match="artifacts"):
+            run_experiment(sbm_config(), out, cache_dir=cache)
+        assert not any(out.iterdir())
+        assert not list(cache.glob("*.pca.v1.csv")) and not list(cache.glob("*.tmp"))
+
+
+ARTIFACTS = ("report.json", "report_row.csv", "embeddings.txt", "pca.csv")
+
+
+def artifact_bytes(out):
+    return {name: (out / name).read_bytes() for name in ARTIFACTS}
+
+
+def entry_bytes(cache):
+    """(suffix, bytes) of every text entry in ``cache``, sorted."""
+    return sorted((p.name.split(".", 1)[1], p.read_bytes())
+                  for p in cache.iterdir() if p.suffix != ".npy")
+
+
+def cold_entries(artifacts):
+    """The entries a run with these artifacts should leave in its cache."""
+    return [("emb.v1.txt", artifacts["embeddings.txt"]), ("pca.v1.csv", artifacts["pca.csv"])]
+
+
+@pytest.fixture
+def formats_nothing(monkeypatch):
+    """Fail any call that formats embeddings.txt or pca.csv."""
+    for owner, name in ((embedding, "save_embeddings"), (pl.projection, "pca_2d"),
+                        (pl.projection, "write_projection_csv")):
+        monkeypatch.setattr(owner, name, lambda *a, _name=name, **k: pytest.fail(_name))
+
+
+class TestTextEntries:
+    """``run_experiment`` caches embeddings.txt and pca.csv under the
+    embedding's key and copies them on a warm run."""
+
+    CONFIG = dict(sbm_control_classes=2, intervention="crosswalk", alpha=0.5, beta=2.0)
+
+    @pytest.fixture
+    def cold(self, tmp_path):
+        cache, out = tmp_path / "cache", tmp_path / "cold"
+        run_experiment(sbm_config(**self.CONFIG), out, cache_dir=cache)
+        return cache, artifact_bytes(out)
+
+    def test_cold_run_stores_both_entries_with_the_uncached_bytes(self, cold, tmp_path):
+        cache, cold_bytes = cold
+        assert entry_bytes(cache) == cold_entries(cold_bytes)
+        run_experiment(sbm_config(**self.CONFIG), tmp_path / "plain")
+        assert artifact_bytes(tmp_path / "plain") == cold_bytes
+
+    def test_warm_run_copies_the_cold_bytes(self, cold, tmp_path, formats_nothing):
+        cache, cold_bytes = cold
+        run_experiment(sbm_config(**self.CONFIG), tmp_path / "warm", cache_dir=cache)
+        assert artifact_bytes(tmp_path / "warm") == cold_bytes
+
+    def test_a_cache_of_only_the_embedding_gains_both_entries(self, cold, tmp_path):
+        cache, cold_bytes = cold
+        for path in cache.iterdir():
+            if path.suffix != ".npy":
+                path.unlink()
+        run_experiment(sbm_config(**self.CONFIG), tmp_path / "first", cache_dir=cache)
+        assert entry_bytes(cache) == cold_entries(cold_bytes)
+        assert artifact_bytes(tmp_path / "first") == cold_bytes
+
+    def test_configs_differing_only_in_folds_share_the_entries(
+        self, cold, tmp_path, formats_nothing
+    ):
+        cache, cold_bytes = cold
+        run_experiment(sbm_config(**self.CONFIG, folds=2), tmp_path / "f2", cache_dir=cache)
+        assert entry_bytes(cache) == cold_entries(cold_bytes)
+        two = artifact_bytes(tmp_path / "f2")
+        assert cold_entries(two) == cold_entries(cold_bytes)
+        assert two["report.json"] != cold_bytes["report.json"]
+
+    def test_a_changed_sensitive_attribute_has_its_own_entries(self, cold, tmp_path):
+        # same graph, other group labels in pca.csv
+        cache, cold_bytes = cold
+        config = sbm_config(**self.CONFIG, sensitive_attribute="control")
+        run_experiment(config, tmp_path / "other", cache_dir=cache)
+        other = artifact_bytes(tmp_path / "other")
+        assert entry_bytes(cache) == sorted(cold_entries(cold_bytes) + cold_entries(other))
+        assert other["pca.csv"] != cold_bytes["pca.csv"]
+
 
 class TestProjection:
     def test_pca_recovers_dominant_direction(self):
@@ -635,6 +726,21 @@ class TestProjection:
         assert [row[0] for row in rows] == tokens
         assert [row[3] for row in rows] == groups
         assert np.array([[float(r[1]), float(r[2])] for r in rows]).tolist() == coords.tolist()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_csv_bytes_match_the_per_row_writer(self, tmp_path, dtype):
+        rng = np.random.default_rng(3)
+        coords = (rng.normal(size=(40, 2)) * 10.0 ** rng.integers(-12, 12, (40, 1))).astype(dtype)
+        tokens = [f"n{i}" for i in range(40)]
+        tokens[1] = "a,b"
+        groups = ["New York, NY", 'say "hi"', "g", "line\nbreak"] * 10
+        write_projection_csv(tmp_path / "pca.csv", tokens, coords, groups)
+        with open(tmp_path / "ref.csv", "w", newline="") as f:
+            out = csv.writer(f, lineterminator="\n")
+            out.writerow(("node_id", "x", "y", "group"))
+            for tok, (x, y), grp in zip(tokens, coords, groups):
+                out.writerow((tok, repr(float(x)), repr(float(y)), grp))
+        assert (tmp_path / "pca.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_csv_bytes_unquoted_for_plain_fields(self, tmp_path):
         path = tmp_path / "pca.csv"

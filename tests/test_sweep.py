@@ -137,6 +137,18 @@ class TestExpand:
         plans = SweepSpec(alphas=[0.5, 0.75], include_baseline=False).expand(base)
         assert [(c.alpha, c.beta) for c in plans] == [(0.5, 3.0), (0.75, 3.0)]
 
+    @pytest.mark.parametrize("grid, runs", [
+        ({}, ["baseline_p1_q1", "crosswalk_a0.25_b3_p1_q1"]),
+        ({"ps": [0.5]}, ["baseline_p0.5_q1", "crosswalk_a0.25_b3_p0.5_q1"]),
+        ({"ps": [0.5, 2.0], "include_baseline": False},
+         ["crosswalk_a0.25_b3_p0.5_q1", "crosswalk_a0.25_b3_p2_q1"]),
+    ])
+    def test_no_alphas_betas_or_presets_keeps_a_crosswalk_base_run(self, grid, runs):
+        base = base_config(intervention="crosswalk", alpha=0.25, beta=3.0)
+        plans = SweepSpec(**grid).expand(base)
+        assert [c.run_id() for c in plans] == runs
+        assert plans[-1].replace(p=base.p) == base
+
     def test_unknown_preset_names_the_choices(self):
         spec = SweepSpec(presets=["medium_awareness"])
         with pytest.raises(ValueError, match=r"'medium_awareness'.*high_awareness.*low_awareness"):
