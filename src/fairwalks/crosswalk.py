@@ -15,7 +15,7 @@ from operator import itemgetter
 import numpy as np
 
 from fairwalks.graph import (
-    AttributedGraph, GroupPartition, atomic_writer, parse_floats, read_blocks,
+    LOAD_BLOCK_LINES, AttributedGraph, GroupPartition, atomic_writer, parse_floats, read_blocks,
 )
 from fairwalks.seeds import derive_seed
 from fairwalks.walks import PAD, TransitionWeights, WalkConfig, generate_walks
@@ -105,13 +105,19 @@ def reweight(
 
 
 def save_biased(weights: TransitionWeights, path):
-    """Directed weighted edge list ``u<TAB>v<TAB>prob`` with original IDs."""
+    """Directed weighted edge list ``u<TAB>v<TAB>prob`` with original IDs,
+    joined a block of ``LOAD_BLOCK_LINES`` lines at a time."""
     g = weights.graph
-    ids = g.original_ids
-    lines = zip(g.rows.tolist(), g.indices.tolist(), weights.probs.tolist())
+    heads = [nid + "\t" for nid in g.original_ids]
     with atomic_writer(path) as f:
         f.write(f"# alpha={weights.alpha!r} beta={weights.beta!r}\n")
-        f.writelines(f"{ids[v]}\t{ids[u]}\t{p!r}\n" for v, u, p in lines)
+        for lo in range(0, len(weights.probs), LOAD_BLOCK_LINES):
+            block = slice(lo, lo + LOAD_BLOCK_LINES)
+            # a list's repr writes each float as repr does, and no float's repr holds ", "
+            probs = repr(weights.probs[block].tolist())[1:-1].split(", ")
+            lines = zip(map(heads.__getitem__, g.rows[block].tolist()),
+                        map(heads.__getitem__, g.indices[block].tolist()), probs)
+            f.write("\n".join(map("".join, lines)) + "\n")
 
 
 def _number(path, lineno, what, text) -> float:

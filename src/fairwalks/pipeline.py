@@ -409,7 +409,8 @@ def execute(config: ExperimentConfig, cache_dir=None, dataset: Dataset = None) -
 
     ``dataset`` is ``prepare_dataset``'s value for a config that differs
     from this one only in ``SWEPT_FIELDS`` (else ValueError), so that runs
-    can share the graph and its closeness; without it, it is built here.
+    can share the graph and its closeness; without it, it is built here,
+    and the graph's walk layout is dropped once the walks are drawn.
     The embedding is the one cached stage output. Its key is the graph
     plus every config field outside ``EVALUATION_FIELDS``, so a config
     that differs in any training field trains again, and a cached
@@ -418,7 +419,8 @@ def execute(config: ExperimentConfig, cache_dir=None, dataset: Dataset = None) -
     """
     config.validate()
     cache = ArtifactCache(cache_dir)
-    if dataset is None:
+    lone = dataset is None  # no other run shares the dataset, nor its walk layout
+    if lone:
         dataset = prepare_dataset(config)
     else:
         dataset.check(config)
@@ -433,6 +435,8 @@ def execute(config: ExperimentConfig, cache_dir=None, dataset: Dataset = None) -
             weights = walk_weights(config, dataset)
         with _stage("walks"):
             corpus = walk_corpus(config, weights)
+        if lone:  # the layout, (p, q) codes and all, would live through training
+            vars(dataset.graph).pop("walk_layout", None)
         with _stage("embed"):
             vectors = train_vectors(config, corpus.paths, dataset.graph.node_count)
             cache.store_array(key, "emb.npy", vectors)

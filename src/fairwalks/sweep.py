@@ -6,6 +6,7 @@ versioned column set; rerunning skips runs whose full config hash matches
 a completed row, so nothing but missing or failed runs is recomputed.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -17,9 +18,10 @@ from itertools import product
 from fairwalks.graph import atomic_writer
 from fairwalks.pipeline import (  # the row format lives in pipeline and is re-exported
     LIST_SEP, PRESETS, SWEEP_COLUMNS, SWEEP_SCHEMA_VERSION, SWEPT_FIELDS, ExperimentConfig,
-    StageError, _check_field_types, _json_fields, _row_line, csv_header_line, execute,
+    Dataset, StageError, _check_field_types, _json_fields, _row_line, csv_header_line, execute,
     prepare_dataset, report_csv_line,
 )
+from fairwalks.parallel import fork_map
 
 
 @dataclass
@@ -56,7 +58,9 @@ class SweepSpec:
         """All distinct run configs, baselines first. Honors the cartesian flag.
 
         A grid with no alphas, betas or presets over a CrossWalk base config
-        plans the base's own (alpha, beta) over the (p, q) grid. A config
+        plans the base's own (alpha, beta) over the (p, q) grid; one that
+        plans no baseline either, over a baseline base config, plans the
+        base config itself over the (p, q) grid. A config
         that comes up twice (a preset whose (alpha, beta) is also on the
         grid) is kept once, in its first place; ``cap`` counts the distinct
         configs.
@@ -93,8 +97,8 @@ class SweepSpec:
                     intervention="crosswalk", alpha=float(alpha), beta=float(beta), p=p, q=q
                 )
             )
-        if not plans:
-            plans = [base]
+        if not plans:  # no baseline and no pair: the base config over the (p, q) grid
+            plans = [base.replace(p=p, q=q) for p, q in product(ps, qs)]
         # a preset on the grid would otherwise run, and be counted, twice;
         # plans differ from base only in SWEPT_FIELDS, so equal keys mean
         # equal configs (a tuple key costs far less than config_hash)
@@ -130,18 +134,25 @@ def run_sweep(
     row. A run is skipped when an ok row has its config hash; error rows, a
     partial last row and rows of an older schema are dropped and rerun.
     A run's evaluation warnings go to stderr as ``warning: <run_id>:
-    <text>``; the table has no column for them. Runs are serial whatever
-    ``workers`` is: the sweep's work holds the interpreter lock, and
-    threads measured slower than one worker. ``workers`` stays only
-    because ``perfbench/workloads.py`` passes it; ROADMAP item 3 decides
-    its fate.
+    <text>``; the table has no column for them.
+
+    With ``workers`` > 1 the runs are mapped over that many processes by
+    ``parallel.fork_map``: this process and forked children, each of which
+    returns a run's finished row and warnings. Rows are appended, and
+    warnings printed, in plan order, so the table and stderr are the serial
+    run's byte for byte and an interruption keeps a completed prefix. The
+    folds of a run in a worker then run in that worker.
 
     The runs differ only in ``SWEPT_FIELDS``, so the default runner builds
     one ``Dataset`` (which estimates the boundary closeness once) at the
-    first run that passes ``validate`` and hands it to every run. A resumed
+    first run that passes ``validate`` and hands it to every run. With
+    workers it is built before the fork, with the closeness and the graph's
+    walk layout the runs need, so no worker builds them again. A resumed
     sweep with nothing left to run builds none. If building fails, every
     run that needed it gets that error's row.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     plans = spec.expand(base)
     csv_path = os.path.join(out_dir, "results.csv")
     os.makedirs(out_dir, exist_ok=True)
@@ -158,34 +169,65 @@ def run_sweep(
             f.write(_row_line(row))
 
     cache_dir = os.path.join(out_dir, "cache")
+    todo = [cfg for cfg in plans if cfg.config_hash() not in done]
     if runner is None:
         shared = None  # the Dataset, or the StageError that building it raised
 
-        def runner(cfg):
+        def dataset_for(cfg):
             nonlocal shared
-            cfg.validate()
             if shared is None:
                 try:
                     shared = prepare_dataset(cfg)
                 except StageError as exc:
                     shared = exc
-            if isinstance(shared, StageError):
-                raise shared
-            return execute(cfg, cache_dir=cache_dir, dataset=shared).report
+            return shared
 
-    todo = [cfg for cfg in plans if cfg.config_hash() not in done]
-    for cfg in todo:
+        def runner(cfg):
+            cfg.validate()
+            dataset = dataset_for(cfg)
+            if isinstance(dataset, StageError):
+                raise dataset
+            return execute(cfg, cache_dir=cache_dir, dataset=dataset).report
+
+        if workers > 1:
+            _share(todo, dataset_for)
+
+    def run(cfg):
+        """The run's table row and the warnings of its report."""
         try:
             report = runner(cfg)
-            line = report_csv_line(cfg, report)
+            return report_csv_line(cfg, report), report.warnings
         except (StageError, ValueError, RuntimeError) as exc:
-            line = report_csv_line(cfg, None, error=exc)
-        else:
-            for text in report.warnings:
+            return report_csv_line(cfg, None, error=exc), []
+
+    # closed here, not when a traceback lets go of it: no worker outlives the call
+    with contextlib.closing(fork_map(run, todo, workers)) as rows:
+        for cfg, (line, warnings) in zip(todo, rows):
+            for text in warnings:
                 print(f"warning: {cfg.run_id()}: {text}", file=sys.stderr)
-        with open(csv_path, "a") as f:
-            f.write(line)
+            with open(csv_path, "a") as f:
+                f.write(line)
     return csv_path, plans, len(todo)
+
+
+def _share(plans, dataset_for):
+    """Build, in this process, what forked workers would each build again:
+    the dataset of the first valid plan, its closeness if a plan reweights,
+    and its graph's walk layout, with the (p, q) codes if a plan needs them."""
+    valid = []
+    for cfg in plans:
+        try:
+            valid.append(cfg.validate())
+        except ValueError:
+            pass
+    dataset = dataset_for(valid[0]) if valid else None
+    if not isinstance(dataset, Dataset):
+        return
+    if any(cfg.intervention == "crosswalk" for cfg in valid):
+        dataset.closeness
+    layout = dataset.graph.walk_layout
+    if any((cfg.p, cfg.q) != (1, 1) for cfg in valid):
+        layout.codes
 
 
 def _stats(values):

@@ -1,3 +1,5 @@
+import os
+
 import hypothesis
 import numpy as np
 import pytest
@@ -33,3 +35,27 @@ def make_graph(edges, attrs=None, n=None):
 @pytest.fixture
 def graph_factory():
     return make_graph
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the children that ``os.fork`` starts in this process."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    """Every pid is a child that was started and has been reaped."""
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

@@ -82,7 +82,7 @@ def reference_grid_summary(d, inputs):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     write_table(d / "results.csv")
-    script.run_sweep = lambda spec, base, out_dir: (str(d / "results.csv"), [], 0)
+    script.run_sweep = lambda spec, base, out_dir, workers: (str(d / "results.csv"), [], 0)
     with mock.patch.object(sys, "argv", ["run_reference_grid.py", "--out-dir", str(d)]):
         script.main()
 

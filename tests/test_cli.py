@@ -556,6 +556,31 @@ class TestSweepVerb:
         assert summary["rows"] == 2
         assert "mini" in summary["datasets"]
 
+    def test_two_workers_write_the_serial_table(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "sbm_block_sizes": [12, 12], "sbm_p_intra": 0.5, "sbm_p_inter": 0.1,
+            "walks_per_node": 2, "walk_length": 6, "dim": 8, "epochs": 1, "folds": 2,
+        }))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"alphas": [0.5, 0.75], "betas": [2.0], "ps": [0.5, 1]}))
+        tables = []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"workers{workers}"
+            assert main(["sweep", "--config", str(config), "--grid", str(grid),
+                         "--out-dir", str(out_dir), "--workers", workers]) == 0
+            assert "executed 6 runs" in capsys.readouterr().out
+            tables.append((out_dir / "results.csv").read_text())
+        assert tables[0] == tables[1]
+
+    def test_zero_workers_is_an_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sbm_block_sizes": [12, 12], "sbm_p_intra": 0.5,
+                                      "sbm_p_inter": 0.1}))
+        assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path / "out"),
+                     "--workers", "0"]) == 1
+        _assert_one_error_line(capsys, "workers must be >= 1")
+
     @pytest.mark.parametrize("buckets", ["0", "-1"])
     def test_summarize_rejects_bucket_count_below_one(self, tmp_path, capsys, buckets):
         table = tmp_path / "results.csv"

@@ -364,6 +364,32 @@ class TestSerialization:
         np.testing.assert_array_equal(back.probs, tw.probs)
 
 
+def per_line_biased(weights, path):
+    """``save_biased``'s bytes written one f-string per line, the reference."""
+    g, ids = weights.graph, weights.graph.original_ids
+    with open(path, "w") as f:
+        f.write(f"# alpha={weights.alpha!r} beta={weights.beta!r}\n")
+        for v, u, p in zip(g.rows.tolist(), g.indices.tolist(), weights.probs.tolist()):
+            f.write(f"{ids[v]}\t{ids[u]}\t{p!r}\n")
+
+
+class TestSaveBiasedBytes:
+    @pytest.mark.parametrize("alpha, beta", [(0.25, 2.0), (None, None)])
+    def test_bytes_equal_a_per_line_writer(self, tmp_path, alpha, beta):
+        g = make_graph([(0, 1), (0, 2), (1, 2), (2, 3)])
+        g = replace(g, original_ids=["a b", "é", "节点 7", "-1e5"])
+        probs = np.array([5e-324, 1e-300, 0.1, 1.0, 1 / 3, 0.30000000000000004, 2.5e-7, 1e22])
+        weights = TransitionWeights(g, probs, alpha, beta)
+        save_biased(weights, tmp_path / "joined.tsv")
+        per_line_biased(weights, tmp_path / "per_line.tsv")
+        assert (tmp_path / "joined.tsv").read_bytes() == (tmp_path / "per_line.tsv").read_bytes()
+
+    def test_a_graph_without_edges_writes_the_header_alone(self, tmp_path):
+        weights = TransitionWeights(make_graph([], n=2), np.zeros(0), 0.5, 2.0)
+        save_biased(weights, tmp_path / "biased.tsv")
+        assert (tmp_path / "biased.tsv").read_text() == "# alpha=0.5 beta=2.0\n"
+
+
 class TestLoadBiasedValidation:
     def write(self, tmp_path, lines):
         path = tmp_path / "biased.edges"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairwalks import evaluation
+from fairwalks import evaluation, parallel
 from fairwalks.evaluation import (
     EvaluationReport,
     awareness,
@@ -16,6 +16,7 @@ from fairwalks.evaluation import (
 from fairwalks.graph import GroupPartition, generate_sbm, partition_by
 from fairwalks.propagation import build_propagation_graph, predict, propagate
 from fairwalks.seeds import rng_for
+from tests.conftest import assert_reaped
 
 
 def labeled_split(partition, labeled_fraction, rng):
@@ -446,3 +447,44 @@ class TestCrossValidateMatchesPerFoldLoop:
         got = cross_validate(vectors, sens, control, folds=folds, k=k, seed=seed)
         want = reference_cross_validate(vectors, sens, control, folds, k, seed)
         assert got.to_json() == want.to_json()
+
+
+class TestForkedFolds:
+    """Folds split over forked processes give the serial call's report bytes."""
+
+    @staticmethod
+    def case(seed, with_control):
+        """Few nodes per group, duplicate points and a cut kNN graph, so
+        folds warn of unseeded classes and unreachable nodes."""
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(3, 7, 3)
+        sens = partition(np.repeat(np.arange(3), sizes), attribute="sens")
+        n = int(sizes.sum())
+        vectors = rng.normal(0, 1, (n, 2))
+        vectors[rng.random(n) < 0.2] = 0.0
+        control = None
+        if with_control:
+            ctl = np.concatenate([np.arange(4), rng.integers(0, 4, n - 4)])
+            control = partition(rng.permutation(ctl), attribute="ctl")
+        return vectors, sens, control
+
+    @pytest.mark.parametrize("with_control", [False, True], ids=["sensitive", "control"])
+    @pytest.mark.parametrize("seed", [1, 4, 10])
+    def test_report_bytes_equal_the_serial_call(self, monkeypatch, forked, seed, with_control):
+        vectors, sens, control = self.case(seed, with_control)
+        serial = cross_validate(vectors, sens, control, folds=5, k=1, seed=seed).to_json()
+        assert forked == []  # under the floor
+        monkeypatch.setattr(evaluation, "FORK_FOLD_EDGES", 0)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        split = cross_validate(vectors, sens, control, folds=5, k=1, seed=seed).to_json()
+        assert split == serial
+        assert "unreachable from any seed" in split
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    def test_one_fold_is_not_split(self, monkeypatch, forked):
+        vectors, sens, _ = self.case(1, False)
+        monkeypatch.setattr(evaluation, "FORK_FOLD_EDGES", 0)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        cross_validate(vectors, sens, folds=1, k=1)
+        assert forked == []

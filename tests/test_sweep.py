@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from fairwalks.sweep import (
     run_sweep,
     summarize,
 )
+from tests.conftest import assert_reaped
 from tests.test_acceptance import acceptance_config
 
 
@@ -148,6 +150,11 @@ class TestExpand:
         plans = SweepSpec(**grid).expand(base)
         assert [c.run_id() for c in plans] == runs
         assert plans[-1].replace(p=base.p) == base
+
+    def test_a_p_q_grid_alone_plans_the_base_over_it(self):
+        plans = SweepSpec(ps=[0.5, 2.0], include_baseline=False).expand(base_config())
+        assert [c.run_id() for c in plans] == ["baseline_p0.5_q1", "baseline_p2_q1"]
+        assert plans == [base_config(p=0.5), base_config(p=2.0)]
 
     def test_unknown_preset_names_the_choices(self):
         spec = SweepSpec(presets=["medium_awareness"])
@@ -433,6 +440,73 @@ class TestEdgeCodes:
         result = pl.execute(base_config(**crosswalk))
         assert built == []
         assert "codes" not in vars(result.dataset.graph.walk_layout)
+
+
+class TestWorkers:
+    """Runs side by side in forked workers give the serial table and stderr."""
+
+    def test_table_and_stderr_equal_the_serial_run(self, tmp_path, capsys, monkeypatch, forked):
+        # alpha 1.5 fails validation: the table holds two error rows
+        spec = SweepSpec(alphas=[0.5, 1.5], betas=[2.0], ps=[0.5, 1])
+        base = base_config(sbm_control_classes=2, control_attribute="control", knn_k=1)
+        serial, _, _ = run_sweep(spec, base, tmp_path / "serial")
+        serial_err = capsys.readouterr().err
+        assert "nodes unreachable from any seed" in serial_err  # k=1 cuts the kNN graph
+        assert forked == []
+
+        log = tmp_path / "built.log"  # appended by every process that builds either
+        for module, name in ((crosswalk, "estimate_closeness"), (graph_mod, "_edge_codes")):
+            def logged(*args, _name=name, _original=getattr(module, name), **kwargs):
+                with open(log, "a") as f:
+                    f.write(f"{_name} {os.getpid()}\n")
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, logged)
+        csv_path, plans, executed = run_sweep(spec, base, tmp_path / "two", workers=2)
+        assert executed == len(plans) == 6
+        assert capsys.readouterr().err == serial_err
+        with open(csv_path) as f, open(serial) as g:
+            assert f.read() == g.read()
+        assert [r["status"] for r in read_sweep_table(csv_path)].count("error") == 2
+        assert log.read_text() == f"estimate_closeness {os.getpid()}\n_edge_codes {os.getpid()}\n"
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    def test_a_dataset_that_fails_gives_the_serial_error_rows(self, tmp_path, forked):
+        attrs = tmp_path / "g.attrs"
+        attrs.write_text("node\tblock\na\tx\nb\ty\n")
+        base = ExperimentConfig(edges_path=str(tmp_path / "missing.edges"), attrs_path=str(attrs),
+                                walks_per_node=2, walk_length=8, dim=8, epochs=1, folds=2)
+        serial, _, _ = run_sweep(TestSharedDataset.SPEC, base, tmp_path / "serial")
+        two, _, _ = run_sweep(TestSharedDataset.SPEC, base, tmp_path / "two", workers=2)
+        with open(serial) as f, open(two) as g:
+            assert g.read() == f.read()
+        assert [r["status"] for r in read_sweep_table(two)] == ["error"] * 4
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    def test_an_interrupt_keeps_the_completed_prefix_and_no_child(self, tmp_path, forked):
+        spec = SweepSpec(alphas=[0.25, 0.75], betas=[1.0, 2.0])
+        serial, plans, _ = run_sweep(spec, base_config(), tmp_path / "serial",
+                                     runner=RecordingRunner())
+        parent, stop = os.getpid(), plans[2].run_id()  # run 2 is this process's own
+
+        def interrupted(config):
+            if config.run_id() == stop and os.getpid() == parent:
+                raise KeyboardInterrupt
+            return RecordingRunner()(config)
+
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(spec, base_config(), tmp_path / "two", workers=2, runner=interrupted)
+        with open(serial) as f:
+            prefix = "".join(f.readlines()[:3])  # the header and runs 0 and 1
+        assert (tmp_path / "two" / "results.csv").read_text() == prefix
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    def test_workers_below_one_are_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            run_sweep(SweepSpec(), base_config(), tmp_path, workers=0)
 
 
 class TestCsvQuoting:
