@@ -5,18 +5,27 @@ Runs ``pipeline.execute`` once, without a cache, on a three-block graph
 with the low-awareness preset (so boundary closeness runs) and a small
 walk and epoch budget, then prints JSON: the node and edge counts, the
 walks' (p, q), the process's ``ru_maxrss`` after imports and after the
-run (MB), the ``tracemalloc`` peak of the run and of each stage (MB), and
+run (MB), the largest ``ru_maxrss`` of its forked children (MB, 0 when
+none ran), the ``tracemalloc`` peak of the run and of each stage (MB), and
 the seconds spent in each stage. ``--p`` and ``--q`` set node2vec's return
 and in-out parameters (default 1, first-order walks); any other value
 makes the walk stage build its (p, q) edge table.
 
-``ru_maxrss`` is the high-water mark of the whole process, so run the
+``ru_maxrss`` is the high-water mark of this process alone, so run the
 script in a fresh process per measurement. It also depends on the order
 of allocations (a freed block may stay mapped), so the tracemalloc peaks,
 the most bytes the run's Python and numpy allocations held at once, are
 printed beside it; a stage's peak counts everything live at that moment,
 not only what the stage allocated. Tracing slows every allocation, so
 the stage seconds read higher than in an untraced run.
+
+The evaluation splits its folds over two processes from
+``2 * evaluation.FORK_FOLD_EDGES`` fold-edges on (at the default 20,000
+nodes it does), and a child's memory and time are not in this process's
+figures: the tracemalloc peaks and the stage seconds count only the
+folds this process ran. The child's high-water mark is
+``ru_maxrss_children_mb``, which also counts the pages it shares with
+this process.
 
 Run:
     python3 scripts/measure_peak_rss.py --nodes 20000
@@ -56,8 +65,8 @@ FOLDS = 2
 SEED = 1
 
 
-def maxrss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB -> MiB, like the peaks
+def maxrss_mb(who=resource.RUSAGE_SELF) -> float:
+    return resource.getrusage(who).ru_maxrss / 1024  # KiB -> MiB, like the peaks
 
 
 def traced_peak(open_peaks):
@@ -135,6 +144,7 @@ def main():
         "q": config.q,
         "ru_maxrss_import_mb": round(import_mb, 1),
         "ru_maxrss_mb": round(maxrss_mb(), 1),
+        "ru_maxrss_children_mb": round(maxrss_mb(resource.RUSAGE_CHILDREN), 1),
         "tracemalloc_peak_mb": round(open_peaks["run"] / 2**20, 1),
         "stage_peak_mb": {name: round(peak / 2**20, 1) for name, peak in peaks.items()},
         "execute_s": round(total, 3),

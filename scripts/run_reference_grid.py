@@ -5,18 +5,19 @@ Expands to 875 crosswalk runs (alpha x beta x p x q) plus 25 baseline
 runs (p x q) and executes them with a resumable results CSV; interrupting
 and restarting skips completed rows. At the default sizes a run takes
 about 0.45 s, almost all of it training, so the grid takes about 7
-minutes serially on a 2-vCPU host; ``--workers 2`` runs two runs at a
-time and writes the same table. Shrink the graph or walk settings for a
-faster pass.
+minutes serially on a 2-vCPU host. The runs go side by side, one process
+per CPU the script may use, and the table is the serial one byte for
+byte. Shrink the graph or walk settings for a faster pass.
 
 Run:
-    python3 scripts/run_reference_grid.py --out-dir grid-out --workers 2
+    python3 scripts/run_reference_grid.py --out-dir grid-out
 """
 
 import argparse
 import json
 import os
 
+from fairwalks import parallel
 from fairwalks.graph import atomic_writer
 from fairwalks.pipeline import ExperimentConfig
 from fairwalks.sweep import SweepSpec, run_sweep, summarize
@@ -35,8 +36,6 @@ def main():
     parser.add_argument("--dim", type=int, default=32)
     parser.add_argument("--epochs", type=int, default=3)
     parser.add_argument("--folds", type=int, default=25)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="processes that run the grid's runs side by side")
     args = parser.parse_args()
 
     base = ExperimentConfig(
@@ -59,7 +58,7 @@ def main():
     plans = spec.expand(base)
     print(f"grid: {len(plans)} runs (resume supported, rerun to continue)")
 
-    csv_path, _, executed = run_sweep(spec, base, args.out_dir, workers=args.workers)
+    csv_path, _, executed = run_sweep(spec, base, args.out_dir, workers=parallel.available_cpus())
     print(f"executed {executed} new runs; table at {csv_path}")
 
     summary = summarize(csv_path)

@@ -7,9 +7,9 @@ config's defaults, and calls the pipeline's function for that stage, which
 derives the stage's seed from ``--seed`` as ``run`` does; ``walk`` without
 ``--biased`` walks ``TransitionWeights.from_graph`` as a baseline run does.
 So the chain gen-sbm -> bias -> walk -> embed -> eval, given one
-``--seed``, writes ``run``'s embeddings, projection and scores. ``sweep
---workers N`` runs the sweep's runs in N processes; its table is the
-serial one byte for byte.
+``--seed``, writes ``run``'s embeddings, projection and scores. ``sweep``
+runs the sweep's runs side by side, one process per CPU it may use; its
+table is the serial one byte for byte.
 """
 
 import argparse
@@ -18,7 +18,7 @@ import functools
 import json
 import sys
 
-from fairwalks import crosswalk, embedding, pipeline, projection, walks
+from fairwalks import crosswalk, embedding, parallel, pipeline, projection, walks
 from fairwalks import graph as graph_mod
 from fairwalks.graph import GroupPartition, _id_key, atomic_writer
 from fairwalks.pipeline import PRESETS, ExperimentConfig, run_experiment
@@ -102,7 +102,7 @@ def cmd_sweep(args):
         for cfg in plans:
             print(cfg.run_id())
         return 0
-    csv_path, _, executed = run_sweep(spec, base, args.out_dir, workers=args.workers)
+    csv_path, _, executed = run_sweep(spec, base, args.out_dir, workers=parallel.available_cpus())
     print(f"executed {executed} runs; table at {csv_path}")
     return 0
 
@@ -222,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out-dir", required=True)
     sweep.add_argument("--dry-run", action="store_true",
                        help="list the expansion without executing")
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="processes that run the sweep's runs side by side")
     sweep.set_defaults(func=cmd_sweep)
 
     summ = sub.add_parser("summarize", help="aggregate a sweep table")

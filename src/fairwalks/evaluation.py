@@ -256,11 +256,11 @@ def cross_validate(
     score vectors.
 
     The folds are independent, so from ``2 * FORK_FOLD_EDGES`` fold-edges
-    (folds x directed kNN edges) on they run in ``parallel.fork_map``
-    processes: one per ``FORK_FOLD_EDGES``, up to the CPUs this process
-    may use. The kNN graph's shared arrays are built before the fork, and
-    each fold returns its predictions, unlabeled nodes and warnings, so the
-    report is the serial loop's byte for byte.
+    (folds x directed kNN edges) on they run in two ``parallel.fork_map``
+    processes where this process may use two CPUs; more processes were
+    never measured. The kNN graph's shared arrays are built before the
+    fork, and each fold returns its predictions, unlabeled nodes and
+    warnings, so the report is the serial loop's byte for byte.
     """
     check_split(folds, labeled_fraction)
     vectors = np.asarray(vectors, dtype=np.float64)
@@ -293,8 +293,8 @@ def cross_validate(
     predicted = np.empty((folds, len(attributes), n), dtype=np.int64)
     unlabeled = np.empty((folds, n - base.sum()), dtype=np.int64)
     fold_warnings = []
-    # one process per FORK_FOLD_EDGES of work, up to the CPUs (a floor of 0 splits any work)
-    processes = min(parallel.available_cpus(), folds * len(pg.rows) // max(FORK_FOLD_EDGES, 1))
+    # one process per FORK_FOLD_EDGES of work, but two at most: more were never measured
+    processes = min(2, folds * len(pg.rows) // FORK_FOLD_EDGES)
     with contextlib.closing(parallel.fork_map(fold, range(folds), processes)) as results:
         for f, (rows, free, warn) in enumerate(results):
             predicted[f], unlabeled[f] = rows, free

@@ -1,7 +1,9 @@
 """An ordered map over forked worker processes.
 
 ``fork_map(fn, items, processes)`` yields ``fn(item)`` for every item, in
-item order. Item i runs in process ``i % processes``: the caller is
+item order. ``processes`` is first cut to the number of items and to the
+CPUs this process may run on; call that w. Item i runs in process
+``i % w``: the caller is
 process 0 and computes its own items in turn; every other process is an
 ``os.fork`` child that writes each result, pickled with its index, to its
 own pipe and then leaves by ``os._exit``. A child inherits the caller's
@@ -30,11 +32,12 @@ def available_cpus() -> int:
 
 
 def fork_map(fn, items, processes: int):
-    """Yield ``fn(item)`` for every item, in item order, computing item i
-    in process ``i % processes`` (see the module docstring)."""
+    """Yield ``fn(item)`` for every item, in item order, over at most
+    ``processes`` processes, no more than the items or the CPUs (see the
+    module docstring)."""
     global _open
     items = list(items)
-    processes = min(processes, len(items))
+    processes = min(processes, len(items), available_cpus())
     if processes < 2 or _open or not hasattr(os, "fork"):
         for item in items:
             yield fn(item)

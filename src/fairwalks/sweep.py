@@ -136,12 +136,14 @@ def run_sweep(
     A run's evaluation warnings go to stderr as ``warning: <run_id>:
     <text>``; the table has no column for them.
 
-    With ``workers`` > 1 the runs are mapped over that many processes by
-    ``parallel.fork_map``: this process and forked children, each of which
-    returns a run's finished row and warnings. Rows are appended, and
-    warnings printed, in plan order, so the table and stderr are the serial
-    run's byte for byte and an interruption keeps a completed prefix. The
-    folds of a run in a worker then run in that worker.
+    With ``workers`` > 1 the runs are mapped by ``parallel.fork_map`` over
+    that many processes, or fewer where there are fewer CPUs or runs: this
+    process and forked children, each of which returns a run's finished
+    row and warnings. Rows are appended, and warnings printed, in plan
+    order, so the table and stderr are the serial run's byte for byte and
+    an interruption keeps a completed prefix. The folds of a run in a
+    worker then run in that worker. ``fairwalks sweep`` and
+    ``scripts/run_reference_grid.py`` pass the CPUs this process may use.
 
     The runs differ only in ``SWEPT_FIELDS``, so the default runner builds
     one ``Dataset`` (which estimates the boundary closeness once) at the
@@ -151,8 +153,6 @@ def run_sweep(
     sweep with nothing left to run builds none. If building fails, every
     run that needed it gets that error's row.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     plans = spec.expand(base)
     csv_path = os.path.join(out_dir, "results.csv")
     os.makedirs(out_dir, exist_ok=True)

@@ -9,13 +9,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fairwalks import cli, crosswalk, pipeline, walks
+from fairwalks import cli, crosswalk, parallel, pipeline, walks
 from fairwalks.cli import main
 from fairwalks.embedding import load_embeddings, save_embeddings
 from fairwalks.graph import (
     ControlAttributeSpec, GroupPartition, generate_sbm, load_graph, partition_by, save_graph,
 )
 from fairwalks.pipeline import SWEEP_SCHEMA_VERSION, ExperimentConfig, run_experiment
+from tests.conftest import assert_reaped
 
 
 @pytest.fixture
@@ -556,7 +557,8 @@ class TestSweepVerb:
         assert summary["rows"] == 2
         assert "mini" in summary["datasets"]
 
-    def test_two_workers_write_the_serial_table(self, tmp_path, capsys):
+    def test_runs_go_one_process_per_cpu_with_the_serial_table(self, tmp_path, capsys,
+                                                               monkeypatch, forked):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "sbm_block_sizes": [12, 12], "sbm_p_intra": 0.5, "sbm_p_inter": 0.1,
@@ -565,21 +567,16 @@ class TestSweepVerb:
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"alphas": [0.5, 0.75], "betas": [2.0], "ps": [0.5, 1]}))
         tables = []
-        for workers in ("1", "2"):
-            out_dir = tmp_path / f"workers{workers}"
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "available_cpus", lambda cpus=cpus: cpus)
+            out_dir = tmp_path / f"cpus{cpus}"
             assert main(["sweep", "--config", str(config), "--grid", str(grid),
-                         "--out-dir", str(out_dir), "--workers", workers]) == 0
+                         "--out-dir", str(out_dir)]) == 0
             assert "executed 6 runs" in capsys.readouterr().out
             tables.append((out_dir / "results.csv").read_text())
+            assert len(forked) == cpus - 1
         assert tables[0] == tables[1]
-
-    def test_zero_workers_is_an_error(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"sbm_block_sizes": [12, 12], "sbm_p_intra": 0.5,
-                                      "sbm_p_inter": 0.1}))
-        assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path / "out"),
-                     "--workers", "0"]) == 1
-        _assert_one_error_line(capsys, "workers must be >= 1")
+        assert_reaped(forked)
 
     @pytest.mark.parametrize("buckets", ["0", "-1"])
     def test_summarize_rejects_bucket_count_below_one(self, tmp_path, capsys, buckets):

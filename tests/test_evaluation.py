@@ -474,7 +474,7 @@ class TestForkedFolds:
         vectors, sens, control = self.case(seed, with_control)
         serial = cross_validate(vectors, sens, control, folds=5, k=1, seed=seed).to_json()
         assert forked == []  # under the floor
-        monkeypatch.setattr(evaluation, "FORK_FOLD_EDGES", 0)
+        monkeypatch.setattr(evaluation, "FORK_FOLD_EDGES", 1)
         monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
         split = cross_validate(vectors, sens, control, folds=5, k=1, seed=seed).to_json()
         assert split == serial
@@ -484,7 +484,7 @@ class TestForkedFolds:
 
     def test_one_fold_is_not_split(self, monkeypatch, forked):
         vectors, sens, _ = self.case(1, False)
-        monkeypatch.setattr(evaluation, "FORK_FOLD_EDGES", 0)
+        monkeypatch.setattr(evaluation, "FORK_FOLD_EDGES", 1)
         monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
         cross_validate(vectors, sens, folds=1, k=1)
         assert forked == []

@@ -13,6 +13,12 @@ def tagged(x):
     return x * x, os.getpid()
 
 
+@pytest.fixture(autouse=True)
+def four_cpus(monkeypatch):
+    """Maps of up to four processes fork whatever CPUs the host has."""
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
+
+
 @pytest.mark.parametrize("processes, items", [(2, 5), (3, 7), (3, 3), (4, 2), (4, 9)])
 def test_results_come_in_item_order_from_process_i_mod_w(forked, processes, items):
     got = list(fork_map(tagged, range(items), processes))
@@ -21,6 +27,14 @@ def test_results_come_in_item_order_from_process_i_mod_w(forked, processes, item
     pids = [os.getpid()] + forked
     assert len(pids) == ranks
     assert [pid for _, pid in got] == [pids[i % ranks] for i in range(items)]
+    assert_reaped(forked)
+
+
+def test_processes_are_cut_to_the_cpus(forked, monkeypatch):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    got = list(fork_map(tagged, range(9), 8))
+    assert len(forked) == 1
+    assert [pid for _, pid in got] == [os.getpid(), forked[0]] * 4 + [os.getpid()]
     assert_reaped(forked)
 
 

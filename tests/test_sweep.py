@@ -7,7 +7,7 @@ import pytest
 
 import fairwalks.graph as graph_mod
 import fairwalks.pipeline as pl
-from fairwalks import crosswalk
+from fairwalks import crosswalk, parallel
 from fairwalks.evaluation import EvaluationReport
 from fairwalks.pipeline import ExperimentConfig
 from fairwalks.sweep import (
@@ -445,6 +445,11 @@ class TestEdgeCodes:
 class TestWorkers:
     """Runs side by side in forked workers give the serial table and stderr."""
 
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        """Two workers fork whatever CPUs the host has."""
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+
     def test_table_and_stderr_equal_the_serial_run(self, tmp_path, capsys, monkeypatch, forked):
         # alpha 1.5 fails validation: the table holds two error rows
         spec = SweepSpec(alphas=[0.5, 1.5], betas=[2.0], ps=[0.5, 1])
@@ -504,9 +509,16 @@ class TestWorkers:
         assert len(forked) == 1
         assert_reaped(forked)
 
-    def test_workers_below_one_are_refused(self, tmp_path):
-        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
-            run_sweep(SweepSpec(), base_config(), tmp_path, workers=0)
+    def test_workers_are_cut_to_the_cpus(self, tmp_path, forked):
+        spec = SweepSpec(alphas=[0.25, 0.75], betas=[1.0, 2.0])
+        serial, _, _ = run_sweep(spec, base_config(), tmp_path / "serial", runner=RecordingRunner())
+        eight, _, executed = run_sweep(spec, base_config(), tmp_path / "eight", workers=8,
+                                       runner=RecordingRunner())
+        assert executed == 5
+        with open(serial) as f, open(eight) as g:
+            assert g.read() == f.read()
+        assert len(forked) == 1
+        assert_reaped(forked)
 
 
 class TestCsvQuoting:
