@@ -20,7 +20,7 @@ import numpy as np
 
 from fairwalks import parallel
 from fairwalks.graph import GroupPartition
-from fairwalks.propagation import build_propagation_graph, predict, propagate
+from fairwalks.propagation import PropagationGraph, build_propagation_graph, predict, propagate
 from fairwalks.seeds import rng_for
 
 REPORT_SCHEMA_VERSION = 1
@@ -247,6 +247,7 @@ def cross_validate(
     tol: float = 1e-6,
     seed: int = 0,
     config_echo: dict = None,
+    graph_path=None,
 ) -> EvaluationReport:
     """Repeated stratified-split evaluation of embedding predictiveness.
 
@@ -261,6 +262,16 @@ def cross_validate(
     never measured. The kNN graph's shared arrays are built before the
     fork, and each fold returns its predictions, unlabeled nodes and
     warnings, so the report is the serial loop's byte for byte.
+
+    ``graph_path`` names a file that holds, or is to hold, the kNN graph
+    of these vectors at this ``k`` and ``sigma`` (``PropagationGraph.save``):
+    if it exists the graph is read from it, else it is built and written
+    there through ``atomic_writer`` before any fold is forked. Raises
+    ValueError if the file holds a graph of other nodes, k or sigma.
+    ``pipeline.execute`` passes its cache entry ``<knn key>.knn.npy`` on a
+    re-audit of a cached embedding only; the knn key is ``_hash_key("knn.v1",
+    <embedding key>, knn_k, sigma)``, and a change to the graph's bits
+    bumps ``knn.v1``.
     """
     check_split(folds, labeled_fraction)
     vectors = np.asarray(vectors, dtype=np.float64)
@@ -275,7 +286,15 @@ def cross_validate(
             raise ValueError(f"partition {attribute.attribute!r} has {len(attribute.group_of)} "
                              f"nodes, but there are {n} vectors")
 
-    pg = build_propagation_graph(vectors, k=k, sigma=sigma)
+    pg = None if graph_path is None else PropagationGraph.load(graph_path)
+    if pg is None:
+        pg = build_propagation_graph(vectors, k=k, sigma=sigma)
+        if graph_path is not None:
+            pg.save(graph_path)
+    elif (pg.node_count, pg.k) != (n, min(k, n - 1)) or sigma not in (None, pg.sigma):
+        raise ValueError(f"{graph_path} holds the kNN graph of {pg.node_count} nodes at "
+                         f"k {pg.k}, sigma {pg.sigma:g}, not of {n} vectors at k {k}, "
+                         f"sigma {sigma}")
     pg.transition, pg.degree, pg.components  # built once, before any fold is forked
     n_classes = [attribute.num_groups for attribute in attributes]
     truth = np.stack([attribute.group_of for attribute in attributes])

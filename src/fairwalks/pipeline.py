@@ -13,11 +13,16 @@ so a warm ``execute`` reads that one file. ``run_experiment`` keeps the
 embedding's two text artifacts under the same key, ``<key>.emb.v1.txt``
 and ``<key>.pca.v1.csv``: the key fixes every byte of both (the vectors,
 the node ids and the sensitive labels), and a change to either writer's
-bytes bumps the version in its suffix. A warm run copies them. Walk
-corpora are not kept. The dataset stage is one ``Dataset`` value (the
-graph and its partitions), built by ``prepare_dataset``, which derives the
-graph key and the boundary closeness on first use. Runs that differ from
-its config only in ``SWEPT_FIELDS``, as a sweep's do, can share it.
+bytes bumps the version in its suffix. A warm run copies them. A re-audit
+of a cached embedding also keeps the audit's kNN graph, ``<knn key>.knn.npy``
+with the knn key ``_hash_key("knn.v1", <embedding key>, knn_k, sigma)``:
+the first writes it, later ones read it and build no graph, and a change
+to the graph's bits bumps ``knn.v1``. An audit of freshly trained vectors
+neither reads nor writes it. Walk corpora are not kept. The dataset stage
+is one ``Dataset`` value (the graph and its partitions), built by
+``prepare_dataset``, which derives the graph key and the boundary
+closeness on first use. Runs that differ from its config only in
+``SWEPT_FIELDS``, as a sweep's do, can share it.
 """
 
 import contextlib
@@ -203,7 +208,9 @@ class ExperimentConfig:
         return self
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # the fields are flat, so copying the lists copies what asdict's deep copy would
+        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {name: list(v) if isinstance(v, list) else v for name, v in values.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -387,12 +394,13 @@ def train_vectors(config: ExperimentConfig, paths, node_count) -> np.ndarray:
     return embedding.train(paths, node_count, **_training_args(config)).vectors
 
 
-def evaluate(config: ExperimentConfig, vectors, sensitive, control=None, config_echo=None):
+def evaluate(config: ExperimentConfig, vectors, sensitive, control=None, config_echo=None,
+             graph_path=None):
     return evaluation.cross_validate(
         vectors, sensitive, control,
         folds=config.folds, labeled_fraction=config.labeled_fraction,
         k=config.knn_k, sigma=config.sigma, seed=derive_seed(config.seed, "eval"),
-        config_echo=config_echo,
+        config_echo=config_echo, graph_path=graph_path,
     )
 
 
@@ -416,6 +424,13 @@ def execute(config: ExperimentConfig, cache_dir=None, dataset: Dataset = None) -
     that differs in any training field trains again, and a cached
     embedding needs no closeness, bias, walks or training. The result
     holds the input-side vectors only.
+    A re-audit of a cached embedding reads the audit's kNN graph from the
+    entry ``<knn key>.knn.npy``, keyed ``_hash_key("knn.v1", key, knn_k,
+    sigma)``; the first re-audit builds it and writes the entry (see
+    ``evaluation.cross_validate``). An audit of freshly trained vectors
+    neither reads nor writes it, so cold runs and sweeps leave none. A
+    change to ``build_propagation_graph``'s output bits (``KNN_BLOCK_CELLS``,
+    the tie rule) bumps ``knn.v1``.
     """
     config.validate()
     cache = ArtifactCache(cache_dir)
@@ -430,7 +445,11 @@ def execute(config: ExperimentConfig, cache_dir=None, dataset: Dataset = None) -
                     config.replace(**dict.fromkeys(EVALUATION_FIELDS)).config_hash())
     with _stage("embed"):
         vectors = cache.load_array(key, "emb.npy")
-    if vectors is None:
+    graph_path = None  # an audit of freshly trained vectors keeps no kNN graph
+    if vectors is not None:
+        # a change to build_propagation_graph's output bits (KNN_BLOCK_CELLS, say) bumps the tag
+        graph_path = cache.path(_hash_key("knn.v1", key, config.knn_k, config.sigma), "knn.npy")
+    else:
         with _stage("bias"):
             weights = walk_weights(config, dataset)
         with _stage("walks"):
@@ -445,7 +464,8 @@ def execute(config: ExperimentConfig, cache_dir=None, dataset: Dataset = None) -
     echo = {"experiment": config.to_dict(), "walk_source": walk_source,
             "embedding_meta": embedding.embedding_meta(**_training_args(config))}
     with _stage("evaluate"):
-        report = evaluate(config, vectors, dataset.sensitive, dataset.control, config_echo=echo)
+        report = evaluate(config, vectors, dataset.sensitive, dataset.control,
+                          config_echo=echo, graph_path=graph_path)
     return PipelineResult(report, dataset, vectors, key)
 
 

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from fairwalks.graph import component_labels
+from fairwalks.graph import atomic_writer, component_labels
 
 
 @dataclass
@@ -45,6 +45,32 @@ class PropagationGraph:
         """Component label of every node over the positive-weight edges."""
         positive = self.weights > 0
         return component_labels(self.node_count, self.rows[positive], self.cols[positive])
+
+    def save(self, path):
+        """Write the graph to ``path`` as one int64 ``.npy`` array, through
+        ``atomic_writer``: node count, k and sigma's bits, then the rows,
+        the cols and the weights' bits, so ``load`` returns it bit for bit."""
+        header = np.array([self.node_count, self.k, 0], dtype=np.int64)
+        header[2:].view(np.float64)[0] = self.sigma
+        packed = np.concatenate([header, self.rows, self.cols, self.weights.view(np.int64)])
+        # a handle, because np.save appends .npy to bare file names
+        with atomic_writer(path, "wb") as f:
+            np.save(f, packed, allow_pickle=False)
+
+    @classmethod
+    def load(cls, path):
+        """The graph ``save`` wrote to ``path``, or None if there is no file."""
+        try:
+            f = open(path, "rb")
+        except FileNotFoundError:
+            return None
+        with f:
+            packed = np.load(f, allow_pickle=False)
+        if packed.dtype != np.int64 or packed.ndim != 1 or len(packed) % 3:
+            raise ValueError(f"{path} does not hold a propagation graph")
+        rows, cols, weights = packed[3:].reshape(3, -1)
+        return cls(int(packed[0]), int(packed[1]), float(packed[2:3].view(np.float64)[0]),
+                   rows, cols, weights.view(np.float64))
 
 
 KNN_BLOCK_CELLS = 1 << 22  # distance entries per row block of build_propagation_graph

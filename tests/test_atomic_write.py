@@ -42,7 +42,9 @@ def inputs(tmp_path_factory):
         vectors=vectors,
         groups=[str(b) for b in g.attributes["block"]],
         cache=cache,
+        # a re-audit of the cached embedding: it stores the kNN graph's entry
         key=execute(sbm_config(), cache_dir=cache).key,
+        knn=next(cache.glob("*.knn.npy")).name.split(".")[0],
     )
 
 
@@ -93,16 +95,18 @@ def experiment(d, inputs):
 
 def experiment_miss(d, inputs):
     """A cache in ``d`` that holds only the embedding, as one written before
-    the text entries existed: the run renders both entries before any other write."""
+    the other entries existed: the run stores the kNN graph's entry while it
+    audits, then renders both text entries before any other write."""
     shutil.copy(inputs.cache / f"{inputs.key}.emb.npy", d)
     run_experiment(sbm_config(), d / "out", cache_dir=d)
 
 
 # cache entries: one that exists is a hit, which writes nothing, so only their new case runs
-ENTRIES = {"run_experiment emb.v1.txt entry", "run_experiment pca.v1.csv entry"}
+ENTRIES = {"run_experiment knn.npy entry", "run_experiment emb.v1.txt entry",
+           "run_experiment pca.v1.csv entry"}
 
 # (target file name, atomic writes let through before the one interrupted, writer);
-# {key} in a name is the embedding's cache key
+# {key} in a name is the embedding's cache key, {knn} the kNN graph's
 WRITERS = {
     "save_graph edges": ("g.edges", 0, lambda d, i: graph.save_graph(
         i.graph, d / "g.edges", d / "g.attrs")),
@@ -124,8 +128,9 @@ WRITERS = {
     "run_experiment report_row.csv": ("report_row.csv", 1, experiment),
     "run_experiment embeddings.txt": ("embeddings.txt", 2, experiment),
     "run_experiment pca.csv": ("pca.csv", 3, experiment),
-    "run_experiment emb.v1.txt entry": ("{key}.emb.v1.txt", 0, experiment_miss),
-    "run_experiment pca.v1.csv entry": ("{key}.pca.v1.csv", 1, experiment_miss),
+    "run_experiment knn.npy entry": ("{knn}.knn.npy", 0, experiment_miss),
+    "run_experiment emb.v1.txt entry": ("{key}.emb.v1.txt", 1, experiment_miss),
+    "run_experiment pca.v1.csv entry": ("{key}.pca.v1.csv", 2, experiment_miss),
     "run_sweep results.csv": ("results.csv", 0, lambda d, i: run_sweep(
         SweepSpec(alphas=[0.5], betas=[1.0]), base_config(), d, runner=RecordingRunner())),
     "cli walk": ("corpus.txt", 2, cli_walk),
@@ -179,7 +184,7 @@ def temp_files(d):
 ])
 def test_interrupted_write_leaves_old_target(case, existing, inputs, tmp_path, monkeypatch):
     name, skip, write = WRITERS[case]
-    target = tmp_path / name.format(key=inputs.key)
+    target = tmp_path / name.format(key=inputs.key, knn=inputs.knn)
     if existing:
         target.write_bytes(OLD)
     interrupt_write(monkeypatch, skip)
@@ -198,7 +203,7 @@ def test_writer_renames_new_bytes_over_target(case, inputs, tmp_path, monkeypatc
     """Each writer goes through ``atomic_writer``, and its target is the
     write after ``skip`` others, so the interruption above hit the target."""
     name, skip, write = WRITERS[case]
-    target = tmp_path / name.format(key=inputs.key)
+    target = tmp_path / name.format(key=inputs.key, knn=inputs.knn)
     if case not in ENTRIES:
         target.write_bytes(OLD)
     real_replace = os.replace

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fairwalks.pipeline as pl
-from fairwalks import crosswalk, embedding, evaluation, walks
+from fairwalks import crosswalk, embedding, evaluation, propagation, walks
 from fairwalks.pipeline import (
     PRESETS,
     ArtifactCache,
@@ -20,6 +20,7 @@ from fairwalks.pipeline import (
 from fairwalks.graph import save_graph
 from fairwalks.projection import pca_2d, write_projection_csv
 from fairwalks.seeds import derive_seed
+from fairwalks.sweep import SweepSpec, run_sweep
 
 
 def sbm_config(**overrides):
@@ -76,6 +77,16 @@ class TestExperimentConfig:
                            sbm_block_sizes=[np.int32(25), 25])
         assert json.dumps(mixed.to_dict()) == json.dumps(sbm_config().to_dict())
         assert mixed.config_hash() == sbm_config().config_hash()
+
+    def test_to_dict_equals_asdict_and_copies_the_lists(self):
+        config = sbm_config(sbm_control_classes=2, sbm_control_probs=[0.3, 0.7],
+                            select_attribute="block", select_values=["0", "1"])
+        data = config.to_dict()
+        assert data == dataclasses.asdict(config)
+        assert list(data) == [f.name for f in dataclasses.fields(config)]
+        for name in ("sbm_block_sizes", "sbm_control_probs", "select_values"):
+            data[name].append(0)
+        assert config.to_dict() == dataclasses.asdict(config) != data
 
     def test_removed_training_mode_key_rejected(self):
         data = {**sbm_config().to_dict(), "training_mode": "exact"}
@@ -616,6 +627,102 @@ class TestRunExperiment:
             run_experiment(sbm_config(), out, cache_dir=cache)
         assert not any(out.iterdir())
         assert not list(cache.glob("*.pca.v1.csv")) and not list(cache.glob("*.tmp"))
+
+
+class TestKnnEntry:
+    """A re-audit of a cached embedding reads its kNN graph from the entry
+    ``<knn key>.knn.npy``, or builds the graph and writes the entry."""
+
+    CONFIG = dict(sbm_control_classes=2, intervention="crosswalk", alpha=0.5, beta=2.0)
+
+    @pytest.fixture
+    def cold(self, tmp_path):
+        cache = tmp_path / "cache"
+        return cache, execute(sbm_config(**self.CONFIG), cache_dir=cache).report.to_json()
+
+    @staticmethod
+    def forbid_builds(monkeypatch):
+        monkeypatch.setattr(evaluation, "build_propagation_graph",
+                            lambda *a, **k: pytest.fail("built a kNN graph"))
+
+    @staticmethod
+    def entries(cache):
+        return sorted(p.name for p in cache.glob("*.knn.npy"))
+
+    def reaudit(self, cache, **changes):
+        return execute(sbm_config(**self.CONFIG, **changes), cache_dir=cache).report.to_json()
+
+    def test_cold_runs_and_sweeps_leave_no_entry(self, cold, tmp_path):
+        cache, _ = cold
+        assert self.entries(cache) == []
+        _, plans, _ = run_sweep(SweepSpec(alphas=[0.5], betas=[2.0]), sbm_config(),
+                                tmp_path / "sweep")
+        assert len(list((tmp_path / "sweep/cache").glob("*.emb.npy"))) == len(plans) == 2
+        assert self.entries(tmp_path / "sweep/cache") == []
+
+    def test_the_first_reaudit_writes_it_and_later_ones_read_it(self, tmp_path, monkeypatch):
+        cache, config = tmp_path / "cache", sbm_config(**self.CONFIG)
+
+        def report_json(name, cache_dir=cache):
+            run_experiment(config, tmp_path / name, cache_dir=cache_dir)
+            return (tmp_path / name / "report.json").read_bytes()
+
+        plain = report_json("plain", cache_dir=None)
+        assert report_json("cold") == plain and self.entries(cache) == []
+        assert report_json("first") == plain
+        (entry,) = self.entries(cache)
+        self.forbid_builds(monkeypatch)
+        assert report_json("later") == report_json("latest") == plain
+        assert self.entries(cache) == [entry]
+
+    @pytest.mark.parametrize("field", sorted(set(EVALUATION_CHANGES) - {"knn_k", "sigma"}))
+    def test_a_changed_audit_field_reads_the_entry(self, cold, field, monkeypatch):
+        cache, _ = cold
+        self.reaudit(cache)
+        entries = self.entries(cache)
+        fresh = execute(sbm_config(**self.CONFIG, **{field: EVALUATION_CHANGES[field]}))
+        self.forbid_builds(monkeypatch)
+        assert self.reaudit(cache, **{field: EVALUATION_CHANGES[field]}) == fresh.report.to_json()
+        assert self.entries(cache) == entries
+
+    @pytest.mark.parametrize("field", ["knn_k", "sigma"])
+    def test_a_changed_knn_field_writes_a_second_entry(self, cold, field, monkeypatch):
+        cache, _ = cold
+        self.reaudit(cache)
+        builds = []
+        original = evaluation.build_propagation_graph
+        monkeypatch.setattr(evaluation, "build_propagation_graph",
+                            lambda *a, **k: builds.append(1) or original(*a, **k))
+        change = {field: EVALUATION_CHANGES[field]}
+        fresh = execute(sbm_config(**self.CONFIG, **change)).report.to_json()
+        builds.clear()
+        assert self.reaudit(cache, **change) == fresh
+        assert builds == [1] and len(self.entries(cache)) == 2
+
+    def test_an_entry_of_other_nodes_is_refused(self, cold):
+        cache, _ = cold
+        self.reaudit(cache)
+        (entry,) = self.entries(cache)
+        other = np.random.default_rng(0).normal(size=(49, 12))
+        propagation.build_propagation_graph(other).save(cache / entry)
+        with pytest.raises(StageError, match="49 nodes") as failure:
+            self.reaudit(cache)
+        assert failure.value.stage == "evaluate"
+
+    def test_an_interrupted_store_leaves_no_entry(self, cold, monkeypatch):
+        cache, cold_json = cold
+
+        def broken_save(f, array, allow_pickle):
+            f.write(b"\x93NUMPY partial")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "save", broken_save)
+        with pytest.raises(KeyboardInterrupt):
+            self.reaudit(cache)
+        assert self.entries(cache) == [] and not list(cache.glob("*.tmp"))
+        monkeypatch.undo()
+        assert self.reaudit(cache) == cold_json
+        assert len(self.entries(cache)) == 1
 
 
 ARTIFACTS = ("report.json", "report_row.csv", "embeddings.txt", "pca.csv")

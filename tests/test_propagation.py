@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -431,3 +432,28 @@ class TestBatchedPropagate:
         pg, labels, n_classes, _ = random_case(0, 2)
         with pytest.raises(ValueError, match="class counts"):
             propagate(pg, np.stack([labels, labels]), [n_classes])
+
+
+class TestSaveLoad:
+    def test_round_trip_is_bit_for_bit(self, tmp_path):
+        vectors = np.random.default_rng(3).normal(size=(40, 5))
+        vectors[7] = vectors[3]  # a duplicate point: a weight-1 edge
+        pg = build_propagation_graph(vectors, k=4)
+        pg.save(tmp_path / "g.npy")
+        loaded = PropagationGraph.load(tmp_path / "g.npy")
+        assert (loaded.node_count, loaded.k) == (40, 4)
+        assert np.float64(loaded.sigma).tobytes() == np.float64(pg.sigma).tobytes()
+        for name in ("rows", "cols", "weights"):
+            mine, theirs = getattr(loaded, name), getattr(pg, name)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+        assert loaded.transition.tobytes() == pg.transition.tobytes()
+        assert os.listdir(tmp_path) == ["g.npy"]
+
+    def test_a_missing_file_loads_as_none(self, tmp_path):
+        assert PropagationGraph.load(tmp_path / "none.npy") is None
+
+    @pytest.mark.parametrize("array", [np.arange(7.0), np.arange(7), np.zeros((3, 3), np.int64)])
+    def test_an_array_that_is_no_graph_is_refused(self, tmp_path, array):
+        np.save(tmp_path / "g.npy", array)
+        with pytest.raises(ValueError, match="does not hold a propagation graph"):
+            PropagationGraph.load(tmp_path / "g.npy")
