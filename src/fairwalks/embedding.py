@@ -30,6 +30,8 @@ FINAL_LR_FRACTION = 0.01
 BLOCK_PAIRS = 1 << 13
 # consecutive pairs of a batch that share one set of k negative draws
 NEGATIVE_CHUNK = 10
+# values per float64 row block that load_embeddings fills
+LOAD_BLOCK_CELLS = 1 << 16
 
 
 class TrainingDiverged(RuntimeError):
@@ -390,22 +392,33 @@ def save_embeddings(vectors, path, tokens):
 
 
 def load_embeddings(path):
-    """Returns (tokens, vectors) from the text matrix format."""
+    """Returns (tokens, vectors) from the text matrix format.
+
+    Each value is parsed with ``float`` into a float64 block of
+    ``max(1, LOAD_BLOCK_CELLS // dim)`` rows as its row is read, and the
+    blocks are concatenated once at the end, so one row's Python floats are
+    alive at a time. Nothing is sized from the header's row count."""
     with open(path) as f:
         header = f.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: malformed header")
         n, dim = int(header[0]), int(header[1])
+        step = max(1, LOAD_BLOCK_CELLS // max(dim, 1))
         tokens = []
-        rows = []
+        blocks = [np.empty((0, max(dim, 0)))]  # a file without rows loads as (0, dim)
         for line in f:
             parts = line.split()
             if not parts:
                 continue
             if len(parts) != dim + 1:
                 raise ValueError(f"{path}: row has {len(parts) - 1} values, expected {dim}")
+            row = len(tokens) % step
+            if not row:
+                blocks.append(np.empty((step, dim)))
+            blocks[-1][row] = [float(x) for x in parts[1:]]
             tokens.append(parts[0])
-            rows.append([float(x) for x in parts[1:]])
     if len(tokens) != n:
         raise ValueError(f"{path}: header claims {n} rows, found {len(tokens)}")
-    return tokens, np.array(rows, dtype=np.float64)
+    if len(tokens) % step:
+        blocks[-1] = blocks[-1][:len(tokens) % step]
+    return tokens, np.concatenate(blocks)

@@ -74,6 +74,7 @@ class PropagationGraph:
 
 
 KNN_BLOCK_CELLS = 1 << 22  # distance entries per row block of build_propagation_graph
+KNN_SELECT_CELLS = 1 << 16  # distance entries per row chunk of a block's later passes
 
 
 def check_knn(k, sigma):
@@ -86,30 +87,44 @@ def check_knn(k, sigma):
 
 def _block_nearest(vectors, sq_norm, lo: int, hi: int, k: int):
     """The k nearest of rows lo:hi: (k-th distance per row, rows - lo, cols,
-    squared distances). Its distance block is freed on return, before the
-    next block is built."""
-    # (s_i + s_j) - 2 G, with the Gram block as the one temporary
-    gram = vectors[lo:hi] @ vectors.T
-    gram *= 2.0
-    d2 = np.add.outer(sq_norm[lo:hi], sq_norm)
-    d2 -= gram
-    del gram
-    np.clip(d2, 0.0, None, out=d2)
-    d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+    squared distances).
 
-    # the k nearest of each row are those below its k-th smallest
-    # distance plus, at that distance, the lowest column indices: the
-    # first k of a stable sort, without sorting
-    cut = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()  # frees the partitioned block
-    nearest = d2 <= cut[:, None]
-    over = np.flatnonzero(nearest.sum(axis=1) > k)
-    if len(over):
-        closer = d2[over] < cut[over, None]
-        tied = d2[over] == cut[over, None]
-        tied &= np.cumsum(tied, axis=1) <= k - closer.sum(axis=1)[:, None]
-        nearest[over] = closer | tied
-    r, c = np.nonzero(nearest)
-    return cut, r, c, d2[r, c]
+    The Gram block is the one (hi - lo) x n temporary: each chunk of
+    ``max(1, KNN_SELECT_CELLS // n)`` rows is turned into distances in
+    place and its neighbors are picked before the next chunk, so every
+    pass after the Gram product runs on a chunk. The block is freed on
+    return, before the next one is built."""
+    n = len(sq_norm)
+    block = vectors[lo:hi] @ vectors.T
+    step = max(1, KNN_SELECT_CELLS // n)
+    cut = np.empty(hi - lo)
+    rows, cols = [], []
+    for top in range(0, hi - lo, step):
+        bottom = min(top + step, hi - lo)
+        # (s_i + s_j) - 2 G, rounded as one add.outer and one subtraction
+        d2 = block[top:bottom]
+        d2 *= 2.0
+        np.subtract(np.add.outer(sq_norm[lo + top:lo + bottom], sq_norm), d2, out=d2)
+        np.clip(d2, 0.0, None, out=d2)
+        d2[np.arange(bottom - top), np.arange(lo + top, lo + bottom)] = np.inf
+
+        # the k nearest of each row are those below its k-th smallest
+        # distance plus, at that distance, the lowest column indices: the
+        # first k of a stable sort, without sorting
+        cut[top:bottom] = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        kth = cut[top:bottom, None]
+        nearest = d2 <= kth
+        over = np.flatnonzero(nearest.sum(axis=1) > k)
+        if len(over):
+            closer = d2[over] < kth[over]
+            tied = d2[over] == kth[over]
+            tied &= np.cumsum(tied, axis=1) <= k - closer.sum(axis=1)[:, None]
+            nearest[over] = closer | tied
+        r, c = np.nonzero(nearest)
+        rows.append(r + top)
+        cols.append(c)
+    r, c = np.concatenate(rows), np.concatenate(cols)
+    return cut, r, c, block[r, c]
 
 
 def build_propagation_graph(vectors, k: int = 10, sigma=None) -> PropagationGraph:
@@ -123,7 +138,11 @@ def build_propagation_graph(vectors, k: int = 10, sigma=None) -> PropagationGrap
     the full Gram product. A row-blocked Gram product can differ from it in
     the last bits, so larger graphs may pick a different neighbor at a
     near-tie; an edge's distance is the one its lower endpoint's row
-    computed when that row lists it, else the other row's.
+    computed when that row lists it, else the other row's. Each block's
+    Gram product is the one block-sized array: it is turned into distances
+    in place and its neighbors picked ``max(1, KNN_SELECT_CELLS // n)``
+    rows at a time. That chunking changes no arithmetic, so its size moves
+    no bit.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     n = len(vectors)

@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -661,3 +662,31 @@ class TestEmbeddingIO:
             f"{i} " + " ".join(repr(float(x)) for x in row) + "\n" for i, row in enumerate(vectors)
         )
         assert path.read_text() == want
+
+    @pytest.mark.parametrize("cells", [1, 7, 1 << 16])
+    def test_blocked_load_matches_one_float_per_value(self, tmp_path, monkeypatch, cells):
+        # one row per block, two rows per block with a partial last one, one block
+        monkeypatch.setattr(embedding_mod, "LOAD_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(4)
+        saved = rng.normal(0, 1, (5, 3)) * 10.0 ** rng.integers(-300, 300, (5, 3))
+        saved[0] = [-0.0, 5e-324, float("inf")]
+        path = tmp_path / "emb.txt"
+        save_embeddings(saved, path, tokens=list("abcde"))
+        lines = path.read_text().splitlines()[1:]
+        want = np.array([[float(x) for x in line.split()[1:]] for line in lines])
+        tokens, vectors = load_embeddings(path)
+        assert tokens == list("abcde")
+        assert vectors.shape == (5, 3)
+        assert vectors.tobytes() == want.tobytes() == saved.tobytes()
+
+    @pytest.mark.parametrize(("text", "message"), [
+        ("5\na 1.0\n", "malformed header"),
+        ("2 2\na 1.0 2.0\nb 1.0\n", "row has 1 values, expected 2"),
+        ("1000000000 2\na 1.0 2.0\n\nb 3.0 4.0\n", "header claims 1000000000 rows, found 2"),
+        ("1 2\na 1.0 2.0\nb 3.0 4.0\n", "header claims 1 rows, found 2"),
+    ])
+    def test_load_errors(self, tmp_path, text, message):
+        path = tmp_path / "emb.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_embeddings(path)

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,40 @@ class TestBuildPropagationGraph:
         assert got.sigma == want.sigma
         for name in ("rows", "cols", "weights"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("points", ["duplicates", "long-rows"])
+    @pytest.mark.parametrize("block_cells", [None, 60 * 7])
+    @pytest.mark.parametrize("select_cells", ["one row", "seven rows"])
+    def test_row_chunks_match_one_chunk(self, monkeypatch, points, block_cells, select_cells):
+        # chunking changes no arithmetic, so float points must give the same bytes
+        if points == "duplicates":
+            vectors = np.random.default_rng(3).normal(0, 1, (60, 4))
+            vectors[40:52] = vectors[3:15]  # exact ties
+        else:
+            vectors = np.random.default_rng(7).normal(0, 1, (200, 8))  # long_rows_case's
+        if block_cells is not None:
+            monkeypatch.setattr(propagation_mod, "KNN_BLOCK_CELLS", block_cells)
+        for k in (1, 4, 10):
+            want = build_propagation_graph(vectors, k=k)
+            cells = 1 if select_cells == "one row" else 7 * len(vectors)
+            with monkeypatch.context() as patch:
+                patch.setattr(propagation_mod, "KNN_SELECT_CELLS", cells)
+                got = build_propagation_graph(vectors, k=k)
+            assert got.sigma == want.sigma
+            for name in ("rows", "cols", "weights"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_only_one_block_is_alive(self):
+        # 1,500 points are one 18 MB block; a second block-sized array beside it
+        # (the Gram block beside the distances, or a full partition copy) fails
+        vectors = np.random.default_rng(0).normal(0, 1, (1500, 8))
+        tracemalloc.start()
+        try:
+            build_propagation_graph(vectors, k=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 1500 * 1500 * 8
 
     def test_up_to_2048_points_are_one_block(self):
         assert propagation_mod.KNN_BLOCK_CELLS // 2048 == 2048
