@@ -19,13 +19,16 @@ printed beside it; a stage's peak counts everything live at that moment,
 not only what the stage allocated. Tracing slows every allocation, so
 the stage seconds read higher than in an untraced run.
 
-The evaluation splits its folds over two processes from
-``2 * evaluation.FORK_FOLD_EDGES`` fold-edges on (at the default 20,000
-nodes it does), and a child's memory and time are not in this process's
-figures: the tracemalloc peaks and the stage seconds count only the
-folds this process ran. The child's high-water mark is
-``ru_maxrss_children_mb``, which also counts the pages it shares with
-this process.
+The evaluation splits its folds with the process's ``parallel`` worker
+from ``2 * evaluation.FORK_FOLD_EDGES`` fold-edges on (at the default
+20,000 nodes it does), and the worker's memory and time are not in this
+process's figures: the tracemalloc peaks and the stage seconds count
+only the folds this process ran. The worker lives until it is reaped, so
+the script closes it (``parallel.close_worker()``) before it reads
+``ru_maxrss_children_mb``, the worker's high-water mark, which also
+counts the pages it shares with this process.
+
+The script imports the package from this checkout's ``src``.
 
 Run:
     python3 scripts/measure_peak_rss.py --nodes 20000
@@ -36,11 +39,16 @@ import argparse
 import functools
 import json
 import resource
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
-from fairwalks import crosswalk, embedding, evaluation, pipeline, walks
-from fairwalks.pipeline import ExperimentConfig
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from fairwalks import crosswalk, embedding, evaluation, parallel, pipeline, walks  # noqa: E402
+from fairwalks.pipeline import ExperimentConfig  # noqa: E402
 
 # (module, function, stage name); evaluate includes knn_graph and propagate
 STAGES = (
@@ -137,6 +145,7 @@ def main():
     total = time.perf_counter() - start
     traced_peak(open_peaks)
     tracemalloc.stop()
+    parallel.close_worker()  # a child's usage counts once it is reaped
     print(json.dumps({
         "nodes": result.dataset.graph.node_count,
         "edges": result.dataset.graph.edge_count,

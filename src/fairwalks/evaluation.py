@@ -27,9 +27,12 @@ REPORT_SCHEMA_VERSION = 1
 
 # the fold-edges (folds x directed kNN edges) that each process of a split
 # cross_validate gets at least: about 10 ms of work at 0.32 us per
-# fold-edge, against about 3.4 ms to fork and reap a child. Two processes
-# measured slower than one at 24-27k fold-edges and faster from 54k on,
-# so the folds are split from 2**16 on
+# fold-edge. It was measured against a child forked per audit (about
+# 3.4 ms to fork and reap): two processes were slower than one at 24-27k
+# fold-edges and faster from 54k on, so the folds are split from 2**16 on.
+# The reused worker's round trip is about 0.12 ms with a 6,128-edge graph,
+# but the floor was not measured again: lower, it would split audits that
+# were never timed with the second CPU busy
 FORK_FOLD_EDGES = 1 << 15
 
 
@@ -191,6 +194,21 @@ def _labeled_mask(members, base, n: int, rng) -> np.ndarray:
     return mask
 
 
+def _fold(state, f):
+    """Fold f's predicted classes per attribute, unlabeled nodes and warnings.
+
+    ``state`` is ``(graph, truth rows, group members, quotas, seed, class
+    counts, max_iters, tol)``, the graph's transition, degree and
+    components already built, so a worker that is sent it builds none."""
+    pg, truth, members, base, seed, n_classes, max_iters, tol = state
+    n = pg.node_count
+    free = ~_labeled_mask(members, base, n, rng_for(seed, "fold", f))
+    # the attributes share the labeled set, so one call propagates both
+    results = propagate(pg, np.where(free, -1, truth), n_classes, max_iters, tol)
+    warnings = [warn for _, warn in results]
+    return [predict(probs) for probs, _ in results], np.flatnonzero(free), warnings
+
+
 @dataclass
 class EvaluationReport:
     """Cross-validated group scores plus the three aggregate metrics."""
@@ -257,16 +275,23 @@ def cross_validate(
     score vectors.
 
     The folds are independent, so from ``2 * FORK_FOLD_EDGES`` fold-edges
-    (folds x directed kNN edges) on they run in two ``parallel.fork_map``
-    processes where this process may use two CPUs; more processes were
-    never measured. The kNN graph's shared arrays are built before the
-    fork, and each fold returns its predictions, unlabeled nodes and
-    warnings, so the report is the serial loop's byte for byte.
+    (folds x directed kNN edges) on, where this process may use two CPUs,
+    the even folds run here and the odd ones in this process's
+    ``parallel.worker_map`` worker, forked at the first split audit and
+    reused by every later one; more processes were never measured. The
+    worker gets the kNN graph, its transition, degrees and components
+    already built, and the fold's other inputs (``_fold``): the first split
+    audit's worker inherits them at its fork, later ones are sent them.
+    Each fold returns its predictions, unlabeled nodes and warnings, so the
+    report is the serial loop's byte for byte. The worker runs the fold
+    code as it stood when it was forked: code that patches it must do so
+    before the first split audit of its process. An audit run inside a
+    ``parallel.fork_map``, such as a sweep's run, stays serial.
 
     ``graph_path`` names a file that holds, or is to hold, the kNN graph
     of these vectors at this ``k`` and ``sigma`` (``PropagationGraph.save``):
     if it exists the graph is read from it, else it is built and written
-    there through ``atomic_writer`` before any fold is forked. Raises
+    there through ``atomic_writer`` before any fold runs. Raises
     ValueError if the file holds a graph of other nodes, k or sigma.
     ``pipeline.execute`` passes its cache entry ``<knn key>.knn.npy`` on a
     re-audit of a cached embedding only; the knn key is ``_hash_key("knn.v1",
@@ -295,18 +320,10 @@ def cross_validate(
         raise ValueError(f"{graph_path} holds the kNN graph of {pg.node_count} nodes at "
                          f"k {pg.k}, sigma {pg.sigma:g}, not of {n} vectors at k {k}, "
                          f"sigma {sigma}")
-    pg.transition, pg.degree, pg.components  # built once, before any fold is forked
+    pg.transition, pg.degree, pg.components  # built once, before any fold runs or is sent
     n_classes = [attribute.num_groups for attribute in attributes]
     truth = np.stack([attribute.group_of for attribute in attributes])
     members, base = _split_quotas(sensitive, labeled_fraction)
-
-    def fold(f):
-        """Fold f's predicted classes per attribute, unlabeled nodes and warnings."""
-        free = ~_labeled_mask(members, base, n, rng_for(seed, "fold", f))
-        # the attributes share the labeled set, so one call propagates both
-        results = propagate(pg, np.where(free, -1, truth), n_classes, max_iters, tol)
-        warnings = [warn for _, warn in results]
-        return [predict(probs) for probs, _ in results], np.flatnonzero(free), warnings
 
     # every split labels base.sum() nodes, so the eval sets stack
     predicted = np.empty((folds, len(attributes), n), dtype=np.int64)
@@ -314,7 +331,8 @@ def cross_validate(
     fold_warnings = []
     # one process per FORK_FOLD_EDGES of work, but two at most: more were never measured
     processes = min(2, folds * len(pg.rows) // FORK_FOLD_EDGES)
-    with contextlib.closing(parallel.fork_map(fold, range(folds), processes)) as results:
+    state = (pg, truth, members, base, seed, n_classes, max_iters, tol)
+    with contextlib.closing(parallel.worker_map(_fold, state, range(folds), processes)) as results:
         for f, (rows, free, warn) in enumerate(results):
             predicted[f], unlabeled[f] = rows, free
             fold_warnings.append(warn)

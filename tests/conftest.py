@@ -1,9 +1,11 @@
 import os
+import signal
 
 import hypothesis
 import numpy as np
 import pytest
 
+from fairwalks import parallel
 from fairwalks.graph import AttributedGraph
 
 hypothesis.settings.register_profile(
@@ -38,8 +40,19 @@ def graph_factory():
 
 
 @pytest.fixture
-def forked(monkeypatch):
-    """The pids of the children that ``os.fork`` starts in this process."""
+def no_worker():
+    """No ``parallel`` worker is alive when the test starts or after it
+    ends, so what the test forks does not depend on the tests before it,
+    and the worker it forks runs the code as the test patched it."""
+    parallel.close_worker()
+    yield
+    parallel.close_worker()
+
+
+@pytest.fixture
+def forked(monkeypatch, no_worker):
+    """The pids of the children that ``os.fork`` starts in this process,
+    which starts the test without a ``parallel`` worker."""
     pids = []
     fork = os.fork
 
@@ -59,3 +72,21 @@ def assert_reaped(pids):
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a test that waits on a child for 30 s."""
+    def expire(signum, frame):
+        raise TimeoutError("the test waited 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def wait_for_exit(pid):
+    """Block until child pid has ended, leaving it unreaped."""
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)

@@ -1,3 +1,10 @@
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +23,9 @@ from fairwalks.evaluation import (
 from fairwalks.graph import GroupPartition, generate_sbm, partition_by
 from fairwalks.propagation import build_propagation_graph, predict, propagate
 from fairwalks.seeds import rng_for
-from tests.conftest import assert_reaped
+from tests.conftest import assert_reaped, wait_for_exit
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def labeled_split(partition, labeled_fraction, rng):
@@ -450,7 +459,8 @@ class TestCrossValidateMatchesPerFoldLoop:
 
 
 class TestForkedFolds:
-    """Folds split over forked processes give the serial call's report bytes."""
+    """Folds split with this process's worker give the serial call's report
+    bytes, and the worker lives from the first split audit to exit."""
 
     @staticmethod
     def case(seed, with_control):
@@ -468,23 +478,127 @@ class TestForkedFolds:
             control = partition(rng.permutation(ctl), attribute="ctl")
         return vectors, sens, control
 
+    @staticmethod
+    def split(monkeypatch):
+        """Split every audit of two folds or more over two processes."""
+        monkeypatch.setattr(evaluation, "FORK_FOLD_EDGES", 1)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+
     @pytest.mark.parametrize("with_control", [False, True], ids=["sensitive", "control"])
     @pytest.mark.parametrize("seed", [1, 4, 10])
     def test_report_bytes_equal_the_serial_call(self, monkeypatch, forked, seed, with_control):
         vectors, sens, control = self.case(seed, with_control)
         serial = cross_validate(vectors, sens, control, folds=5, k=1, seed=seed).to_json()
         assert forked == []  # under the floor
-        monkeypatch.setattr(evaluation, "FORK_FOLD_EDGES", 1)
-        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        self.split(monkeypatch)
         split = cross_validate(vectors, sens, control, folds=5, k=1, seed=seed).to_json()
         assert split == serial
         assert "unreachable from any seed" in split
+        # the first split audit forks the worker, which outlives it; a second forks none
+        assert forked == [parallel._worker[0]]
+        assert cross_validate(vectors, sens, control, folds=5, k=1, seed=seed).to_json() == serial
         assert len(forked) == 1
+        parallel.close_worker()  # as at exit
         assert_reaped(forked)
+
+    def test_a_worker_killed_between_audits_is_replaced(self, monkeypatch, forked):
+        vectors, sens, control = self.case(4, True)
+        serial = cross_validate(vectors, sens, control, folds=5, k=1, seed=4).to_json()
+        self.split(monkeypatch)
+        assert cross_validate(vectors, sens, control, folds=5, k=1, seed=4).to_json() == serial
+        os.kill(forked[0], signal.SIGKILL)
+        wait_for_exit(forked[0])
+        assert cross_validate(vectors, sens, control, folds=5, k=1, seed=4).to_json() == serial
+        assert forked == [forked[0], parallel._worker[0]]
+        assert_reaped(forked[:1])
+
+    @staticmethod
+    def in_the_worker(monkeypatch, act):
+        """Patch ``propagate`` (before the worker is forked) to call act()
+        in any process but this one."""
+        caller, original = os.getpid(), evaluation.propagate
+
+        def patched(*args):
+            if os.getpid() != caller:
+                act()
+            return original(*args)
+
+        monkeypatch.setattr(evaluation, "propagate", patched)
+        return original
+
+    def test_a_worker_killed_mid_audit_raises_runtime_error(self, monkeypatch, forked, deadline):
+        vectors, sens, control = self.case(10, True)
+        serial = cross_validate(vectors, sens, control, folds=5, k=1, seed=10).to_json()
+        self.split(monkeypatch)
+        original = self.in_the_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError) as info:
+            cross_validate(vectors, sens, control, folds=5, k=1, seed=10)
+        assert str(info.value) == f"worker process {forked[0]} ended before it returned item 1"
+        assert parallel._worker is None
+        assert_reaped(forked)
+        monkeypatch.setattr(evaluation, "propagate", original)
+        assert cross_validate(vectors, sens, control, folds=5, k=1, seed=10).to_json() == serial
+        assert len(forked) == 2
+
+    def test_a_fold_error_in_the_worker_keeps_its_type_and_message(self, monkeypatch, forked):
+        vectors, sens, _ = self.case(1, False)
+        self.split(monkeypatch)
+
+        def fail():
+            raise ValueError("fold failed in the worker")
+
+        self.in_the_worker(monkeypatch, fail)
+        with pytest.raises(ValueError) as info:
+            cross_validate(vectors, sens, folds=3, k=1)
+        assert type(info.value) is ValueError and str(info.value) == "fold failed in the worker"
+        assert parallel._worker is None
+        assert_reaped(forked)
+
+    def test_a_fork_map_child_audits_serially_and_leaves_the_callers_worker(
+            self, monkeypatch, forked):
+        vectors, sens, control = self.case(10, True)
+        serial = cross_validate(vectors, sens, control, folds=5, k=1, seed=10).to_json()
+        self.split(monkeypatch)
+        assert cross_validate(vectors, sens, control, folds=5, k=1, seed=10).to_json() == serial
+        worker = forked[0]
+
+        def audit(x):  # as a sweep's run does
+            report = cross_validate(vectors, sens, control, folds=5, k=1, seed=10).to_json()
+            return report, parallel._worker is None
+
+        # the child's audit forked no worker: it has none after it
+        assert list(parallel.fork_map(audit, range(2), 2)) == [(serial, False), (serial, True)]
+        assert len(forked) == 2
+        assert_reaped(forked[1:])
+        # the caller's worker read no job but its own, so it returns no stale result
+        assert cross_validate(vectors, sens, control, folds=5, k=1, seed=10).to_json() == serial
+        assert parallel._worker[0] == worker and len(forked) == 2
+
+    def test_the_worker_is_reaped_when_its_process_exits(self):
+        code = textwrap.dedent("""
+            import numpy as np
+            from fairwalks import evaluation, parallel
+            from fairwalks.graph import GroupPartition
+
+            evaluation.FORK_FOLD_EDGES = 1
+            parallel.available_cpus = lambda: 2
+            rng = np.random.default_rng(0)
+            sens = GroupPartition("sens", np.repeat(np.arange(3), 6), ("a", "b", "c"))
+            for seed in (1, 2):
+                evaluation.cross_validate(rng.normal(0, 1, (18, 2)), sens, folds=4, k=2,
+                                          seed=seed)
+            print(parallel._worker[0])
+        """)
+        src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        pid = int(done.stdout)
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
     def test_one_fold_is_not_split(self, monkeypatch, forked):
         vectors, sens, _ = self.case(1, False)
-        monkeypatch.setattr(evaluation, "FORK_FOLD_EDGES", 1)
-        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        self.split(monkeypatch)
         cross_validate(vectors, sens, folds=1, k=1)
         assert forked == []

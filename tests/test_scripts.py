@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from fairwalks.parallel import available_cpus
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -44,6 +46,24 @@ def test_measure_peak_rss_reports_memory_and_stages():
     peaks = out["stage_peak_mb"]
     assert 0 < max(peaks.values()) <= out["tracemalloc_peak_mb"] < out["ru_maxrss_mb"]
     assert max(peaks["knn_graph"], peaks["propagate"]) <= peaks["evaluate"]
+
+
+def test_measure_peak_rss_runs_from_a_checkout_without_pythonpath(tmp_path):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / "measure_peak_rss.py"),
+                             "--nodes", "90"], capture_output=True, text=True, env=env,
+                            cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert 0 < out["nodes"] <= 90 and out["stage_s"]["evaluate"] > 0
+
+
+@pytest.mark.skipif(available_cpus() < 2, reason="the folds split only over two CPUs")
+def test_measure_peak_rss_counts_the_fold_worker():
+    # 2 folds of a 3,000-node kNN graph split with the worker, reaped before the reading
+    result = run_script("measure_peak_rss.py", "--nodes", "3000")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["ru_maxrss_children_mb"] > 0
 
 
 def test_measure_peak_rss_takes_p_and_q():
