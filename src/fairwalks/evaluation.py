@@ -26,9 +26,11 @@ from fairwalks.seeds import rng_for
 REPORT_SCHEMA_VERSION = 1
 
 # the fold-edges (folds x directed kNN edges) that each process of a split
-# cross_validate gets at least: about 10 ms of work at 0.32 us per
-# fold-edge. It was measured against a child forked per audit (about
-# 3.4 ms to fork and reap): two processes were slower than one at 24-27k
+# cross_validate gets at least: about 5.6 ms of work at 0.17 us per
+# fold-edge with the certified stop (0.22 us with the tol stop alone, on
+# eval_warm's graphs, one core of a 2-vCPU host). It was set against a
+# child forked per audit (about 3.4 ms to fork and reap), when a fold cost
+# 0.32 us per fold-edge: two processes were slower than one at 24-27k
 # fold-edges and faster from 54k on, so the folds are split from 2**16 on.
 # The reused worker's round trip is about 0.12 ms with a 6,128-edge graph,
 # but the floor was not measured again: lower, it would split audits that
@@ -204,7 +206,7 @@ def _fold(state, f):
     n = pg.node_count
     free = ~_labeled_mask(members, base, n, rng_for(seed, "fold", f))
     # the attributes share the labeled set, so one call propagates both
-    results = propagate(pg, np.where(free, -1, truth), n_classes, max_iters, tol)
+    results = propagate(pg, np.where(free, -1, truth), n_classes, max_iters, tol, certify=True)
     warnings = [warn for _, warn in results]
     return [predict(probs) for probs, _ in results], np.flatnonzero(free), warnings
 
@@ -273,6 +275,17 @@ def cross_validate(
     the labeled nodes and propagates; the unlabeled nodes of all folds are
     scored together at the end. Metrics are computed on the fold-averaged
     score vectors.
+
+    The folds read only the argmax of each attribute, so they propagate
+    with ``propagate(certify=True)``: an attribute stops once every free
+    node's argmax is proven final and the ``tol`` stop is proven to fire
+    within ``max_iters``, which gives the ``tol`` stop's predictions and
+    warnings without its last sweeps. ``tol`` stays the fallback rule, for
+    nodes the certificate cannot prove (an exact tie, a slowly mixing pair
+    of near-duplicates), so the report's ``config`` keys, including
+    ``propagation_tol``, and its bytes do not change. A fold warns that
+    propagation did not converge only when neither stop fires within
+    ``max_iters`` sweeps, as before.
 
     The folds are independent, so from ``2 * FORK_FOLD_EDGES`` fold-edges
     (folds x directed kNN edges) on, where this process may use two CPUs,

@@ -5,6 +5,53 @@ endpoint lists the other among its k nearest) with RBF weights
 exp(-d^2 / sigma^2). Propagation iterates Y <- D^-1 W Y with labeled rows
 clamped to their one-hot targets, the harmonic-function scheme for
 semi-supervised classification.
+
+Certified stop. From the zero start, a free node's iterate F_c after t
+sweeps is the chance that a random walk from it reaches a class-c seed
+within t steps (the absorbing-walk reading of Zhu, Ghahramani & Lafferty,
+ICML 2003). So every F_c only grows, and no class can gain more than the
+node's unassigned mass r = 1 - sum_c F_c. Once the top-two margin exceeds
+r, the node's argmax is its argmax at every later sweep, the one where
+the ``tol`` stop fires included. ``propagate(certify=True)`` checks the
+still-unproven free nodes of every moving attribute's seeded components
+each ``CERTIFY_EVERY`` sweeps. Stranded nodes are never checked: they keep
+the uniform rule.
+
+The attribute stops once every node is proven and the ``tol`` stop is
+sure to fire within ``max_iters`` sweeps, so that its warnings, and with
+them an audit's report bytes, are the ``tol`` stop's in every case. From
+the zero start, the unassigned masses after s sweeps are the row sums of
+P^s, P the transition among the seeded free nodes, and the change of
+sweep s' + s is P^s times the change of sweep s'. So with R the largest
+unassigned mass after s sweeps, the max change falls by the factor R at
+least every s sweeps, and with J = floor(N / s) - 1 (N = ``max_iters``),
+(R + guard)^J (change + guard) + guard < tol proves that the ``tol`` stop
+fires by sweep (J + 1) s <= N. A node trapped in a near-duplicate pair
+that reaches a seed through one faint edge keeps R near 1: its attribute
+runs on to the ``tol`` stop, or to ``max_iters`` and its warning.
+
+Rounding guard. The certificate holds for exact iterates; the computed
+ones drift from them. Let eps = 2^-52 be float64's machine epsilon,
+u = eps / 2 the unit roundoff, D the largest edge count of a free row,
+N = ``max_iters`` and C the attribute's class count. A row's normalized
+weights carry a relative error of at most about (D + 1)u and a sweep's
+products and sum about D u more, so a sweep adds at most (2D + 1)u max|F|
+to any entry's distance from the exact iterate, and the sweep, a
+substochastic matrix over the free rows, does not grow the distance it
+inherits: after t <= N sweeps every entry is within
+E = N (2D + 1) u (1 + O(N D u)). The computed margin can then exceed the
+exact one by 2E, the computed r fall short of the exact one by C E plus
+about C u for its own sum, and the iterate that the ``tol`` stop returns
+lies within E of its exact one. A node is proven only once
+
+    margin > r + guard,  guard = (C + 4) (N + 1) (2D + 1) eps,
+
+which covers those (C + 4) E and the roundings of the test itself twice
+over. It also covers the error of the computed R and change, and the 2E
+by which a computed change may exceed the exact one. On eval_warm's
+graphs (D <= 63, N = 1000, C = 3) it is at most 2e-10.
+An exact tie, margin 0, is never proven, since the computed r is above
+-guard; it runs to the ``tol`` stop and keeps the lowest-class argmax.
 """
 
 from dataclasses import dataclass
@@ -73,6 +120,7 @@ class PropagationGraph:
                    rows, cols, weights.view(np.float64))
 
 
+CERTIFY_EVERY = 4  # sweeps between two certificate checks of propagate(certify=True)
 KNN_BLOCK_CELLS = 1 << 22  # distance entries per row block of build_propagation_graph
 KNN_SELECT_CELLS = 1 << 16  # distance entries per row chunk of a block's later passes
 
@@ -192,6 +240,8 @@ def propagate(
     n_classes: int | list[int],
     max_iters: int = 1000,
     tol: float = 1e-6,
+    *,
+    certify: bool = False,
 ):
     """Spread clamped seed labels until the distributions stop moving.
 
@@ -199,6 +249,15 @@ def propagate(
     (probabilities (n, C), warnings). Unlabeled nodes with no path to any
     seed get the uniform distribution. Stopping at ``max_iters`` before the
     change falls below ``tol`` adds a warning.
+
+    ``certify=True`` also stops an attribute once the argmax of every free
+    node in a seeded component is proven final and the ``tol`` stop is
+    proven to fire within ``max_iters`` (module docstring). Its
+    probabilities are then an earlier sweep's, but ``predict`` of them, the
+    stranded rows and the warnings are the ``tol`` stop's: "propagation did
+    not converge ..." keeps its text and is written only when neither stop
+    fires within ``max_iters`` sweeps, which is when the ``tol`` stop alone
+    writes it. The default path is the ``tol`` loop alone.
 
     Labels of shape (k, n), with -1 at the same nodes in every row, and a
     sequence of k class counts propagate k attributes over one labeled
@@ -252,18 +311,31 @@ def propagate(
     nxt = cur.copy()
     gathered = np.empty((bounds[-1], len(cols)))
     diff = np.empty((bounds[-1], a))
+    # nodes in a component that holds a seed: the certificate checks the
+    # free ones, and the unlabeled others are stranded, set to uniform last
+    component = pg.components
+    seeded = np.zeros(n, dtype=bool)
+    seeded[component[labeled]] = True
+    seeded = seeded[component]
 
-    # Each attribute stops at its own first sweep with max change < tol;
-    # later sweeps cover only the channels of the attributes still moving.
+    # Each attribute stops at its own first sweep with max change < tol or,
+    # with certify, at its first check that leaves no node unproven and
+    # proves the tol stop due; later sweeps cover only the channels of the
+    # attributes still moving.
     # Channels hold no cross terms, so every result is the 1-D call's. A
     # sweep makes one convergence reduction: the max change per channel,
     # then per attribute over its channels (marks). The buffer views are
     # rebuilt only when the set of moving attributes changes.
     k = len(labels)
+    reached = np.flatnonzero(seeded[active])
+    unproven = [reached] * k
+    # the certificate's rounding guard per attribute (module docstring)
+    guard = ((np.diff(bounds) + 4) * (max_iters + 1) * (2 * degree.max(initial=0) + 1)
+             * np.finfo(np.float64).eps)
     moving = list(range(k))
     out = [None] * k
     change, first, stale = np.full(k, np.inf), 0, True
-    for _ in range(max_iters):
+    for sweep in range(max_iters):
         if stale:
             first, last = moving[0], moving[-1] + 1
             lo, hi = bounds[first], bounds[last]
@@ -276,9 +348,16 @@ def propagate(
         np.abs(np.subtract(there[1], here[1], out=d), out=d)
         change = np.maximum.reduceat(d.max(axis=1, initial=0.0), marks)
         cur, nxt, here, there = nxt, cur, there, here
-        if (change < tol).any():
+        done = change < tol
+        if certify and sweep % CERTIFY_EVERY == CERTIFY_EVERY - 1:
             for i in moving:
-                if change[i - first] < tol:
+                y = cur[bounds[i]:bounds[i + 1]]
+                unproven[i] = _unproven(y, unproven[i], guard[i])
+                done[i - first] |= not len(unproven[i]) and _tol_stop_due(
+                    y, reached, change[i - first], sweep + 1, max_iters, tol, guard[i])
+        if done.any():
+            for i in moving:
+                if done[i - first]:
                     out[i] = cur[bounds[i]:bounds[i + 1]].T[pos]
             still = [i for i in moving if out[i] is None]
             stale, moving = still != moving, still
@@ -291,10 +370,7 @@ def propagate(
             f"(last max change {change[i - first]:.3g}, tol {tol:g})"
         )
 
-    component = pg.components
-    seeded = np.zeros(n, dtype=bool)
-    seeded[component[labeled]] = True
-    stranded = ~seeded[component] & ~labeled
+    stranded = ~seeded & ~labeled
     if stranded.any():
         for y, count, warn in zip(out, n_classes, warnings):
             y[stranded] = 1.0 / count
@@ -303,6 +379,25 @@ def propagate(
             )
     results = list(zip(out, warnings))
     return results[0] if single else results
+
+
+def _unproven(y, nodes, guard):
+    """The nodes, columns of the class-major iterate y, whose top-two margin
+    is at most their unassigned mass plus the guard: their argmax may move."""
+    block = np.take(y, nodes, axis=1)
+    # the second largest and the largest; for one class, its row: margin 0
+    top2 = np.partition(block, len(y) - 2, axis=0)[len(y) - 2:]
+    return nodes[top2[-1] - top2[0] <= 1.0 - block.sum(axis=0) + guard]
+
+
+def _tol_stop_due(y, nodes, change, sweeps, max_iters, tol, guard):
+    """Whether the tol stop is sure to fire within max_iters sweeps: every
+    ``sweeps`` sweeps, the max change shrinks at least by the factor R, the
+    largest unassigned mass of the nodes after ``sweeps`` sweeps (module
+    docstring)."""
+    blocks = max_iters // sweeps - 1
+    mass = (1.0 - np.take(y, nodes, axis=1).sum(axis=0)).max(initial=0.0)
+    return blocks > 0 and (mass + guard) ** blocks * (change + guard) + guard < tol
 
 
 def predict(probabilities) -> np.ndarray:

@@ -343,9 +343,9 @@ class TestCrossValidate:
         calls = []
         original = evaluation.propagate
 
-        def counted(pg, labels, n_classes, *args):
+        def counted(pg, labels, n_classes, *args, **kwargs):
             calls.append((np.array(labels), list(n_classes)))
-            return original(pg, labels, n_classes, *args)
+            return original(pg, labels, n_classes, *args, **kwargs)
 
         monkeypatch.setattr(evaluation, "propagate", counted)
         report = cross_validate(vectors, p, control, folds=3, seed=6)
@@ -518,10 +518,10 @@ class TestForkedFolds:
         in any process but this one."""
         caller, original = os.getpid(), evaluation.propagate
 
-        def patched(*args):
+        def patched(*args, **kwargs):
             if os.getpid() != caller:
                 act()
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(evaluation, "propagate", patched)
         return original
@@ -602,3 +602,62 @@ class TestForkedFolds:
         self.split(monkeypatch)
         cross_validate(vectors, sens, folds=1, k=1)
         assert forked == []
+
+
+class TestCertifiedAudit:
+    """The audit's certified stop gives the report bytes of the tol stop,
+    serial and split."""
+
+    @staticmethod
+    def case():
+        """Overlapping clusters and duplicate points: some folds strand nodes."""
+        rng = np.random.default_rng(5)
+        sizes = [30, 24, 36]
+        centers = rng.normal(0, 1.5, (3, 4))
+        vectors = np.concatenate([c + rng.normal(0, 1, (s, 4)) for c, s in zip(centers, sizes)])
+        vectors[rng.random(len(vectors)) < 0.1] = 0.0
+        sens = partition(np.repeat(np.arange(3), sizes), attribute="sens")
+        control = partition(np.arange(len(vectors)) % 3, attribute="ctl")
+        return vectors, sens, control
+
+    @staticmethod
+    def audit(vectors, sens, control):
+        return cross_validate(vectors, sens, control, folds=6, k=1, seed=2).to_json()
+
+    @staticmethod
+    def tol_only(monkeypatch):
+        """Patch the audit's ``propagate`` to ignore the certified stop."""
+        def tol_stop(*args, certify):
+            assert certify
+            return propagate(*args)
+
+        monkeypatch.setattr(evaluation, "propagate", tol_stop)
+
+    def test_serial_report_bytes_equal_the_tol_stops(self, monkeypatch):
+        vectors, sens, control = self.case()
+        original, early = evaluation.propagate, []
+
+        def compared(*args, certify):
+            got, want = original(*args, certify=certify), original(*args)
+            early.extend(a.tobytes() != b.tobytes() for (a, _), (b, _) in zip(got, want))
+            return got
+
+        monkeypatch.setattr(evaluation, "propagate", compared)
+        certified = self.audit(vectors, sens, control)
+        assert any(early)  # some attribute stopped at its certificate, before tol
+        assert "unreachable from any seed" in certified
+        self.tol_only(monkeypatch)
+        assert self.audit(vectors, sens, control) == certified
+
+    def test_split_report_bytes_equal_the_tol_stops(self, monkeypatch, forked):
+        vectors, sens, control = self.case()
+        TestForkedFolds.split(monkeypatch)
+        certified = self.audit(vectors, sens, control)
+        parallel.close_worker()
+        # patched before the next split audit forks its worker, so both
+        # processes run the tol stop
+        self.tol_only(monkeypatch)
+        assert self.audit(vectors, sens, control) == certified
+        assert len(forked) == 2
+        parallel.close_worker()
+        assert_reaped(forked)

@@ -469,6 +469,131 @@ class TestBatchedPropagate:
             propagate(pg, np.stack([labels, labels]), [n_classes])
 
 
+CERTIFY_CASES = {
+    **PARITY_CASES,
+    **{f"random-seed{s}-{c}classes": random_case(s, c) for s in (10, 11, 12) for c in (2, 4)},
+}
+
+
+def stranded_nodes(pg, labels):
+    """Unlabeled nodes in a component of positive-weight edges without a seed."""
+    labeled = np.asarray(labels) >= 0
+    positive = pg.weights > 0
+    component = component_labels(pg.node_count, pg.rows[positive], pg.cols[positive])
+    return ~np.isin(component, component[labeled]) & ~labeled
+
+
+def path_case(n_free):
+    """A unit-weight path with a class-0 seed at one end and a class-1 seed
+    at the other: with an odd number of free nodes, the middle one ties."""
+    n = n_free + 2
+    pg = coo_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    return pg, np.array([0] + [-1] * n_free + [1])
+
+
+class TestCertifiedStop:
+    """``certify=True`` may stop before ``tol``, but every prediction,
+    warning and stranded row is the tol-stopped call's."""
+
+    @staticmethod
+    def assert_same_audit(pg, labels, got, want):
+        """Equal argmax, warnings, clamped rows and stranded rows."""
+        probs, warnings = got
+        want_probs, want_warnings = want
+        assert probs.dtype == want_probs.dtype and probs.shape == want_probs.shape
+        np.testing.assert_array_equal(predict(probs), predict(want_probs))
+        assert warnings == want_warnings
+        fixed = stranded_nodes(pg, labels) | (np.asarray(labels) >= 0)
+        assert probs[fixed].tobytes() == want_probs[fixed].tobytes()
+
+    @pytest.mark.parametrize("case", sorted(CERTIFY_CASES))
+    def test_1d_audit_equals_the_tol_stop(self, case):
+        pg, labels, n_classes, kwargs = CERTIFY_CASES[case]
+        got = propagate(pg, labels, n_classes, **kwargs, certify=True)
+        self.assert_same_audit(pg, labels, got, propagate(pg, labels, n_classes, **kwargs))
+
+    @pytest.mark.parametrize("case", sorted(CERTIFY_CASES))
+    def test_stacked_audit_equals_the_tol_stop(self, case):
+        pg, labels, n_classes, kwargs = CERTIFY_CASES[case]
+        rows = np.stack([labels, other_attribute(labels, [0, 1, 2], seed=len(case))])
+        counts = [n_classes, 3]
+        got = propagate(pg, rows, counts, **kwargs, certify=True)
+        want = propagate(pg, rows, counts, **kwargs)
+        for row, pair, want_pair in zip(rows, got, want):
+            self.assert_same_audit(pg, row, pair, want_pair)
+
+    @pytest.mark.parametrize("case", sorted(CERTIFY_CASES))
+    def test_stacked_call_equals_each_1d_call_bit_for_bit(self, case):
+        pg, labels, n_classes, kwargs = CERTIFY_CASES[case]
+        rows = [labels, other_attribute(labels, [0, 1, 2, 3], seed=len(case))]
+        got = propagate(pg, np.stack(rows), [n_classes, 4], **kwargs, certify=True)
+        for row, count, (probs, warnings) in zip(rows, [n_classes, 4], got):
+            want, want_warnings = propagate(pg, row, count, **kwargs, certify=True)
+            assert probs.tobytes() == want.tobytes() and warnings == want_warnings
+
+    @pytest.mark.parametrize("stranded", [False, True])
+    def test_certificate_stops_before_tol(self, stranded):
+        pg, labels, n_classes, _ = random_case(0, 2)
+        if stranded:  # and a free edge 60 - 61 that no seed reaches
+            edges = [(a, b, w) for a, b, w in zip(pg.rows, pg.cols, pg.weights) if a < b]
+            pg = coo_graph(62, [*edges, (60, 61, 1.0)])
+            labels = np.r_[labels, -1, -1]
+        sweeps = sweeps_to_converge(pg, labels, n_classes)
+        want, want_warnings = propagate(pg, labels, n_classes)
+        got, warnings = propagate(pg, labels, n_classes, certify=True)
+        # the certified call returned an earlier sweep of the same loop
+        every = propagation_mod.CERTIFY_EVERY
+        early = [m for m in range(every, sweeps, every)
+                 if propagate(pg, labels, n_classes, max_iters=m)[0].tobytes() == got.tobytes()]
+        assert len(early) == 1
+        np.testing.assert_array_equal(predict(got), predict(want))
+        assert warnings == want_warnings == (
+            ["2 nodes unreachable from any seed; set to uniform"] if stranded else [])
+
+    def test_a_trap_runs_to_max_iters_and_warns(self):
+        # the free pair 1 - 2 reaches the class-0 seed through one faint
+        # edge: its argmax is proven after a few hundred sweeps, but its
+        # change stays above tol for thousands, so the tol stop would warn
+        pg = coo_graph(5, [(0, 1, 0.004), (1, 2, 0.8), (3, 4, 1.0)])
+        labels = np.array([0, -1, -1, 1, -1])
+        want, want_warnings = propagate(pg, labels, 2)
+        got, warnings = propagate(pg, labels, 2, certify=True)
+        assert got.tobytes() == want.tobytes() and warnings == want_warnings
+        assert warnings[0].startswith("propagation did not converge in 1000 iterations")
+        proven, _ = propagate(pg, labels, 2, max_iters=500)
+        assert (proven[[1, 2], 0] > 0.5).all()  # margin over the unassigned mass
+
+    def test_exact_tie_is_never_certified(self):
+        pg, labels = path_case(5)
+        want, want_warnings = propagate(pg, labels, 2)
+        got, warnings = propagate(pg, labels, 2, certify=True)
+        assert got[3, 0] == got[3, 1]
+        assert predict(got)[3] == 0  # the lowest class, as the tol stop picks it
+        # the tie held the call to the tol stop: the same sweeps, the same bits
+        assert got.tobytes() == want.tobytes() and warnings == want_warnings == []
+
+    def test_no_stop_warns_with_the_tol_text(self):
+        pg, labels = path_case(5)
+        got = propagate(pg, labels, 2, max_iters=12, certify=True)
+        want = propagate(pg, labels, 2, max_iters=12)
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+        assert len(got[1]) == 1 and got[1][0].startswith(
+            "propagation did not converge in 12 iterations (last max change ")
+
+    def test_an_early_lead_is_not_certified(self):
+        # node 1 sits next to the class-0 seed, but the class-1 seed pulls
+        # harder through the heavy chain 2 - ... - 7, whose mass reaches
+        # node 1 only at the seventh sweep
+        chain = [(i, i + 1, 100.0) for i in range(2, 8)]
+        pg = coo_graph(9, [(0, 1, 1.0), (1, 2, 4.0), *chain, (7, 8, 100.0)])
+        labels = np.array([0] + [-1] * 7 + [1])
+        early, _ = propagate(pg, labels, 2, max_iters=propagation_mod.CERTIFY_EVERY)
+        assert predict(early)[1] == 0
+        want, _ = propagate(pg, labels, 2)
+        got, warnings = propagate(pg, labels, 2, certify=True)
+        assert predict(want)[1] == predict(got)[1] == 1 and warnings == []
+
+
 class TestSaveLoad:
     def test_round_trip_is_bit_for_bit(self, tmp_path):
         vectors = np.random.default_rng(3).normal(size=(40, 5))
